@@ -1,7 +1,6 @@
 #include "engine/rtdbs.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <utility>
 
@@ -496,15 +495,6 @@ void Rtdbs::ApplyAllocation(QueryId id, PageCount pages) {
   QueryRuntime& rt = *it->second;
   if (rt.finished) return;
   if (pages == rt.allocation) return;
-  if (const char* tq = std::getenv("RTQ_TRACE_QUERY")) {
-    if (static_cast<QueryId>(std::atoll(tq)) == id) {
-      std::fprintf(stderr,
-                   "[trace] t=%.1f q%llu alloc %lld -> %lld (max=%lld)\n",
-                   sim_.Now(), (unsigned long long)id,
-                   (long long)rt.allocation, (long long)pages,
-                   (long long)rt.desc.max_memory);
-    }
-  }
 
   Status st = pool_->SetReservation(id, pages);
   RTQ_CHECK_MSG(st.ok(), st.ToString().c_str());

@@ -13,11 +13,21 @@
 // arrival process declustered across shards, for Poisson, scenario, and
 // trace sources alike.
 //
-// The cluster advances on one merged clock: each step dispatches the
-// earliest pending event across all shards (ties break toward the lowest
-// shard index), so the interleaving is deterministic and a global-MPL
-// coordinator observes shard transitions in a reproducible order. With
-// num_shards=1 the merged loop degenerates to stepping the single shard,
+// How the cluster advances depends on what couples the shards:
+//
+//  * Local admission, RunUntil: the shards share no mutable state (only
+//    the const placement, the read-only registries, and a shared const
+//    trace), so each shard runs to the horizon on its own, on a
+//    persistent set of worker threads. Every shard's trajectory is by
+//    construction exactly what it would be alone.
+//  * Global admission, and event-granular stepping (StepEvents, the
+//    serve loop's unit): one merged clock. Each step dispatches the
+//    earliest pending event across all shards (ties break toward the
+//    lowest shard index), so the interleaving is deterministic and a
+//    global-MPL coordinator observes shard transitions in a reproducible
+//    order.
+//
+// With num_shards=1 both paths degenerate to running the single shard,
 // which makes a 1-shard cluster bit-identical to a plain Rtdbs — the
 // invariant the sharded golden-trajectory tests pin.
 //
@@ -50,21 +60,31 @@ class ShardedRtdbs {
   static StatusOr<std::unique_ptr<ShardedRtdbs>> Create(
       const SystemConfig& base, const ShardConfig& shards);
 
+  /// Joins the worker threads, if RunUntil started any.
+  ~ShardedRtdbs();
   ShardedRtdbs(const ShardedRtdbs&) = delete;
   ShardedRtdbs& operator=(const ShardedRtdbs&) = delete;
 
-  /// Advances the whole cluster to absolute time `until` on the merged
-  /// clock, then aligns every shard's clock to the horizon (mirroring
-  /// Rtdbs::RunUntil).
+  /// Advances the whole cluster to absolute time `until`, then aligns
+  /// every shard's clock to the horizon (mirroring Rtdbs::RunUntil).
+  /// Under local admission each shard runs independently, on
+  /// min(num_shards, hardware threads) threads counting the caller; the
+  /// helper threads start on the first call and persist until
+  /// destruction. An exception a shard throws is rethrown here once
+  /// every shard has stopped (the lowest shard index wins). Under global
+  /// admission the caller steps the merged clock.
   void RunUntil(SimTime until);
 
   /// Starts every shard's arrival stream and samplers. Idempotent.
   void Start();
 
-  /// Dispatches exactly one event — the earliest pending across all
-  /// shards, lowest shard index on ties. Returns false when every shard's
-  /// calendar is empty.
-  bool StepEvent();
+  /// Dispatches up to `n` events on the merged clock — each the earliest
+  /// pending across all shards, lowest shard index on ties — and returns
+  /// how many dispatched (fewer only when every calendar drains).
+  uint64_t StepEvents(uint64_t n);
+
+  /// StepEvents(1) == 1: false when every shard's calendar is empty.
+  bool StepEvent() { return StepEvents(1) == 1; }
 
   /// Latest shard clock (== the RunUntil horizon after a run).
   SimTime Now() const;
@@ -94,11 +114,13 @@ class ShardedRtdbs {
   void AppendStateDigest(std::vector<std::string>* out) const;
 
  private:
-  ShardedRtdbs() = default;
+  class ShardWorkers;
 
-  /// Shard owning the earliest pending event at or before `horizon`
-  /// (ties -> lowest index); -1 when none qualifies.
-  int32_t NextShard(SimTime horizon) const;
+  ShardedRtdbs();
+
+  /// The merged loop: dispatches up to `max_events` events at or before
+  /// `horizon`, earliest first. Returns the number dispatched.
+  uint64_t StepMerged(uint64_t max_events, SimTime horizon);
 
   ShardConfig shard_config_;
   std::unique_ptr<workload::ShardPlacement> placement_;
@@ -106,7 +128,13 @@ class ShardedRtdbs {
   /// Declared after placement_/coordinator_: shards hold raw pointers to
   /// both and must be destroyed first.
   std::vector<std::unique_ptr<Rtdbs>> shards_;
+  /// StepMerged's head time per shard (+inf for an empty calendar),
+  /// sized in Create so the merged loop never allocates.
+  std::vector<SimTime> heads_;
   bool started_ = false;
+  /// Local-admission RunUntil's threads. Declared last: they step the
+  /// shards, so they are joined before anything else is destroyed.
+  std::unique_ptr<ShardWorkers> workers_;
 };
 
 }  // namespace rtq::engine

@@ -136,11 +136,9 @@ StatusOr<std::unique_ptr<ServeSession>> ServeSession::Restore(
 }
 
 uint64_t ServeSession::RunEvents(uint64_t n) {
+  if (sharded()) return cluster_->StepEvents(n);
   uint64_t stepped = 0;
-  for (; stepped < n; ++stepped) {
-    bool more = sharded() ? cluster_->StepEvent() : sys_->StepEvent();
-    if (!more) break;
-  }
+  while (stepped < n && sys_->StepEvent()) ++stepped;
   return stepped;
 }
 

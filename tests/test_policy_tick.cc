@@ -20,6 +20,7 @@
 
 #include <cmath>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/memory_policy.h"
@@ -31,10 +32,17 @@
 namespace rtq::core {
 namespace {
 
-/// Tick times recorded by every TickProbePolicy in this process.
+/// Tick times recorded by every TickProbePolicy in this process. A
+/// local-admission cluster runs its shards' probe instances on different
+/// threads, so appends hold TickMutex().
 std::vector<SimTime>& TickTimes() {
   static std::vector<SimTime> times;
   return times;
+}
+
+std::mutex& TickMutex() {
+  static std::mutex mu;
+  return mu;
 }
 
 /// Test-only plugin: logs OnTick times and alternates the installed
@@ -50,7 +58,10 @@ class TickProbePolicy : public MemoryPolicy {
   }
 
   void OnTick(SimTime now) override {
-    TickTimes().push_back(now);
+    {
+      std::lock_guard<std::mutex> lock(TickMutex());
+      TickTimes().push_back(now);
+    }
     use_minmax_ = !use_minmax_;
     if (use_minmax_) {
       mm_->SetStrategy(std::make_unique<MinMaxStrategy>(2));

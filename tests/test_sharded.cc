@@ -1,7 +1,8 @@
 // ShardedRtdbs: placement determinism, config cross-validation, the
-// shards=1 ≡ unsharded bit-identity pin, cluster conservation laws,
-// global-MPL coordination, and a registry-wide property that every
-// policy runs under shards=4 untouched.
+// shards=1 ≡ unsharded bit-identity pin, cluster conservation laws, the
+// parallel local run ≡ merged loop pin, global-MPL coordination, and a
+// registry-wide property that every policy runs under shards=4
+// untouched.
 
 #include <gtest/gtest.h>
 
@@ -255,26 +256,75 @@ TEST(ShardedRtdbs, ReplaysBitIdentically) {
   }
 }
 
-TEST(ShardedRtdbs, StepEventMatchesRunUntil) {
-  SystemConfig config = harness::BaselineConfig(0.06, {"minmax:10"}, 42);
-  ShardConfig shards;
-  shards.num_shards = 2;
-
-  auto stepped = ShardedRtdbs::Create(config, shards);
-  auto ran = ShardedRtdbs::Create(config, shards);
-  ASSERT_TRUE(stepped.ok() && ran.ok());
-  ran.value()->RunUntil(600.0);
-  // Stepping the same number of events from a fresh cluster must replay
-  // the identical merged dispatch order.
-  const uint64_t target = ran.value()->events_dispatched();
-  ASSERT_GT(target, 0u);
-  while (stepped.value()->events_dispatched() < target) {
-    ASSERT_TRUE(stepped.value()->StepEvent());
+void ExpectSameDigests(const ShardedRtdbs& a, const ShardedRtdbs& b) {
+  std::vector<std::string> da, db;
+  a.AppendStateDigest(&da);
+  b.AppendStateDigest(&db);
+  ASSERT_EQ(da.size(), db.size());
+  for (size_t i = 0; i < da.size(); ++i) {
+    EXPECT_EQ(da[i], db[i]) << "digest line " << i;
   }
-  SystemSummary a = stepped.value()->Summarize();
-  SystemSummary b = ran.value()->Summarize();
-  EXPECT_EQ(a.overall.completions, b.overall.completions);
-  EXPECT_EQ(a.overall.misses, b.overall.misses);
+}
+
+// Under local admission RunUntil runs each shard on its own, spread over
+// the worker threads. Stepping an identical fresh cluster through the
+// merged loop for the same number of events must land every shard in
+// the same state.
+TEST(ShardedRtdbs, StepEventMatchesRunUntil) {
+  struct Case {
+    SystemConfig config;
+    int32_t num_shards;
+    const char* placement;
+  };
+  const Case cases[] = {
+      {harness::BaselineConfig(0.06, {"minmax:10"}, 42), 2, "hash"},
+      {harness::BaselineConfig(0.48, {"pmm"}, 42), 8, "hash"},
+      {harness::MulticlassConfig(0.4, {"pmm"}, 7), 4, "skew:hot=0.6"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::to_string(c.num_shards) + " x " + c.placement);
+    ShardConfig shards;
+    shards.num_shards = c.num_shards;
+    shards.placement = c.placement;
+    auto ran = ShardedRtdbs::Create(c.config, shards);
+    auto stepped = ShardedRtdbs::Create(c.config, shards);
+    ASSERT_TRUE(ran.ok() && stepped.ok());
+    ASSERT_EQ(ran.value()->coordinator(), nullptr);
+    for (int t = 1; t <= 600; ++t) ran.value()->RunUntil(t);
+
+    const uint64_t target = ran.value()->events_dispatched();
+    ASSERT_GT(target, 0u);
+    ASSERT_EQ(stepped.value()->StepEvents(target), target);
+    // Every event at or before the horizon has dispatched; this only
+    // aligns the shard clocks.
+    stepped.value()->RunUntil(600.0);
+    EXPECT_EQ(stepped.value()->events_dispatched(), target);
+    ExpectSameDigests(*ran.value(), *stepped.value());
+  }
+}
+
+TEST(ShardedRtdbs, StepEventsMatchesRepeatedStepEvent) {
+  SystemConfig config = harness::BaselineConfig(0.24, {"pmm"}, 42);
+  ShardConfig shards;
+  shards.num_shards = 4;
+  shards.placement = "skew:hot=0.6";
+  shards.admission = "global:mpl=4";
+  auto batched = ShardedRtdbs::Create(config, shards);
+  auto single = ShardedRtdbs::Create(config, shards);
+  ASSERT_TRUE(batched.ok() && single.ok());
+
+  // Uneven batch sizes, so batch boundaries (where the head cache is
+  // rebuilt) fall at arbitrary points of the merged order.
+  uint64_t total = 0;
+  for (uint64_t n : {1u, 7u, 4096u, 100000u, 3u, 250000u}) {
+    ASSERT_EQ(batched.value()->StepEvents(n), n);
+    total += n;
+  }
+  for (uint64_t i = 0; i < total; ++i) {
+    ASSERT_TRUE(single.value()->StepEvent());
+  }
+  EXPECT_EQ(batched.value()->events_dispatched(), total);
+  ExpectSameDigests(*batched.value(), *single.value());
 }
 
 // ---------------------------------------------------------------------------
