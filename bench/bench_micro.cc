@@ -1,12 +1,15 @@
 // Micro-benchmarks (google-benchmark) of the hot substrates: the event
 // calendar, the least-squares fits PMM recomputes every batch, the
-// allocation strategies, the LRU page cache, the disk geometry model,
-// the MemoryManager reallocation path, and policy-registry dispatch.
+// allocation strategies, the LRU page cache, the CPU scheduler, the disk
+// geometry model and elevator, the MemoryManager reallocation path, and
+// policy-registry dispatch.
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <deque>
 
+#include "buffer/buffer_pool.h"
 #include "buffer/lru_cache.h"
 #include "common/arena.h"
 #include "common/inline_callback.h"
@@ -14,6 +17,7 @@
 #include "core/memory_manager.h"
 #include "core/policy_registry.h"
 #include "core/strategy.h"
+#include "model/cpu.h"
 #include "model/disk.h"
 #include "model/disk_geometry.h"
 #include "sim/event_queue.h"
@@ -141,11 +145,16 @@ void BM_ProportionalAllocate(benchmark::State& state) {
 }
 BENCHMARK(BM_ProportionalAllocate);
 
+// Lookup, plus Insert (and an eviction) on a miss, at the paper's
+// 2,560-page pool over twice as many pages: runs of consecutive pages on
+// ten disks, keyed by BufferPool::PageKey as the engine keys them.
 void BM_LruCacheChurn(benchmark::State& state) {
   rtq::Rng rng(6);
-  rtq::buffer::LruCache cache(1024);
+  rtq::buffer::LruCache cache(2560);
   for (auto _ : state) {
-    uint64_t key = static_cast<uint64_t>(rng.UniformInt(0, 4095));
+    const uint64_t key = rtq::buffer::BufferPool::PageKey(
+        static_cast<rtq::DiskId>(rng.UniformInt(0, 9)),
+        1000 + rng.UniformInt(0, 511));
     if (!cache.Lookup(key)) cache.Insert(key);
   }
   state.SetItemsProcessed(state.iterations());
@@ -192,8 +201,8 @@ BENCHMARK(BM_DiskGeometryAccessTime);
 // The elevator pick at a fixed queue depth (arg 0): submit `depth`
 // requests in a handful of deadline buckets (so the cylinder-sweep
 // tie-break, not just ED, decides) and drain the disk. Each service
-// completion pays one PickByElevator over the remaining queue, which is
-// what the (deadline, cylinder, seq) index made O(log n).
+// completion pays one PickByElevator over the remaining queue. Depth 1
+// is the idle-disk path: the request starts without being queued.
 void BM_DiskElevatorDrain(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   rtq::Rng rng(12);
@@ -222,7 +231,42 @@ void BM_DiskElevatorDrain(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * depth);
 }
-BENCHMARK(BM_DiskElevatorDrain)->Arg(4)->Arg(32)->Arg(256);
+BENCHMARK(BM_DiskElevatorDrain)->Arg(1)->Arg(4)->Arg(32)->Arg(256);
+
+// One CPU job's life: Submit, dispatch, completion event. Arg 0 is the
+// number of jobs in flight, each completion submitting a replacement: at
+// 1 every submit finds the CPU idle and starts at once (most of the
+// engine's submits), at 8 it joins the ready heap or preempts.
+class CpuChurn {
+ public:
+  CpuChurn() {
+    rtq::Rng rng(14);
+    for (double& d : deadlines_) d = rng.Uniform(1.0, 100.0);
+  }
+  void Submit() {
+    rtq::model::CpuJob job;
+    job.query = static_cast<rtq::QueryId>(next_ % 8) + 1;
+    job.deadline = sim_.Now() + deadlines_[next_++ % deadlines_.size()];
+    job.instructions = 20'000;
+    job.on_complete = [this] { Submit(); };
+    cpu_.Submit(std::move(job));
+  }
+  rtq::sim::Simulator& sim() { return sim_; }
+
+ private:
+  rtq::sim::Simulator sim_;
+  rtq::model::Cpu cpu_{&sim_, 40.0};
+  std::array<double, 1024> deadlines_{};
+  uint64_t next_ = 0;
+};
+
+void BM_CpuSubmitComplete(benchmark::State& state) {
+  CpuChurn churn;
+  for (int64_t i = 0; i < state.range(0); ++i) churn.Submit();
+  for (auto _ : state) benchmark::DoNotOptimize(churn.sim().Step());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CpuSubmitComplete)->Arg(1)->Arg(8);
 
 // MemoryManager::Reallocate with N live queries: the full recompute the
 // engine triggers on every arrival, completion, and policy revision.

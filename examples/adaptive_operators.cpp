@@ -33,12 +33,13 @@ class ToyContext : public rtq::exec::ExecContext {
     pages_read_ += pages;
     pending_.push(std::move(done));
   }
+  // Spool writes are fire-and-forget: the operator never waits on one,
+  // so there is no continuation to queue (`done` is always empty).
   void Write(rtq::DiskId, rtq::PageCount, rtq::PageCount pages,
-             rtq::exec::DoneCallback done, bool /*background*/) override {
+             rtq::exec::DoneCallback /*done*/, bool /*background*/) override {
     now_ += 0.012 + 0.0002 * static_cast<double>(pages);
     ++writes_;
     pages_written_ += pages;
-    pending_.push(std::move(done));
   }
   rtq::StatusOr<rtq::storage::TempFile> AllocateTemp(
       rtq::PageCount pages, rtq::DiskId) override {

@@ -1,5 +1,7 @@
 #include "buffer/lru_cache.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace rtq::buffer {
@@ -38,18 +40,55 @@ void LruCache::Unlink(uint32_t slot) {
 }
 
 void LruCache::EvictToCapacity() {
-  while (static_cast<PageCount>(index_.size()) > capacity_) {
+  while (static_cast<PageCount>(size_) > capacity_) {
     uint32_t victim = tail_;
     RTQ_DCHECK(victim != kNullHandle);
     Unlink(victim);
-    index_.erase(nodes_[victim].key);
+    EraseBucket(Probe(nodes_[victim].key));
     free_slots_.push_back(victim);
   }
 }
 
+size_t LruCache::Probe(uint64_t key) const {
+  const size_t mask = table_.size() - 1;
+  size_t b = Home(key);
+  while (table_[b] != kNullHandle && nodes_[table_[b]].key != key) {
+    b = (b + 1) & mask;
+  }
+  return b;
+}
+
+void LruCache::EraseBucket(size_t bucket) {
+  const size_t mask = table_.size() - 1;
+  size_t hole = bucket;
+  for (size_t b = (hole + 1) & mask; table_[b] != kNullHandle;
+       b = (b + 1) & mask) {
+    // The entry at b may fill the hole only if its home does not lie
+    // cyclically in (hole, b]: otherwise its probe would never reach it.
+    const size_t home = Home(nodes_[table_[b]].key);
+    if (((b - home) & mask) >= ((b - hole) & mask)) {
+      table_[hole] = table_[b];
+      hole = b;
+    }
+  }
+  table_[hole] = kNullHandle;
+  --size_;
+}
+
+void LruCache::Grow() {
+  const size_t buckets = table_.empty() ? 16 : 2 * table_.size();
+  table_.assign(buckets, kNullHandle);
+  shift_ = 64 - __builtin_ctzll(buckets);
+  const size_t mask = buckets - 1;
+  for (uint32_t s = head_; s != kNullHandle; s = nodes_[s].next) {
+    size_t b = Home(nodes_[s].key);
+    while (table_[b] != kNullHandle) b = (b + 1) & mask;
+    table_[b] = s;
+  }
+}
+
 LruCache::Handle LruCache::Find(uint64_t key) const {
-  auto it = index_.find(key);
-  return it == index_.end() ? kNullHandle : it->second;
+  return table_.empty() ? kNullHandle : table_[Probe(key)];
 }
 
 void LruCache::Touch(Handle h) {
@@ -72,12 +111,15 @@ bool LruCache::Lookup(uint64_t key) {
 
 void LruCache::Insert(uint64_t key) {
   if (capacity_ == 0) return;
-  // One hash probe covers both the residency check and the insert.
-  auto [it, inserted] = index_.try_emplace(key, 0);
-  if (!inserted) {
+  // The new key may briefly make size_ exceed capacity_ until the LRU
+  // page is evicted; keep the load factor at most 1/2 counting it.
+  if (2 * (size_ + 1) > table_.size()) Grow();
+  // One probe covers both the residency check and the insert.
+  const size_t b = Probe(key);
+  if (table_[b] != kNullHandle) {
     // Resident: promote only, no hit counted (matches the historical
     // std::list splice semantics the state digests pin).
-    Handle h = it->second;
+    Handle h = table_[b];
     if (head_ != h) {
       Unlink(h);
       LinkFront(h);
@@ -94,16 +136,18 @@ void LruCache::Insert(uint64_t key) {
   }
   nodes_[slot].key = key;
   LinkFront(slot);
-  it->second = slot;
+  table_[b] = slot;
+  ++size_;
   EvictToCapacity();
 }
 
 void LruCache::Erase(uint64_t key) {
-  auto it = index_.find(key);
-  if (it == index_.end()) return;
-  uint32_t slot = it->second;
+  if (table_.empty()) return;
+  const size_t b = Probe(key);
+  const uint32_t slot = table_[b];
+  if (slot == kNullHandle) return;
   Unlink(slot);
-  index_.erase(it);
+  EraseBucket(b);
   free_slots_.push_back(slot);
 }
 
@@ -111,13 +155,14 @@ void LruCache::Clear() {
   for (uint32_t s = head_; s != kNullHandle; s = nodes_[s].next) {
     free_slots_.push_back(s);
   }
-  index_.clear();
+  std::fill(table_.begin(), table_.end(), kNullHandle);
+  size_ = 0;
   head_ = tail_ = kNullHandle;
 }
 
 std::vector<uint64_t> LruCache::Keys() const {
   std::vector<uint64_t> keys;
-  keys.reserve(index_.size());
+  keys.reserve(size_);
   for (uint32_t s = head_; s != kNullHandle; s = nodes_[s].next) {
     keys.push_back(nodes_[s].key);
   }

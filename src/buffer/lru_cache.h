@@ -6,21 +6,22 @@
 // by the buffer pool.
 //
 // Storage is one intrusive slab: recency links live inside the node
-// vector (indices, not list pointers), the key->slot index recycles its
-// nodes through a NodePool, and freed slots are reused — so the cache
-// performs zero heap allocation in steady state. The Find/Touch handle
-// pair lets the engine's multi-page coverage probe hash each page ONCE
-// (Find) and promote on the hit path (Touch) without re-hashing.
+// vector (indices, not list pointers), and freed slots are reused. The
+// key->slot index is an open-addressing table of slot indices over that
+// slab (linear probing, backward-shift deletion, load factor at most
+// 1/2). It doubles when the resident count reaches a new high and never
+// shrinks, so once the pool has been full the cache performs zero heap
+// allocation. The Find/Touch handle pair lets the engine's multi-page
+// coverage probe hash each page ONCE (Find) and promote on the hit path
+// (Touch) without re-hashing.
 
 #ifndef RTQ_BUFFER_LRU_CACHE_H_
 #define RTQ_BUFFER_LRU_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "common/pool.h"
 #include "common/types.h"
 
 namespace rtq::buffer {
@@ -65,7 +66,7 @@ class LruCache {
   /// view of cache contents, where order matters as much as membership.
   std::vector<uint64_t> Keys() const;
 
-  PageCount size() const { return static_cast<PageCount>(index_.size()); }
+  PageCount size() const { return static_cast<PageCount>(size_); }
   PageCount capacity() const { return capacity_; }
   int64_t hits() const { return hits_; }
   int64_t misses() const { return misses_; }
@@ -81,15 +82,26 @@ class LruCache {
   void Unlink(uint32_t slot);
   void EvictToCapacity();
 
+  /// Home bucket of `key`. Fibonacci hashing spreads the clustered
+  /// (disk, page) keys of BufferPool::PageKey across the table.
+  size_t Home(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  /// The bucket holding `key`, or the empty bucket ending its probe. The
+  /// table must be non-empty.
+  size_t Probe(uint64_t key) const;
+  /// Empties `bucket`, shifting later entries of its probe run back so
+  /// no lookup stops early.
+  void EraseBucket(size_t bucket);
+  /// Doubles the table (16 buckets at first) and re-inserts every key.
+  void Grow();
+
   PageCount capacity_;
-  // Pool before the index map so the map is destroyed first.
-  NodePool pool_;
-  using Index =
-      std::unordered_map<uint64_t, uint32_t, std::hash<uint64_t>,
-                         std::equal_to<uint64_t>,
-                         PoolAllocator<std::pair<const uint64_t, uint32_t>>>;
-  Index index_{8, std::hash<uint64_t>(), std::equal_to<uint64_t>(),
-               PoolAllocator<std::pair<const uint64_t, uint32_t>>(&pool_)};
+  /// Slot per bucket, kNullHandle when empty; size 0 or a power of two.
+  std::vector<uint32_t> table_;
+  /// 64 - log2(table_.size()): Home() keeps the hash's top bits.
+  int shift_ = 64;
+  size_t size_ = 0;
   std::vector<Node> nodes_;
   std::vector<uint32_t> free_slots_;
   uint32_t head_ = kNullHandle;  // MRU

@@ -22,6 +22,14 @@ namespace rtq::engine {
 // Per-query execution context: binds the query's identity and ED priority
 // into every CPU job and disk request, charges the start-I/O CPU cost, and
 // consults the buffer pool's LRU page cache before touching a disk.
+//
+// The operator waits on one continuation at a time (RunCpu or Read); the
+// context parks it and the CPU/disk closures resume it through `this`, so
+// they capture only scalars and relocate with a plain copy. They never
+// outlive the query: a deadline abort cancels its CPU jobs and queued disk
+// requests and drops the callback of one in service. Spool writes do
+// outlive it, so their closures capture the engine and the query id,
+// never the context, whose arena is recycled once the query has finished.
 // ---------------------------------------------------------------------------
 class Rtdbs::QueryContext : public exec::ExecContext {
  public:
@@ -31,67 +39,58 @@ class Rtdbs::QueryContext : public exec::ExecContext {
   SimTime Now() const override { return sys_->sim_.Now(); }
 
   void RunCpu(Instructions instructions, exec::DoneCallback done) override {
-    sys_->cpu_->Submit(
-        model::CpuJob{id_, deadline_, instructions, std::move(done)});
+    Park(std::move(done));
+    SubmitCpu(instructions, [this] { Resume(); });
   }
 
   void Read(DiskId disk, PageCount start, PageCount pages,
             exec::DoneCallback done) override {
     RTQ_DCHECK(disk >= 0 &&
                disk < static_cast<DiskId>(sys_->disks_.size()));
+    Park(std::move(done));
+    const Instructions start_io = sys_->config_.exec.costs.start_io;
     if (sys_->CacheCovers(disk, start, pages)) {
       // Buffer-pool hit: no disk access; the lookup cost is folded into
       // the start-I/O charge.
-      sys_->cpu_->Submit(model::CpuJob{
-          id_, deadline_, sys_->config_.exec.costs.start_io,
-          std::move(done)});
+      SubmitCpu(start_io, [this] { Resume(); });
       return;
     }
-    Rtdbs* sys = sys_;
-    QueryId id = id_;
-    SimTime deadline = deadline_;
-    sys_->cpu_->Submit(model::CpuJob{
-        id_, deadline_, sys_->config_.exec.costs.start_io,
-        [sys, id, deadline, disk, start, pages,
-         done = std::move(done)]() mutable {
-          model::DiskRequest req;
-          req.query = id;
-          req.deadline = deadline;
-          req.start_page = start;
-          req.pages = pages;
-          req.is_write = false;
-          req.on_complete = [sys, disk, start, pages,
-                             done = std::move(done)]() mutable {
-            sys->CacheInsert(disk, start, pages);
-            done();
-          };
-          sys->disks_[static_cast<size_t>(disk)]->Submit(std::move(req));
-        }});
+    SubmitCpu(start_io, [this, disk, start, pages] {
+      model::DiskRequest req;
+      req.query = id_;
+      req.deadline = deadline_;
+      req.start_page = start;
+      req.pages = pages;
+      req.is_write = false;
+      req.on_complete = [this, disk, start, pages] {
+        sys_->CacheInsert(disk, start, pages);
+        Resume();
+      };
+      sys_->disks_[static_cast<size_t>(disk)]->Submit(std::move(req));
+    });
   }
 
   void Write(DiskId disk, PageCount start, PageCount pages,
              exec::DoneCallback done, bool background) override {
     RTQ_DCHECK(disk >= 0 &&
                disk < static_cast<DiskId>(sys_->disks_.size()));
+    RTQ_CHECK_MSG(!done && background,
+                  "writes are fire-and-forget background spool writes");
     Rtdbs* sys = sys_;
     QueryId id = id_;
-    // Background spool writes sort after every deadline-bearing request
-    // in the ED disk queues.
-    SimTime deadline = background ? kNoDeadline : deadline_;
     sys_->CacheInvalidate(disk, start, pages);
-    sys_->cpu_->Submit(model::CpuJob{
-        id_, deadline_, sys_->config_.exec.costs.start_io,
-        [sys, id, deadline, disk, start, pages,
-         done = std::move(done)]() mutable {
-          model::DiskRequest req;
-          req.query = id;
-          req.deadline = deadline;
-          req.start_page = start;
-          req.pages = pages;
-          req.is_write = true;
-          req.on_complete = std::move(done);
-          sys->disks_[static_cast<size_t>(disk)]->Submit(std::move(req));
-        }});
+    const Instructions start_io = sys_->config_.exec.costs.start_io;
+    SubmitCpu(start_io, [sys, id, disk, start, pages] {
+      model::DiskRequest req;
+      req.query = id;
+      // Background spool writes sort after every deadline-bearing request
+      // in the ED disk queues.
+      req.deadline = kNoDeadline;
+      req.start_page = start;
+      req.pages = pages;
+      req.is_write = true;
+      sys->disks_[static_cast<size_t>(disk)]->Submit(std::move(req));
+    });
   }
 
   StatusOr<storage::TempFile> AllocateTemp(PageCount pages,
@@ -104,9 +103,28 @@ class Rtdbs::QueryContext : public exec::ExecContext {
   }
 
  private:
+  template <typename F>
+  void SubmitCpu(Instructions instructions, F&& on_complete) {
+    sys_->cpu_->Submit(model::CpuJob{id_, deadline_, instructions,
+                                     std::forward<F>(on_complete)});
+  }
+
+  void Park(exec::DoneCallback done) {
+    RTQ_DCHECK(!waiting_);
+    waiting_ = std::move(done);
+  }
+
+  /// Hands the parked continuation to the operator, which may park the
+  /// next one before this returns.
+  void Resume() {
+    exec::DoneCallback done = std::move(waiting_);
+    done();
+  }
+
   Rtdbs* sys_;
   QueryId id_;
   SimTime deadline_;
+  exec::DoneCallback waiting_;
 };
 
 // ---------------------------------------------------------------------------

@@ -38,10 +38,14 @@ class ExecContext {
   virtual void Read(DiskId disk, PageCount start_page, PageCount pages,
                     DoneCallback done) = 0;
 
-  /// Writes `pages` consecutive pages starting at `start_page` on `disk`,
-  /// then invokes `done`. `background` writes carry the lowest scheduling
-  /// priority (spool traffic must never delay deadline-critical reads —
-  /// PPHJ's "priority spooling").
+  /// Queues a write of `pages` consecutive pages starting at `start_page`
+  /// on `disk`. Writes are fire-and-forget spool writes: the operator
+  /// never waits on one, and each carries the lowest disk priority (spool
+  /// traffic must never delay deadline-critical reads — PPHJ's "priority
+  /// spooling"). Callers pass an empty `done` and `background` = true;
+  /// the engine rejects anything else. The two parameters remain only
+  /// because existing implementations (the rtqbench harness) override
+  /// this signature.
   virtual void Write(DiskId disk, PageCount start_page, PageCount pages,
                      DoneCallback done, bool background) = 0;
 

@@ -70,24 +70,10 @@ void OperatorBase::StepRead(DiskId disk, PageCount start, PageCount pages) {
   });
 }
 
-void OperatorBase::StepWrite(DiskId disk, PageCount start, PageCount pages) {
-  RTQ_DCHECK(in_flight_);
-  ++counters_.write_requests;
-  counters_.pages_written += pages;
-  ctx_->Write(
-      disk, start, pages,
-      [this] {
-        if (aborted_ || finished_) return;
-        in_flight_ = false;
-        Continue();
-      },
-      /*background=*/false);
-}
-
 void OperatorBase::FireWrite(DiskId disk, PageCount start, PageCount pages) {
   ++counters_.write_requests;
   counters_.pages_written += pages;
-  ctx_->Write(disk, start, pages, [] {}, /*background=*/true);
+  ctx_->Write(disk, start, pages, nullptr, /*background=*/true);
 }
 
 void OperatorBase::Complete() {

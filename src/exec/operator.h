@@ -105,12 +105,10 @@ class OperatorBase : public Operator {
   void StepCpu(Instructions instructions);
   /// Reads then re-enters.
   void StepRead(DiskId disk, PageCount start, PageCount pages);
-  /// Writes then re-enters.
-  void StepWrite(DiskId disk, PageCount start, PageCount pages);
 
-  /// Fire-and-forget spool write: the write is queued on the disk (at the
-  /// query's ED priority) but the operator does NOT wait for it — this is
-  /// PPHJ's "priority spooling" and the sort's block-spooled output.
+  /// Fire-and-forget spool write, the only kind of write: it is queued on
+  /// the disk at background priority and the operator does NOT wait for
+  /// it — PPHJ's "priority spooling" and the sort's block-spooled output.
   /// Does not consume the current step.
   void FireWrite(DiskId disk, PageCount start, PageCount pages);
 
@@ -119,7 +117,7 @@ class OperatorBase : public Operator {
 
   /// Declares that this step issues no work (suspended or waiting for a
   /// larger allocation). Step() must call exactly one of StepCpu,
-  /// StepRead, StepWrite, Complete, or Idle.
+  /// StepRead, Complete, or Idle.
   void Idle() { in_flight_ = false; }
 
   /// Re-enters the state machine: applies any pending allocation change,

@@ -6,25 +6,33 @@
 // earlier deadline preempts the running one (the preempted job keeps its
 // remaining instruction count). Ties break by query id, then submission
 // order, so runs are deterministic.
+//
+// Layout: the running job sits outside the ready queue, so a job that
+// finds the CPU idle (most submits) starts without touching it. Waiting
+// jobs form a binary min-heap of (key, slot) entries over a slab of job
+// states whose slots recycle through a free list, so the scheduler
+// allocates nothing once the slab has reached its high-water mark. The
+// key is a total order, so the pop order does not depend on the heap's
+// layout.
 
 #ifndef RTQ_MODEL_CPU_H_
 #define RTQ_MODEL_CPU_H_
 
 #include <cstdint>
-#include <map>
+#include <vector>
 
 #include "common/inline_callback.h"
-#include "common/pool.h"
 #include "common/types.h"
 #include "sim/simulator.h"
 #include "stats/time_weighted.h"
 
 namespace rtq::model {
 
-/// Completion continuation. 80 bytes holds the engine's widest submit
-/// capture (the read-miss chain in engine/rtdbs.cc) without touching the
-/// heap; bigger captures fail to compile (common/inline_callback.h).
-using CpuCallback = InlineCallback<80>;
+/// Completion continuation. 40 bytes holds the engine's widest submit
+/// capture (the spool-write chain in engine/rtdbs.cc: engine, query id,
+/// disk, extent) without touching the heap; bigger captures fail to
+/// compile (common/inline_callback.h).
+using CpuCallback = InlineCallback<40>;
 
 struct CpuJob {
   QueryId query = kInvalidQueryId;
@@ -60,7 +68,9 @@ class Cpu {
   double busy_seconds(SimTime now) const { return busy_.Integral(now); }
 
   double mips() const { return mips_; }
-  size_t pending_jobs() const { return jobs_.size(); }
+  /// Jobs submitted and not yet finished or cancelled, the running one
+  /// included.
+  size_t pending_jobs() const { return ready_.size() + (running_ ? 1 : 0); }
   int64_t completed_jobs() const { return completed_jobs_; }
   int64_t preemptions() const { return preemptions_; }
 
@@ -79,29 +89,40 @@ class Cpu {
     double remaining_instructions;
     CpuCallback on_complete;
   };
+  struct ReadyEntry {
+    JobKey key;
+    uint32_t slot;
+  };
+  /// Heap order for std::push_heap/pop_heap: the earliest key on top.
+  static bool Later(const ReadyEntry& a, const ReadyEntry& b) {
+    return b.key < a.key;
+  }
 
-  /// Suspends the running job, crediting executed instructions.
+  /// Stores a job's state in a free slab slot.
+  uint32_t AllocSlot(double instructions, CpuCallback&& on_complete);
+  /// Drops the slot's callback and returns the slot to the free list.
+  void FreeSlot(uint32_t slot);
+  void PushReady(const JobKey& key, uint32_t slot);
+  /// Stops the running job, crediting executed instructions. The caller
+  /// re-queues or discards it.
   void PreemptRunning();
-  /// Starts (or resumes) the highest-priority job, if any.
+  /// Starts (or resumes) the job in `slot`; the CPU must be idle.
+  void Run(const JobKey& key, uint32_t slot);
+  /// Runs the highest-priority ready job, if any.
   void Dispatch();
   void OnJobComplete();
 
   sim::Simulator* sim_;
   double mips_;
 
-  // Pool before containers: containers must be destroyed first.
-  NodePool pool_;
-  using JobMap =
-      std::map<JobKey, JobState, std::less<JobKey>,
-               PoolAllocator<std::pair<const JobKey, JobState>>>;
-  JobMap jobs_{std::less<JobKey>(),
-               PoolAllocator<std::pair<const JobKey, JobState>>(
-                   &pool_)};  // ordered: begin() = highest priority
+  std::vector<JobState> slab_;
+  std::vector<uint32_t> free_slots_;
+  /// Binary min-heap on key (ordered by Later); every job but the
+  /// running one.
+  std::vector<ReadyEntry> ready_;
   bool running_ = false;
-  /// Iterator to the running job. Map iterators stay valid across
-  /// inserts and unrelated erases, so completion/preemption need no
-  /// re-lookup by key.
-  JobMap::iterator running_it_{};
+  JobKey running_key_{};
+  uint32_t running_slot_ = 0;
   SimTime running_since_ = 0.0;
   sim::EventId completion_event_ = sim::kInvalidEventId;
   uint64_t next_seq_ = 0;

@@ -118,16 +118,22 @@ void Disk::Submit(DiskRequest request) {
           request.start_page + request.pages <= geometry_.params().capacity(),
       "disk request outside disk capacity");
   const Cylinder cyl = geometry_.CylinderOf(request.start_page);
-  const SimTime deadline = request.deadline;
-  const QueryId query = request.query;
+  if (!in_service_) {
+    // Every completion starts the next queued request, so an idle disk
+    // has an empty queue and the elevator would pick this request. Replay
+    // its sweep: a request behind the head reverses the direction.
+    RTQ_DCHECK(queued_count_ == 0);
+    if (sweep_up_ ? cyl < head_ : cyl > head_) sweep_up_ = !sweep_up_;
+    current_ = std::move(request);
+    StartService();
+    return;
+  }
 
+  DeadlineGroup* g = GroupFor(request.deadline);
   auto* node =
       static_cast<RequestNode*>(pool_.Allocate(sizeof(RequestNode)));
   ::new (static_cast<void*>(node)) RequestNode{
-      std::move(request), nullptr, nullptr, nullptr, nullptr, nullptr, cyl};
-
-  DeadlineGroup* g = GroupFor(deadline);
-  node->group = g;
+      std::move(request), nullptr, nullptr, g, cyl};
   const size_t w = static_cast<size_t>(cyl) >> 6;
   const uint64_t bit = uint64_t{1} << (cyl & 63);
   if ((g->bits[w] & bit) == 0) {
@@ -145,14 +151,6 @@ void Disk::Submit(DiskRequest request) {
   }
   ++g->count;
   ++queued_count_;
-
-  auto [it, inserted] = by_query_.try_emplace(query, nullptr);
-  (void)inserted;
-  node->query_next = it->second;
-  if (node->query_next != nullptr) node->query_next->query_prev = node;
-  it->second = node;
-
-  if (!in_service_) StartNext();
 }
 
 void Disk::RemoveFromQueue(RequestNode* node) {
@@ -165,51 +163,45 @@ void Disk::RemoveFromQueue(RequestNode* node) {
     node->fifo_next->fifo_prev = node->fifo_prev;
     if (g->heads[cyl] == node) g->heads[cyl] = node->fifo_next;
   }
+  --g->count;
   --queued_count_;
-  if (--g->count == 0) {
-    const SimTime deadline = node->req.deadline;
-    auto it = std::lower_bound(
-        groups_.begin(), groups_.end(), deadline,
-        [](const std::pair<SimTime, DeadlineGroup*>& a, SimTime b) {
-          return a.first < b;
-        });
-    RTQ_DCHECK(it != groups_.end() && it->second == g);
-    groups_.erase(it);
-    g->next_free = free_groups_;
-    free_groups_ = g;
-  }
+  node->~RequestNode();
+  pool_.Deallocate(node, sizeof(RequestNode));
 }
 
-void Disk::UnlinkQueryList(RequestNode* node) {
-  if (node->query_next != nullptr)
-    node->query_next->query_prev = node->query_prev;
-  if (node->query_prev != nullptr) {
-    node->query_prev->query_next = node->query_next;
-  } else {
-    // Head of the query's list: move the map entry to the successor, or
-    // drop the entry when this was the query's last queued request.
-    if (node->query_next != nullptr) {
-      by_query_[node->req.query] = node->query_next;
-    } else {
-      by_query_.erase(node->req.query);
-    }
-  }
+void Disk::RetireGroup(size_t index) {
+  DeadlineGroup* g = groups_[index].second;
+  RTQ_DCHECK(g->count == 0);
+  groups_.erase(groups_.begin() + static_cast<std::ptrdiff_t>(index));
+  g->next_free = free_groups_;
+  free_groups_ = g;
 }
 
 int64_t Disk::CancelQuery(QueryId query) {
   int64_t removed = 0;
-  auto it = by_query_.find(query);
-  if (it != by_query_.end()) {
-    RequestNode* n = it->second;
-    while (n != nullptr) {
-      RequestNode* next = n->query_next;
-      RemoveFromQueue(n);
-      n->~RequestNode();
-      pool_.Deallocate(n, sizeof(RequestNode));
-      n = next;
-      ++removed;
+  // Back to front, so retiring a drained group leaves the indices still
+  // to visit in place.
+  for (size_t gi = groups_.size(); gi-- > 0;) {
+    DeadlineGroup* g = groups_[gi].second;
+    for (size_t w = 0; w < bitmap_words_; ++w) {
+      for (uint64_t word = g->bits[w]; word != 0; word &= word - 1) {
+        const Cylinder cyl =
+            static_cast<Cylinder>((w << 6) + __builtin_ctzll(word));
+        RequestNode* n = g->heads[cyl];
+        RequestNode* const tail = n->fifo_prev;
+        while (true) {
+          RequestNode* next = n->fifo_next;
+          const bool at_tail = n == tail;
+          if (n->req.query == query) {
+            RemoveFromQueue(n);
+            ++removed;
+          }
+          if (at_tail) break;
+          n = next;
+        }
+      }
     }
-    by_query_.erase(it);
+    if (g->count == 0) RetireGroup(gi);
   }
   if (in_service_ && current_.query == query) current_cancelled_ = true;
   return removed;
@@ -240,9 +232,12 @@ void Disk::StartNext() {
   RequestNode* node = PickByElevator();
   current_ = std::move(node->req);
   RemoveFromQueue(node);
-  UnlinkQueryList(node);
-  node->~RequestNode();
-  pool_.Deallocate(node, sizeof(RequestNode));
+  // The pick comes from the earliest-deadline group, at the front.
+  if (groups_.front().second->count == 0) RetireGroup(0);
+  StartService();
+}
+
+void Disk::StartService() {
   current_cancelled_ = false;
   in_service_ = true;
   busy_.Update(sim_->Now(), 1.0);

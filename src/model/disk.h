@@ -15,7 +15,11 @@
 // earliest deadline first, elevator sweep among deadline ties, FIFO among
 // same-cylinder ties — is a front-group bitmap scan, and submit/removal
 // are O(1) list splices, instead of red-black-tree descents over a queue
-// that routinely holds hundreds of requests.
+// that routinely holds hundreds of requests. A request that finds the disk
+// idle (its queue is then empty) starts service directly, with the same
+// sweep reversal the elevator pick would have made. Cancellation happens
+// once per disk per deadline miss, rare next to submits, so it scans the
+// queue instead of keeping a per-query index up to date on every submit.
 //
 // Cancellation model: CancelQuery() removes only *queued* requests. A
 // request already in service keeps the disk busy until its mechanical
@@ -31,7 +35,6 @@
 #define RTQ_MODEL_DISK_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -45,10 +48,10 @@
 
 namespace rtq::model {
 
-/// Completion continuation. 64 bytes covers the engine's cache-insert
-/// read chain (engine/rtdbs.cc) inline; larger captures are a compile
-/// error (common/inline_callback.h).
-using DiskCallback = InlineCallback<64>;
+/// Completion continuation. 32 bytes covers the engine's cache-insert
+/// read chain (engine/rtdbs.cc: query context plus extent) inline; larger
+/// captures are a compile error (common/inline_callback.h).
+using DiskCallback = InlineCallback<32>;
 
 struct DiskRequest {
   QueryId query = kInvalidQueryId;
@@ -100,16 +103,13 @@ class Disk {
  private:
   struct DeadlineGroup;
 
-  /// One queued request. Doubly linked into two intrusive lists: the
-  /// per-(group, cylinder) FIFO (circular; tail == head->fifo_prev) and
-  /// its query's cancellation list. Nodes come from the pool, so the
-  /// whole queue is allocation-free in steady state.
+  /// One queued request, doubly linked into its (group, cylinder) FIFO
+  /// (circular; tail == head->fifo_prev). Nodes come from the pool, so
+  /// the whole queue is allocation-free in steady state.
   struct RequestNode {
     DiskRequest req;
     RequestNode* fifo_prev;
     RequestNode* fifo_next;
-    RequestNode* query_prev;
-    RequestNode* query_next;
     DeadlineGroup* group;
     Cylinder cyl;
   };
@@ -128,6 +128,8 @@ class Disk {
 
   /// Picks the next request per ED + elevator and starts service.
   void StartNext();
+  /// Starts servicing current_.
+  void StartService();
   void OnServiceComplete();
 
   /// Chooses the next request: earliest-deadline group (front of
@@ -138,18 +140,18 @@ class Disk {
   /// Finds (or creates, via the free list) the group for `deadline`.
   DeadlineGroup* GroupFor(SimTime deadline);
 
-  /// Unlinks `node` from its group's FIFO, retiring the group when it
-  /// drains, and from its query's cancellation list. Does not destroy
-  /// the node.
+  /// Unlinks `node` from its group's FIFO and destroys it. The caller
+  /// retires the group once its count reaches zero.
   void RemoveFromQueue(RequestNode* node);
-  void UnlinkQueryList(RequestNode* node);
+  /// Returns the drained group at groups_[index] to the free list.
+  void RetireGroup(size_t index);
 
   sim::Simulator* sim_;
   DiskGeometry geometry_;
   DiskCache cache_;
   DiskId id_;
 
-  // Pool before containers: containers must be destroyed first.
+  /// Request nodes; the destructor returns any still queued.
   NodePool pool_;
   /// Deadline groups, sorted ascending by deadline (exact-equality
   /// grouping, same as the former (deadline, cylinder, seq) map key).
@@ -158,14 +160,6 @@ class Disk {
   std::vector<std::pair<SimTime, DeadlineGroup*>> groups_;
   DeadlineGroup* free_groups_ = nullptr;
   size_t bitmap_words_;
-  /// query -> head of its RequestNode cancellation list. One hash op per
-  /// submit and (at most) per unlink.
-  using ByQueryIndex = std::unordered_map<
-      QueryId, RequestNode*, std::hash<QueryId>, std::equal_to<QueryId>,
-      PoolAllocator<std::pair<const QueryId, RequestNode*>>>;
-  ByQueryIndex by_query_{
-      8, std::hash<QueryId>(), std::equal_to<QueryId>(),
-      PoolAllocator<std::pair<const QueryId, RequestNode*>>(&pool_)};
   int64_t queued_count_ = 0;
   bool in_service_ = false;
   DiskRequest current_;

@@ -83,7 +83,8 @@ namespace {
 constexpr double kArrivalRate = 1.0;
 constexpr double kWarmupSimSeconds = 2000.0;
 // Warmup must walk past every high-water mark (runtime pool, disk
-// deadline-group free list, event slab, hash-map buckets). The run is
+// deadline-group free list, event slab, CPU job slab, page-cache index
+// table, hash-map buckets). The run is
 // deterministic, so an event-count warmup that covers the high water
 // for the pinned seed covers it on every future run too.
 constexpr int64_t kWarmupEvents = 400000;

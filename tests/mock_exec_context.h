@@ -10,6 +10,7 @@
 #include <queue>
 #include <set>
 
+#include "common/check.h"
 #include "exec/exec_context.h"
 
 namespace rtq::testing {
@@ -35,15 +36,17 @@ class MockExecContext : public exec::ExecContext {
     pending_.push(std::move(done));
   }
 
+  /// Fire-and-forget, as in the engine: nothing waits on a write. Its
+  /// completion still takes one Pump, so a test's step counts cover it.
   void Write(DiskId disk, PageCount start, PageCount pages,
              exec::DoneCallback done, bool background) override {
     (void)disk;
     (void)start;
+    RTQ_CHECK(!done && background);
     now_ += 0.0195 + 0.00185 * static_cast<double>(pages);
     ++writes;
     pages_written += pages;
-    if (background) ++background_writes;
-    pending_.push(std::move(done));
+    pending_.push(nullptr);
   }
 
   StatusOr<storage::TempFile> AllocateTemp(PageCount pages,
@@ -64,12 +67,13 @@ class MockExecContext : public exec::ExecContext {
     live_temp_.erase(file.handle);
   }
 
-  /// Runs one pending completion callback; false when idle.
+  /// Completes one pending demand, running its callback if it has one;
+  /// false when idle.
   bool Pump() {
     if (pending_.empty()) return false;
     auto cb = std::move(pending_.front());
     pending_.pop();
-    cb();
+    if (cb) cb();
     return true;
   }
 
@@ -88,7 +92,6 @@ class MockExecContext : public exec::ExecContext {
   // Counters the tests assert on.
   int64_t reads = 0;
   int64_t writes = 0;
-  int64_t background_writes = 0;
   PageCount pages_read = 0;
   PageCount pages_written = 0;
   Instructions total_instructions = 0;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/simulator.h"
 
 namespace rtq::model {
@@ -100,6 +103,8 @@ TEST(Cpu, CancelRunningJobStartsNext) {
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].first, 2);
   EXPECT_NEAR(done[0].second, 5.0, 1e-9);  // starts at 3, runs 2s
+  // Stopping the running job mid-execution counts as a preemption.
+  EXPECT_EQ(cpu.preemptions(), 1);
 }
 
 TEST(Cpu, DeadlineTieBreaksByQueryId) {
@@ -147,6 +152,122 @@ TEST(Cpu, ManyPreemptionsConserveWork) {
   sim.RunToCompletion();
   // Total work 10 + 5 = 15 seconds.
   EXPECT_NEAR(low_done, 15.0, 1e-9);
+}
+
+// Randomized Submit/CancelQuery/advance interleavings checked against a
+// reference written from the header contract alone (the same pattern as
+// the EventQueue and DiskCache fuzz tests): an ordered map keyed on
+// (deadline, query, submission order) whose first entry runs, strictly
+// earlier deadlines preempt with credited instructions, and cancelling
+// the running job counts as a preemption. Coarse deadlines and few query
+// ids force ties at every level. Fixed seeds so failures reproduce.
+TEST(Cpu, FuzzMatchesMapReferenceModel) {
+  struct Key {
+    SimTime deadline;
+    QueryId query;
+    uint64_t seq;
+    bool operator<(const Key& o) const {
+      if (deadline != o.deadline) return deadline < o.deadline;
+      if (query != o.query) return query < o.query;
+      return seq < o.seq;
+    }
+  };
+  struct RefJob {
+    double remaining;
+    int payload;
+  };
+  constexpr double kMips = 2.0;
+  constexpr double kRate = kMips * 1e6;
+  for (uint64_t seed : {1u, 7u, 99u, 1234u}) {
+    Rng rng(seed);
+    sim::Simulator sim;
+    Cpu cpu(&sim, kMips);
+    std::vector<std::pair<int, SimTime>> got;
+
+    std::map<Key, RefJob> jobs;
+    bool running = false;
+    Key running_key{};
+    SimTime since = 0.0;
+    int64_t preemptions = 0;
+    uint64_t seq = 0;
+    std::vector<std::pair<int, SimTime>> want;
+    auto start = [&](SimTime now) {
+      if (jobs.empty()) return;
+      running = true;
+      running_key = jobs.begin()->first;
+      since = now;
+    };
+    auto preempt = [&](SimTime now) {
+      RefJob& job = jobs.at(running_key);
+      job.remaining -= (now - since) * kRate;
+      if (job.remaining < 0.0) job.remaining = 0.0;
+      running = false;
+      ++preemptions;
+    };
+    auto advance_to = [&](SimTime t) {
+      while (running) {
+        const RefJob& job = jobs.at(running_key);
+        const SimTime end = since + job.remaining / kRate;
+        if (end > t) break;
+        want.emplace_back(job.payload, end);
+        jobs.erase(running_key);
+        running = false;
+        start(end);
+      }
+    };
+
+    int next_payload = 0;
+    for (int step = 0; step < 3000; ++step) {
+      const int64_t op = rng.UniformInt(0, 9);
+      const SimTime now = sim.Now();
+      if (op < 5) {
+        const SimTime deadline = static_cast<double>(rng.UniformInt(1, 6));
+        const auto query = static_cast<QueryId>(rng.UniformInt(1, 4));
+        const Instructions instructions = rng.UniformInt(0, 4) * 500'000;
+        const int payload = next_payload++;
+        CpuJob job;
+        job.query = query;
+        job.deadline = deadline;
+        job.instructions = instructions;
+        job.on_complete = [&got, &sim, payload] {
+          got.emplace_back(payload, sim.Now());
+        };
+        cpu.Submit(std::move(job));
+        jobs[Key{deadline, query, seq++}] =
+            RefJob{static_cast<double>(instructions), payload};
+        if (running && deadline < running_key.deadline) preempt(now);
+        if (!running) start(now);
+      } else if (op < 7) {
+        const auto query = static_cast<QueryId>(rng.UniformInt(1, 4));
+        if (running && running_key.query == query) preempt(now);
+        int64_t removed = 0;
+        for (auto it = jobs.begin(); it != jobs.end();) {
+          if (it->first.query == query) {
+            it = jobs.erase(it);
+            ++removed;
+          } else {
+            ++it;
+          }
+        }
+        if (!running) start(now);
+        ASSERT_EQ(cpu.CancelQuery(query), removed)
+            << "seed " << seed << " step " << step;
+      } else {
+        // Half-second strides land on job boundaries now and then.
+        const int64_t halves = rng.UniformInt(0, 3);
+        const SimTime until = now + 0.5 * static_cast<double>(halves);
+        sim.RunUntil(until);
+        advance_to(until);
+      }
+      ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " step " << step;
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].first, want[i].first) << "seed " << seed;
+        ASSERT_DOUBLE_EQ(got[i].second, want[i].second) << "seed " << seed;
+      }
+      ASSERT_EQ(cpu.pending_jobs(), jobs.size()) << "seed " << seed;
+      ASSERT_EQ(cpu.preemptions(), preemptions) << "seed " << seed;
+    }
+  }
 }
 
 }  // namespace

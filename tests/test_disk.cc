@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/simulator.h"
 
 namespace rtq::model {
@@ -175,6 +177,167 @@ TEST(Disk, BackgroundDeadlineSortsLast) {
   disk.Submit(MakeRequest(3, 99.0, 1800, 6, [&] { order.push_back(3); }));
   sim.RunToCompletion();
   EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+}
+
+// A request that finds the disk idle starts at once, but the elevator
+// state must end up as if the pick had run: a request behind the head
+// reverses the sweep, which decides the order of later deadline ties.
+TEST(Disk, IdleDirectStartBehindHeadReversesSweep) {
+  sim::Simulator sim;
+  Disk disk(&sim, DiskParams(), 0);
+  std::vector<int> order;
+  disk.Submit(MakeRequest(1, 50.0, 90 * 10, 6, [&] { order.push_back(1); }));
+  sim.RunToCompletion();
+  EXPECT_EQ(disk.head(), 10);
+  // Idle disk, sweeping up, request behind the head at cylinder 5.
+  disk.Submit(MakeRequest(2, 50.0, 90 * 5, 6, [&] { order.push_back(2); }));
+  EXPECT_TRUE(disk.busy());
+  EXPECT_EQ(disk.queue_length(), 0u);
+  // Deadline ties on both sides of cylinder 5: the reversed (downward)
+  // sweep takes cylinder 2 first, then reverses again for cylinder 8.
+  disk.Submit(MakeRequest(3, 50.0, 90 * 8, 6, [&] { order.push_back(3); }));
+  disk.Submit(MakeRequest(4, 50.0, 90 * 2, 6, [&] { order.push_back(4); }));
+  sim.RunToCompletion();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 3}));
+  EXPECT_EQ(disk.head(), 8);
+}
+
+// Randomized Submit/CancelQuery/complete interleavings checked against a
+// reference written from the header contract alone (the same pattern as
+// the EventQueue and DiskCache fuzz tests): a flat request list scanned
+// for the earliest deadline, the nearest cylinder in the sweep direction
+// (reversing when none lies ahead), and submission order within a
+// cylinder. Service timing is the geometry's and the prefetch cache's own
+// business (both fuzzed separately), so the reference reuses them and
+// steps one completion at a time. A few cylinders, deadlines and query ids
+// force ties, direct starts behind the head and sweep reversals. Fixed
+// seeds so failures reproduce.
+TEST(Disk, FuzzMatchesLinearScanReferenceModel) {
+  struct RefReq {
+    QueryId query;
+    SimTime deadline;
+    PageCount start;
+    PageCount pages;
+    bool is_write;
+    Cylinder cyl;
+    uint64_t seq;
+    int payload;
+  };
+  const DiskParams params;
+  const SimTime kDeadlines[] = {1.0, 2.0, 3.0, kNoDeadline};
+  for (uint64_t seed : {1u, 7u, 99u, 1234u}) {
+    Rng rng(seed);
+    sim::Simulator sim;
+    Disk disk(&sim, params, 0);
+    std::vector<int> got;
+
+    const DiskGeometry geom(params);
+    DiskCache cache(params.cache_pages);
+    std::vector<RefReq> queue;
+    bool busy = false;
+    RefReq current{};
+    bool current_cancelled = false;
+    Cylinder head = 0;
+    bool sweep_up = true;
+    int64_t cache_hits = 0;
+    uint64_t seq = 0;
+    std::vector<int> want;
+    // Earliest deadline, then the nearest cylinder at-or-ahead of the
+    // head in the sweep direction, then submission order; -1 if none.
+    auto pick = [&](bool up) {
+      SimTime earliest = kNoDeadline;
+      for (const RefReq& r : queue) earliest = std::min(earliest, r.deadline);
+      int best = -1;
+      for (size_t i = 0; i < queue.size(); ++i) {
+        const RefReq& r = queue[i];
+        if (r.deadline != earliest || (up ? r.cyl < head : r.cyl > head)) {
+          continue;
+        }
+        if (best < 0) {
+          best = static_cast<int>(i);
+          continue;
+        }
+        const RefReq& b = queue[static_cast<size_t>(best)];
+        if ((up ? r.cyl < b.cyl : r.cyl > b.cyl) ||
+            (r.cyl == b.cyl && r.seq < b.seq)) {
+          best = static_cast<int>(i);
+        }
+      }
+      return best;
+    };
+    auto start_next = [&] {
+      if (queue.empty()) return;
+      int i = pick(sweep_up);
+      if (i < 0) {
+        sweep_up = !sweep_up;
+        i = pick(sweep_up);
+      }
+      current = queue[static_cast<size_t>(i)];
+      queue.erase(queue.begin() + i);
+      current_cancelled = false;
+      busy = true;
+      if (!current.is_write && cache.Contains(current.start, current.pages)) {
+        ++cache_hits;
+        return;
+      }
+      head = geom.CylinderOf(current.start + current.pages - 1);
+      if (current.is_write) {
+        cache.Invalidate();
+      } else {
+        cache.Insert(current.start, current.pages);
+      }
+    };
+
+    int next_payload = 0;
+    for (int step = 0; step < 3000; ++step) {
+      const int64_t op = rng.UniformInt(0, 9);
+      if (op < 5) {
+        RefReq r{};
+        r.query = static_cast<QueryId>(rng.UniformInt(1, 4));
+        r.deadline = kDeadlines[rng.UniformInt(0, 3)];
+        // Twelve cylinders; a re-read of a recent extent may hit the
+        // prefetch cache, and an extent may straddle two cylinders.
+        r.start = rng.UniformInt(0, 12 * params.cylinder_size - 1);
+        r.pages = rng.UniformInt(1, 8);
+        r.is_write = rng.UniformInt(0, 9) == 0;
+        r.cyl = geom.CylinderOf(r.start);
+        r.seq = seq++;
+        r.payload = next_payload++;
+        const int payload = r.payload;
+        disk.Submit(MakeRequest(r.query, r.deadline, r.start, r.pages,
+                                [&got, payload] { got.push_back(payload); },
+                                r.is_write));
+        queue.push_back(r);
+        if (!busy) start_next();
+      } else if (op < 7) {
+        const auto query = static_cast<QueryId>(rng.UniformInt(1, 4));
+        int64_t removed = 0;
+        for (auto it = queue.begin(); it != queue.end();) {
+          if (it->query == query) {
+            it = queue.erase(it);
+            ++removed;
+          } else {
+            ++it;
+          }
+        }
+        if (busy && current.query == query) current_cancelled = true;
+        ASSERT_EQ(disk.CancelQuery(query), removed)
+            << "seed " << seed << " step " << step;
+      } else if (busy) {
+        ASSERT_TRUE(sim.Step());
+        busy = false;
+        const RefReq done = current;
+        const bool deliver = !current_cancelled;
+        start_next();
+        if (deliver) want.push_back(done.payload);
+      }
+      ASSERT_EQ(got, want) << "seed " << seed << " step " << step;
+      ASSERT_EQ(disk.busy(), busy) << "seed " << seed << " step " << step;
+      ASSERT_EQ(disk.head(), head) << "seed " << seed << " step " << step;
+      ASSERT_EQ(disk.cache_hits(), cache_hits) << "seed " << seed;
+      ASSERT_EQ(disk.queue_length(), queue.size()) << "seed " << seed;
+    }
+  }
 }
 
 }  // namespace

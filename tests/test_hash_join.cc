@@ -64,8 +64,6 @@ TEST(HashJoin, MinMemoryRunIsTwoPass) {
   // Two-pass: everything written out once and read back once.
   EXPECT_NEAR(static_cast<double>(ctx.pages_written), 3600.0, 40.0);
   EXPECT_NEAR(static_cast<double>(ctx.pages_read), 2.0 * 3600.0, 80.0);
-  // Spool writes are fire-and-forget (priority spooling).
-  EXPECT_EQ(ctx.background_writes, ctx.writes);
   // Temp extents were released at completion.
   EXPECT_EQ(ctx.live_temp_extents(), 0);
 }
