@@ -3,45 +3,47 @@
 
 Closes the perf-tracking loop from ROADMAP.md: given baseline
 trajectories checked in under results/ and freshly produced ones, this
-diffs the headline events/sec figure and the per-point miss ratios, and
-exits non-zero when either regresses beyond its threshold.
+checks that every deterministic per-point field is unchanged and that the
+headline events/sec figure has not regressed beyond its threshold, and
+exits non-zero otherwise.
 
     bench/compare_bench_json.py CURRENT BASELINE \
-        [--max-events-regression 0.10] [--max-miss-drift 0.02] \
-        [--require-same-points] [--report]
+        [--max-events-regression 0.10] [--report]
 
 CURRENT and BASELINE are either two BENCH_*.json files or two
 directories; with directories, files are paired by name and every pair
-is compared (a driver present on only one side is reported, and fails
-only with --require-same-points).
+is compared. The gate fails when:
 
-* events/sec: fails when current totals.events_per_second falls more
-  than --max-events-regression (fraction, default 0.10 = the ROADMAP's
-  10%) below the baseline's. Improvements never fail.
-* per-point miss ratio: points are matched by label; a matched point
-  fails when |current - baseline| miss ratio exceeds --max-miss-drift
-  (absolute, default 0.02). With identical simulated duration and seeds
-  the simulator is deterministic, so any drift at --max-miss-drift 0
-  means behaviour changed.
-* unmatched points are reported; they fail only with
-  --require-same-points (sweeps grown on purpose stay comparable).
-* --report prints one old-vs-new wall-seconds / events-per-sec row per
-  driver instead of the per-point OK lines (failures always print).
+* the two sides hold different BENCH_*.json file names (directory mode)
+  or a paired document names a different driver;
+* the two documents' point labels differ, in content or in order;
+* any field of a matched point differs, except "wall_seconds" — this
+  includes a field present on one side only (e.g. "gap_to_oracle").
+  With identical simulated duration and seeds the simulator is
+  deterministic and machine-independent, so equality is exact: there is
+  no tolerance to tune;
+* current totals.events_per_second falls more than
+  --max-events-regression (fraction, default 0.10) below the baseline's.
+  Improvements never fail.
 
-Notes for CI: trajectories (events, completions, misses, miss ratios)
-are deterministic and machine-independent, so bench-smoke compares the
-smoke sweep (RTQ_SIM_HOURS=0.1) against the checked-in references under
-results/smoke/ at --max-miss-drift 0 — any drift fails the PR. Wall
-seconds and events/sec DO vary across machines, so that job relaxes
---max-events-regression; the tight 10% events/sec gate is the
-same-machine full-length run against results/BENCH_baseline.json
-documented in README.md.
+--report prints one old-vs-new wall-seconds / events-per-sec row per
+driver instead of the per-point OK lines (failures always print).
+
+Notes for CI: bench-smoke compares the smoke sweep (RTQ_SIM_HOURS=0.1)
+against the checked-in references under results/smoke/ — any changed
+field fails the PR. Wall seconds and events/sec DO vary across machines,
+so that job relaxes --max-events-regression; the tight 10% events/sec
+gate is the same-machine full-length run against
+results/BENCH_baseline.json documented in README.md.
 """
 
 import argparse
 import json
 import os
 import sys
+
+# Wall clock varies run to run; every other point field is deterministic.
+ADVISORY_FIELDS = {"wall_seconds"}
 
 
 def load(path):
@@ -57,14 +59,27 @@ def load(path):
     return doc
 
 
+def field_diffs(point, base):
+    """Returns 'field: current vs baseline' strings for every differing
+    deterministic field of one matched point."""
+    diffs = []
+    for key in sorted((set(point) | set(base)) - ADVISORY_FIELDS):
+        cur = point.get(key, "<absent>")
+        old = base.get(key, "<absent>")
+        if cur != old:
+            diffs.append(f"{key}: {cur} vs {old}")
+    return diffs
+
+
 def compare_pair(current, baseline, args, failures):
     """Compares one (current, baseline) document pair.
 
     Appends failure strings to `failures` and returns the report-table
     row for the pair.
     """
-    if current["driver"] != baseline["driver"]:
-        failures.append(f"driver mismatch: {current['driver']} vs "
+    driver = current["driver"]
+    if driver != baseline["driver"]:
+        failures.append(f"driver mismatch: {driver} vs "
                         f"{baseline['driver']}")
 
     # --- headline throughput ----------------------------------------------
@@ -77,53 +92,52 @@ def compare_pair(current, baseline, args, failures):
         if eps_delta < -args.max_events_regression:
             marker = "FAIL"
             failures.append(
-                f"[{current['driver']}] events/sec regressed "
-                f"{-eps_delta:.1%} "
+                f"[{driver}] events/sec regressed {-eps_delta:.1%} "
                 f"(limit {args.max_events_regression:.0%}): "
                 f"{cur_eps:,.0f} vs baseline {base_eps:,.0f}")
         if not args.report:
             print(f"[{marker:4}] events/sec: {cur_eps:,.0f} vs "
                   f"{base_eps:,.0f} ({eps_delta:+.1%})")
 
-    # --- per-point miss ratios --------------------------------------------
+    # --- point labels -------------------------------------------------------
+    cur_labels = [p["label"] for p in current["points"]]
+    base_labels = [p["label"] for p in baseline["points"]]
+    if cur_labels != base_labels:
+        only_current = sorted(set(cur_labels) - set(base_labels))
+        only_baseline = sorted(set(base_labels) - set(cur_labels))
+        for label in only_current:
+            print(f"[note] point only in current: '{label}'")
+        for label in only_baseline:
+            print(f"[note] point only in baseline: '{label}'")
+        failures.append(
+            f"[{driver}] point labels differ: {len(only_current)} new, "
+            f"{len(only_baseline)} missing"
+            + ("" if only_current or only_baseline else ", reordered"))
+
+    # --- every deterministic field of every matched point ------------------
     base_points = {p["label"]: p for p in baseline["points"]}
-    cur_points = {p["label"]: p for p in current["points"]}
     matched = 0
     drifted = 0
-    for label, point in cur_points.items():
+    for point in current["points"]:
+        label = point["label"]
         base = base_points.get(label)
         if base is None:
             continue
         matched += 1
-        drift = point["miss_ratio"] - base["miss_ratio"]
-        marker = "OK"
-        if abs(drift) > args.max_miss_drift:
-            marker = "FAIL"
+        diffs = field_diffs(point, base)
+        if diffs:
             drifted += 1
-            failures.append(
-                f"[{current['driver']}] miss ratio drifted at '{label}': "
-                f"{point['miss_ratio']:.4f} vs {base['miss_ratio']:.4f} "
-                f"(|{drift:+.4f}| > {args.max_miss_drift})")
-        if not args.report or marker == "FAIL":
-            print(f"[{marker:4}] {label}: miss {point['miss_ratio']:.4f} vs "
-                  f"{base['miss_ratio']:.4f} ({drift:+.4f})")
-
-    only_current = sorted(set(cur_points) - set(base_points))
-    only_baseline = sorted(set(base_points) - set(cur_points))
-    for label in only_current:
-        print(f"[note] point only in current: '{label}'")
-    for label in only_baseline:
-        print(f"[note] point only in baseline: '{label}'")
-    if args.require_same_points and (only_current or only_baseline):
-        failures.append(
-            f"[{current['driver']}] point sets differ: "
-            f"{len(only_current)} new, {len(only_baseline)} missing")
+            failures.append(f"[{driver}] '{label}' changed: "
+                            + "; ".join(diffs))
+            print(f"[FAIL] {label}: " + "; ".join(diffs))
+        elif not args.report:
+            print(f"[OK  ] {label}: all fields equal")
     if matched == 0:
-        failures.append(f"[{current['driver']}] no points matched "
-                        "between the two files")
+        failures.append(f"[{driver}] no points matched between the two "
+                        "files")
 
     return {
-        "driver": current["driver"],
+        "driver": driver,
         "cur_wall": current["totals"].get("wall_seconds", 0.0),
         "base_wall": baseline["totals"].get("wall_seconds", 0.0),
         "cur_eps": cur_eps,
@@ -153,7 +167,7 @@ def print_report(rows):
             print("  ".join("-" * w for w in widths))
 
 
-def collect_pairs(current, baseline, args, failures):
+def collect_pairs(current, baseline, failures):
     """Returns (current_doc, baseline_doc) pairs from files or directories."""
     if os.path.isdir(current) != os.path.isdir(baseline):
         sys.exit("error: CURRENT and BASELINE must both be files or both "
@@ -173,7 +187,7 @@ def collect_pairs(current, baseline, args, failures):
     if not common:
         sys.exit(f"error: no BENCH_*.json names in common between "
                  f"{current} and {baseline}")
-    if args.require_same_points and cur_files != base_files:
+    if cur_files != base_files:
         failures.append(f"driver sets differ: "
                         f"{len(cur_files - base_files)} new, "
                         f"{len(base_files - cur_files)} missing")
@@ -190,13 +204,6 @@ def main():
     parser.add_argument("--max-events-regression", type=float, default=0.10,
                         metavar="FRAC",
                         help="max tolerated drop in events/sec (default 0.10)")
-    parser.add_argument("--max-miss-drift", type=float, default=0.02,
-                        metavar="ABS",
-                        help="max tolerated |miss ratio delta| per point "
-                             "(default 0.02)")
-    parser.add_argument("--require-same-points", action="store_true",
-                        help="fail when the two sides' point labels (or "
-                             "driver files, in directory mode) differ")
     parser.add_argument("--report", action="store_true",
                         help="print a per-driver old-vs-new summary table "
                              "instead of per-point OK lines")
@@ -205,7 +212,7 @@ def main():
     failures = []
     rows = [compare_pair(cur, base, args, failures)
             for cur, base in collect_pairs(args.current, args.baseline,
-                                           args, failures)]
+                                           failures)]
     if args.report:
         print_report(rows)
 
