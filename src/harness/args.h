@@ -1,7 +1,7 @@
-// Shared environment-knob and command-line parsing for the driver
-// binaries.
+// Shared environment-knob and command-line parsing for the experiment
+// runner and rtq_serve.
 //
-// Every bench driver reads the same environment knobs (RTQ_SIM_HOURS,
+// Every experiment reads the same environment knobs (RTQ_SIM_HOURS,
 // RTQ_BENCH_JOBS, RTQ_POLICIES, RTQ_GIT_DESCRIBE) and until this header
 // each call site hand-rolled its own getenv/atof/atoi fallback dance.
 // The Env* helpers centralize that discipline: a knob that is unset,

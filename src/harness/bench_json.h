@@ -1,6 +1,7 @@
-// BENCH_*.json emitter: machine-readable perf trajectories per driver.
+// BENCH_*.json emitter: machine-readable perf trajectories per
+// experiment (the "driver" field names it).
 //
-// Every bench driver serializes its completed sweep to
+// Every experiment in bench/rtq_bench.cc serializes its completed sweep to
 // results/BENCH_<driver>.json so performance can be tracked PR-over-PR:
 // which commit, which knobs, one record per (policy, lambda) point, and
 // wall-clock totals (the denominator every future hot-path optimization
@@ -86,12 +87,12 @@ class BenchJsonEmitter {
 
   /// AddResult plus an optional "gap_to_oracle" field: this point's miss
   /// ratio minus the clairvoyant oracle-ed bound's at the same workload
-  /// point (bench_headroom's headroom metric). Pass NaN to omit the
-  /// field; other drivers' documents are unchanged.
+  /// point (the headroom study's metric). Pass NaN to omit the field;
+  /// other experiments' documents are unchanged.
   void AddResult(const RunResult& result, const std::string& policy,
                  double lambda, double gap_to_oracle);
 
-  /// Adds a driver-specific key under "config" (e.g. "scale": "10").
+  /// Adds an experiment-specific key under "config" (e.g. "scale": "10").
   void AddConfig(const std::string& key, const std::string& value);
 
   /// Serializes the whole document. `total_wall_seconds` is the

@@ -1,4 +1,4 @@
-// Tiny CSV writer: bench binaries drop their series into results/ so the
+// Tiny CSV writer: experiments drop their series into results/ so the
 // paper's figures can be re-plotted.
 
 #ifndef RTQ_HARNESS_CSV_H_

@@ -1,18 +1,18 @@
 // Ready-made SystemConfigs for every experiment in the paper's Section 5,
-// plus run helpers shared by the bench binaries.
+// plus run helpers shared by the experiments in bench/rtq_bench.cc.
 //
 // Each Section 5 experiment is a factory here: the baseline
 // memory-bottlenecked setup (5.1), moderate disk contention (5.2),
 // workload alternation (5.3), external sorts (5.5), multiclass (5.6),
 // and the scaled-resources variant (5.7). A factory returns a complete
 // engine::SystemConfig — hardware, database layout, workload classes,
-// and the policy under test — so a bench binary just builds one
+// and the policy under test — so an experiment just builds one
 // RunSpec{label, Config(point, policy)} per point and hands the batch
 // to harness::RunPool (runner.h), which runs them in parallel.
 //
 // The configs pin the paper's Tables 2-4 parameters; callers vary only
 // the arrival rate, the policy, and the RNG seed. Simulated duration
-// comes from ExperimentDuration() below so every driver honours the
+// comes from ExperimentDuration() below so every experiment honours the
 // RTQ_SIM_HOURS override uniformly.
 
 #ifndef RTQ_HARNESS_PAPER_EXPERIMENTS_H_
@@ -70,7 +70,7 @@ engine::SystemConfig WorkloadChangeConfig(const engine::PolicyConfig& policy,
 /// Medium + Small joins on 6 disks) with the Poisson processes replaced
 /// by `scenario_spec`'s per-class arrival shapes, resolved through the
 /// workload::ScenarioRegistry ("diurnal", "flash:mult=12", ...).
-/// CHECK-fails on a malformed or unknown spec — bench drivers validate
+/// CHECK-fails on a malformed or unknown spec — experiments validate
 /// their specs up front.
 engine::SystemConfig ScenarioConfig(const std::string& scenario_spec,
                                     const engine::PolicyConfig& policy,

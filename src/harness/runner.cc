@@ -10,6 +10,7 @@
 
 #include "common/check.h"
 #include "engine/rtdbs.h"
+#include "engine/sharded_rtdbs.h"
 #include "harness/args.h"
 #include "harness/paper_experiments.h"
 
@@ -23,20 +24,51 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// The default job body: build the system, run it for the spec's
-/// duration (or ExperimentDuration()), summarize, keep the PMM trace.
+/// Runs a plain engine to `until`: summary, PMM trace, windows.
+void RunEngine(const RunSpec& spec, SimTime until, RunResult* result) {
+  auto sys = engine::Rtdbs::Create(spec.config);
+  RTQ_CHECK_MSG(sys.ok(), sys.status().ToString().c_str());
+  engine::Rtdbs& rtdbs = *sys.value();
+  rtdbs.RunUntil(until);
+  result->summary = rtdbs.Summarize();
+  if (rtdbs.pmm() != nullptr) result->pmm_trace = rtdbs.pmm()->trace();
+  for (int i = 0; spec.window > 0.0 && i * spec.window < until; ++i) {
+    result->windows.push_back(engine::MetricsCollector::WindowSummary(
+        rtdbs.metrics().records(), i * spec.window, (i + 1) * spec.window,
+        /*query_class=*/-1));
+  }
+}
+
+/// Runs a cluster to `until`: aggregate, per-shard summaries and the
+/// coordinator's counters.
+void RunCluster(const RunSpec& spec, SimTime until, RunResult* result) {
+  RTQ_CHECK_MSG(spec.window <= 0.0, "windowed specs cannot be sharded");
+  auto sys = engine::ShardedRtdbs::Create(spec.config, *spec.shards);
+  RTQ_CHECK_MSG(sys.ok(), sys.status().ToString().c_str());
+  engine::ShardedRtdbs& cluster = *sys.value();
+  cluster.RunUntil(until);
+  result->summary = cluster.Summarize();
+  for (int32_t s = 0; s < cluster.num_shards(); ++s) {
+    result->shard_summaries.push_back(cluster.SummarizeShard(s));
+  }
+  if (const core::ShardCoordinator* coord = cluster.coordinator()) {
+    result->coordinator_refusals = coord->refusals();
+    result->coordinator_high_water = coord->high_water();
+  }
+}
+
+/// The default job body: build the system the spec names, run it for
+/// the spec's duration (or ExperimentDuration()) and summarize it.
 RunResult RunJob(const RunSpec& spec) {
   RunResult result;
   result.label = spec.label;
   result.config = spec.config;
   auto start = std::chrono::steady_clock::now();
-  auto sys = engine::Rtdbs::Create(spec.config);
-  RTQ_CHECK_MSG(sys.ok(), sys.status().ToString().c_str());
   SimTime until = spec.duration > 0.0 ? spec.duration : ExperimentDuration();
-  sys.value()->RunUntil(until);
-  result.summary = sys.value()->Summarize();
-  if (sys.value()->pmm() != nullptr) {
-    result.pmm_trace = sys.value()->pmm()->trace();
+  if (spec.shards.has_value()) {
+    RunCluster(spec, until, &result);
+  } else {
+    RunEngine(spec, until, &result);
   }
   result.wall_seconds = SecondsSince(start);
   return result;

@@ -1,4 +1,4 @@
-// Aligned plain-text tables for the bench binaries' stdout reports.
+// Aligned plain-text tables for the experiments' stdout reports.
 
 #ifndef RTQ_HARNESS_TABLE_PRINTER_H_
 #define RTQ_HARNESS_TABLE_PRINTER_H_

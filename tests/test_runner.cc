@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "engine/rtdbs.h"
+#include "engine/sharded_rtdbs.h"
 #include "harness/paper_experiments.h"
 
 namespace rtq::harness {
@@ -52,6 +54,26 @@ std::vector<RunSpec> BaselineSpecs(int count) {
     specs.push_back(std::move(spec));
   }
   return specs;
+}
+
+void ExpectSameClass(const engine::ClassSummary& a,
+                     const engine::ClassSummary& b) {
+  EXPECT_EQ(a.completions, b.completions);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_DOUBLE_EQ(a.miss_ratio, b.miss_ratio);
+  EXPECT_DOUBLE_EQ(a.avg_wait, b.avg_wait);
+  EXPECT_DOUBLE_EQ(a.avg_exec, b.avg_exec);
+  EXPECT_DOUBLE_EQ(a.avg_response, b.avg_response);
+  EXPECT_DOUBLE_EQ(a.avg_fluctuations, b.avg_fluctuations);
+}
+
+void ExpectSameSummary(const engine::SystemSummary& a,
+                       const engine::SystemSummary& b) {
+  ExpectSameClass(a.overall, b.overall);
+  EXPECT_EQ(a.events_dispatched, b.events_dispatched);
+  EXPECT_DOUBLE_EQ(a.avg_mpl, b.avg_mpl);
+  EXPECT_DOUBLE_EQ(a.avg_disk_utilization, b.avg_disk_utilization);
+  EXPECT_DOUBLE_EQ(a.simulated_time, b.simulated_time);
 }
 
 TEST(BenchJobs, EnvOverrideWins) {
@@ -179,6 +201,85 @@ TEST(RunPool, SpecDurationOverridesExperimentDuration) {
   specs[0].duration = 0.0;  // fall back to RTQ_SIM_HOURS
   results = RunPool(specs, 1);
   EXPECT_DOUBLE_EQ(results[0].summary.simulated_time, 360.0);
+}
+
+TEST(RunPool, ShardSpecMatchesDirectShardedRun) {
+  // A spec naming a shard config runs a ShardedRtdbs: the pooled result
+  // must carry the same aggregate and per-shard summaries as running the
+  // cluster directly, and (local admission) no coordinator counters.
+  RunSpec spec;
+  spec.label = "s2 hash local";
+  spec.config = BaselineConfig(0.12, {"pmm"}, /*seed=*/7);
+  spec.duration = 600.0;
+  spec.shards = engine::ShardConfig{2, "hash", "local"};
+  std::vector<RunResult> results = RunPool({spec}, 2);
+  ASSERT_EQ(results.size(), 1u);
+  const RunResult& pooled = results[0];
+
+  auto direct = engine::ShardedRtdbs::Create(spec.config, *spec.shards);
+  ASSERT_TRUE(direct.ok());
+  direct.value()->RunUntil(spec.duration);
+  ExpectSameSummary(pooled.summary, direct.value()->Summarize());
+  ASSERT_EQ(pooled.shard_summaries.size(), 2u);
+  for (int32_t s = 0; s < 2; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    ExpectSameSummary(pooled.shard_summaries[static_cast<size_t>(s)],
+                      direct.value()->SummarizeShard(s));
+  }
+  EXPECT_GT(pooled.summary.overall.completions, 0);
+  EXPECT_EQ(pooled.coordinator_refusals, 0);
+  EXPECT_EQ(pooled.coordinator_high_water, 0);
+  EXPECT_TRUE(pooled.windows.empty());
+}
+
+TEST(RunPool, GlobalAdmissionSpecReportsCoordinatorCounters) {
+  RunSpec spec;
+  spec.label = "s2 hash global";
+  spec.config = BaselineConfig(0.24, {"max"}, /*seed=*/7);
+  spec.duration = 600.0;
+  spec.shards = engine::ShardConfig{2, "hash", "global:mpl=2"};
+  std::vector<RunResult> results = RunPool({spec}, 1);
+  ASSERT_EQ(results.size(), 1u);
+
+  auto direct = engine::ShardedRtdbs::Create(spec.config, *spec.shards);
+  ASSERT_TRUE(direct.ok());
+  direct.value()->RunUntil(spec.duration);
+  ASSERT_NE(direct.value()->coordinator(), nullptr);
+  EXPECT_EQ(results[0].coordinator_refusals,
+            direct.value()->coordinator()->refusals());
+  EXPECT_EQ(results[0].coordinator_high_water,
+            direct.value()->coordinator()->high_water());
+  EXPECT_GT(results[0].coordinator_high_water, 0);
+}
+
+TEST(RunPool, WindowedSpecMatchesWindowSummaries) {
+  // A spec naming a window length also summarizes each window
+  // [i * w, (i + 1) * w) that starts before the run ends — the last one
+  // partial when the duration is not a multiple of w.
+  RunSpec spec;
+  spec.label = "windowed";
+  spec.config = BaselineConfig(0.08, {"pmm"}, /*seed=*/11);
+  spec.duration = 1000.0;
+  spec.window = 400.0;
+  std::vector<RunResult> results = RunPool({spec}, 1);
+  ASSERT_EQ(results.size(), 1u);
+
+  auto direct = engine::Rtdbs::Create(spec.config);
+  ASSERT_TRUE(direct.ok());
+  direct.value()->RunUntil(spec.duration);
+  ExpectSameSummary(results[0].summary, direct.value()->Summarize());
+  ASSERT_EQ(results[0].windows.size(), 3u);
+  int64_t completions = 0;
+  for (size_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE("window " + std::to_string(i));
+    ExpectSameClass(results[0].windows[i],
+                    engine::MetricsCollector::WindowSummary(
+                        direct.value()->metrics().records(), i * 400.0,
+                        (i + 1) * 400.0, /*query_class=*/-1));
+    completions += results[0].windows[i].completions;
+  }
+  EXPECT_EQ(completions, results[0].summary.overall.completions);
+  EXPECT_TRUE(results[0].shard_summaries.empty());
 }
 
 }  // namespace
