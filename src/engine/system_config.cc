@@ -26,47 +26,6 @@ storage::DatabaseSpec SystemConfig::EffectiveDatabase() const {
   return spec;
 }
 
-const char* PolicyKindName(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kMax:
-      return "Max";
-    case PolicyKind::kMinMax:
-      return "MinMax";
-    case PolicyKind::kMinMaxN:
-      return "MinMax-N";
-    case PolicyKind::kProportional:
-      return "Proportional";
-    case PolicyKind::kProportionalN:
-      return "Proportional-N";
-    case PolicyKind::kPmm:
-      return "PMM";
-    case PolicyKind::kPmmFair:
-      return "PMM-Fair";
-  }
-  return "?";
-}
-
-std::string PolicyConfig::ResolvedSpec() const {
-  if (!spec.empty()) return spec;
-  switch (kind) {
-    case PolicyKind::kMax:
-      return max_bypass ? "max" : "max:strict";
-    case PolicyKind::kMinMax:
-      return "minmax";
-    case PolicyKind::kMinMaxN:
-      return "minmax:" + std::to_string(mpl_limit);
-    case PolicyKind::kProportional:
-      return "prop";
-    case PolicyKind::kProportionalN:
-      return "prop:" + std::to_string(mpl_limit);
-    case PolicyKind::kPmm:
-      return "pmm";
-    case PolicyKind::kPmmFair:
-      return "pmm-fair:w=" + core::FormatSpecDoubleList(fair_weights);
-  }
-  return "pmm";
-}
-
 Status SystemConfig::Validate() const {
   if (mips <= 0.0) return Status::InvalidArgument("mips must be > 0");
   if (num_disks <= 0)

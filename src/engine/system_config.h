@@ -10,7 +10,6 @@
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -31,27 +30,8 @@ class ShardPlacement;
 
 namespace rtq::engine {
 
-/// DEPRECATED closed policy enumeration. The policy surface is open now:
-/// policies are named by core::PolicyRegistry spec strings (see
-/// PolicyConfig::spec). The enum remains as a source-compatibility shim
-/// that forwards to the equivalent spec string; new code and new
-/// policies should use specs directly.
-enum class PolicyKind {
-  kMax,           ///< "max" (or "max:strict" when max_bypass is off)
-  kMinMax,        ///< "minmax"
-  kMinMaxN,       ///< "minmax:N" (mpl_limit)
-  kProportional,  ///< "prop"
-  kProportionalN, ///< "prop:N" (mpl_limit)
-  kPmm,           ///< "pmm"
-  kPmmFair,       ///< "pmm-fair:w=..." (fair_weights)
-};
-
-/// DEPRECATED: display name of a legacy enum value.
-const char* PolicyKindName(PolicyKind kind);
-
-/// Which memory policy manages the buffer pool. The one live field is
-/// `spec`; the enum fields below it are a deprecated shim kept so
-/// pre-registry call sites keep compiling (and behaving identically).
+/// Which memory policy manages the buffer pool, named by a
+/// core::PolicyRegistry spec string.
 struct PolicyConfig {
   PolicyConfig() = default;
   /// Implicit from a spec string: `config.policy = {"minmax:5"};`
@@ -59,23 +39,11 @@ struct PolicyConfig {
       : spec(std::move(spec_string)) {}
   PolicyConfig(const char* spec_string) : spec(spec_string) {}  // NOLINT
 
-  /// core::PolicyRegistry spec string ("pmm", "minmax:5", "none", ...).
-  /// Empty means "derive from the deprecated enum fields below".
-  std::string spec;
+  /// Registry spec string ("pmm", "minmax:5", "none", ...).
+  std::string spec = "pmm";
 
-  /// The spec this config resolves to: `spec` when set, else the
-  /// deprecated enum fields rendered as a spec string.
-  std::string ResolvedSpec() const;
-
-  // --- deprecated compat shim (pre-PolicyRegistry API) ---------------------
-  /// DEPRECATED: use `spec`. Ignored when `spec` is non-empty.
-  PolicyKind kind = PolicyKind::kPmm;
-  /// DEPRECATED: N for the -N variants ("minmax:N" / "prop:N").
-  int64_t mpl_limit = -1;
-  /// DEPRECATED: Max admission bypass; false maps to "max:strict".
-  bool max_bypass = true;
-  /// DEPRECATED: per-class weights ("pmm-fair:w=...").
-  std::vector<double> fair_weights;
+  /// The spec this config names (kept as the accessor callers use).
+  const std::string& ResolvedSpec() const { return spec; }
 };
 
 /// Sharded-deployment shape consumed by engine::ShardedRtdbs: how many

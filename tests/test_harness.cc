@@ -93,16 +93,6 @@ TEST(PaperExperiments, PolicyLabels) {
   EXPECT_EQ(PolicyLabel({"pmm-fair:w=1,2"}), "PMM-Fair");
   EXPECT_EQ(PolicyLabel({"none"}), "None");
   EXPECT_EQ(PolicyLabel({"oracle-ed"}), "Oracle-ED");
-
-  // Deprecated enum configs resolve to the same labels.
-  engine::PolicyConfig p;
-  p.kind = engine::PolicyKind::kMinMaxN;
-  p.mpl_limit = 10;
-  EXPECT_EQ(PolicyLabel(p), "MinMax-10");
-  p.kind = engine::PolicyKind::kMax;
-  EXPECT_EQ(PolicyLabel(p), "Max");
-  p.max_bypass = false;
-  EXPECT_EQ(PolicyLabel(p), "Max(strict)");
 }
 
 TEST(PaperExperiments, BaselinePoliciesCoverThePaper) {

@@ -165,8 +165,8 @@ TEST(ParsePolicyList, RejectsGarbage) {
 }
 
 // ---------------------------------------------------------------------------
-// Compat shim: deprecated PolicyKind configs must behave identically to
-// their spec-string equivalents.
+// The spec strings the retired PolicyKind enum rendered, each pinned to
+// the 1,200 s fingerprint it produced when the enum was removed.
 // ---------------------------------------------------------------------------
 
 engine::SystemConfig ShimConfig(engine::PolicyConfig policy) {
@@ -186,39 +186,40 @@ std::tuple<uint64_t, int64_t, int64_t, double> Fingerprint(
 
 TEST(PolicyKindShim, EnumAndSpecConfigsProduceIdenticalRuns) {
   struct Case {
-    engine::PolicyKind kind;
-    int64_t mpl_limit;
-    bool max_bypass;
-    std::vector<double> fair_weights;
     const char* spec;
+    uint64_t events;
+    int64_t completions;
+    int64_t misses;
+    double avg_exec;
   };
   const Case cases[] = {
-      {engine::PolicyKind::kMax, -1, true, {}, "max"},
-      {engine::PolicyKind::kMax, -1, false, {}, "max:strict"},
-      {engine::PolicyKind::kMinMax, -1, true, {}, "minmax"},
-      {engine::PolicyKind::kMinMaxN, 4, true, {}, "minmax:4"},
-      {engine::PolicyKind::kProportional, -1, true, {}, "prop"},
-      {engine::PolicyKind::kProportionalN, 4, true, {}, "prop:4"},
-      {engine::PolicyKind::kPmm, -1, true, {}, "pmm"},
-      {engine::PolicyKind::kPmmFair, -1, true, {1.0}, "pmm-fair:w=1"},
+      {"max", 195393, 57, 5, 38.618029047640015},
+      {"max:strict", 177475, 56, 10, 27.067857094615803},
+      {"minmax", 316921, 58, 2, 56.06827727800443},
+      {"minmax:4", 344217, 58, 3, 68.577766693294748},
+      {"prop", 362873, 58, 7, 69.341057348989665},
+      {"prop:4", 351269, 58, 2, 66.798819002915806},
+      {"pmm", 284861, 58, 5, 59.214984750657834},
+      {"pmm-fair:w=1", 284861, 58, 5, 59.214984750657834},
   };
   for (const Case& c : cases) {
-    engine::PolicyConfig legacy;
-    legacy.kind = c.kind;
-    legacy.mpl_limit = c.mpl_limit;
-    legacy.max_bypass = c.max_bypass;
-    legacy.fair_weights = c.fair_weights;
-    EXPECT_EQ(legacy.ResolvedSpec(), c.spec);
-    EXPECT_EQ(Fingerprint(ShimConfig(legacy)),
-              Fingerprint(ShimConfig({c.spec})))
-        << c.spec;
+    SCOPED_TRACE(c.spec);
+    const auto [events, completions, misses, avg_exec] =
+        Fingerprint(ShimConfig({c.spec}));
+    EXPECT_EQ(events, c.events);
+    EXPECT_EQ(completions, c.completions);
+    EXPECT_EQ(misses, c.misses);
+    EXPECT_DOUBLE_EQ(avg_exec, c.avg_exec);
   }
 }
 
 TEST(PolicyKindShim, ExplicitSpecWinsOverEnumFields) {
-  engine::PolicyConfig config{"minmax"};
-  config.kind = engine::PolicyKind::kMax;  // deprecated field: ignored
-  EXPECT_EQ(config.ResolvedSpec(), "minmax");
+  // A default config names PMM, which the default enum value resolved
+  // to; an explicit spec string is carried verbatim.
+  EXPECT_EQ(engine::PolicyConfig().ResolvedSpec(), "pmm");
+  EXPECT_EQ(engine::PolicyConfig{"minmax"}.ResolvedSpec(), "minmax");
+  EXPECT_EQ(engine::PolicyConfig{"pmm-fair:w=1,2"}.ResolvedSpec(),
+            "pmm-fair:w=1,2");
 }
 
 // ---------------------------------------------------------------------------
