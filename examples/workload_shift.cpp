@@ -2,16 +2,19 @@
 //
 // The workload alternates between the Medium join class (memory-
 // constrained: MinMax territory) and the Small join class (disk-bound:
-// Max territory) every simulated hour. The example prints PMM's mode and
-// target MPL after every interval, showing the controller re-adapting.
+// Max territory) every simulated hour, driven by the "mixshift"
+// scenario. The example prints PMM's mode and target MPL after every
+// interval, showing the controller re-adapting.
 //
 //   $ ./build/examples/workload_shift [intervals]
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "engine/rtdbs.h"
 #include "harness/paper_experiments.h"
+#include "workload/trace.h"
 
 int main(int argc, char** argv) {
   using namespace rtq;
@@ -23,8 +26,10 @@ int main(int argc, char** argv) {
   }
   const double interval_s = 3600.0;
 
-  engine::SystemConfig config = harness::WorkloadChangeConfig(
-      {"pmm"}, /*medium_active=*/true, /*small_active=*/false);
+  engine::SystemConfig config = harness::ScenarioConfig(
+      "mixshift:interval=" + workload::FormatDouble(interval_s) +
+          ",intervals=" + std::to_string(intervals),
+      {"pmm"});
 
   auto sys = engine::Rtdbs::Create(config);
   if (!sys.ok()) {
@@ -37,16 +42,7 @@ int main(int argc, char** argv) {
               "  changes detected\n");
   int64_t prev_records = 0;
   for (int i = 0; i < intervals; ++i) {
-    bool medium = i % 2 == 0;  // alternate Medium / Small
-    if (i > 0) {
-      if (medium) {
-        rtdbs.source().Deactivate(1);
-        rtdbs.source().Activate(0);
-      } else {
-        rtdbs.source().Deactivate(0);
-        rtdbs.source().Activate(1);
-      }
-    }
+    bool medium = i % 2 == 0;  // mixshift alternates Medium / Small
     rtdbs.RunUntil((i + 1) * interval_s);
 
     const auto& records = rtdbs.metrics().records();

@@ -13,6 +13,7 @@
 #include "workload/placement.h"
 #include "workload/scenario.h"
 #include "workload/scenario_registry.h"
+#include "workload/source.h"
 #include "workload/trace.h"
 #include "workload/trace_source.h"
 

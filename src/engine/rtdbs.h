@@ -37,7 +37,7 @@
 #include "sim/simulator.h"
 #include "storage/database.h"
 #include "storage/temp_space.h"
-#include "workload/source.h"
+#include "workload/arrival_source.h"
 
 namespace rtq::engine {
 
@@ -67,8 +67,7 @@ class Rtdbs {
   Rtdbs& operator=(const Rtdbs&) = delete;
 
   /// Advances the simulation to absolute time `until` (seconds). May be
-  /// called repeatedly with increasing horizons (the workload-alternation
-  /// experiment interleaves Run with Source activation changes).
+  /// called repeatedly with increasing horizons.
   void RunUntil(SimTime until);
 
   /// Starts the arrival stream and periodic samplers without advancing
@@ -112,15 +111,6 @@ class Rtdbs {
   /// The arrival source, whichever kind the config selected (Poisson
   /// Source, ScenarioSource, or TraceSource).
   workload::ArrivalSource& arrivals() { return *source_; }
-  /// The plain Poisson Source; CHECK-fails when the config selected a
-  /// scenario or trace source (those have no Activate/Deactivate).
-  workload::Source& source() {
-    auto* s = dynamic_cast<workload::Source*>(source_.get());
-    RTQ_CHECK_MSG(s != nullptr,
-                  "source() requires the Poisson Source (config has a "
-                  "scenario or trace)");
-    return *s;
-  }
   core::MemoryManager& memory_manager() { return *mm_; }
   const storage::Database& database() const { return *db_; }
   const MetricsCollector& metrics() const { return metrics_; }

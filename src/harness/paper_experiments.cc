@@ -119,27 +119,19 @@ engine::SystemConfig DiskContentionConfig(
 }
 
 engine::SystemConfig WorkloadChangeConfig(const engine::PolicyConfig& policy,
-                                          bool medium_active,
-                                          bool small_active, uint64_t seed) {
+                                          uint64_t seed) {
   engine::SystemConfig config = CommonConfig(policy, seed);
   config.num_disks = 6;
   AddBaselineGroups(&config);  // groups 0, 1 (Medium)
   AddSmallGroups(&config);     // groups 2, 3 (Small)
-
-  workload::QueryClassSpec medium = JoinClass(0, 1, 0.07);
-  medium.initially_active = medium_active;
-  workload::QueryClassSpec small = JoinClass(2, 3, 2.8);
-  small.initially_active = small_active;
-  config.workload.classes = {medium, small};
+  config.workload.classes = {JoinClass(0, 1, 0.07), JoinClass(2, 3, 2.8)};
   return config;
 }
 
 engine::SystemConfig ScenarioConfig(const std::string& scenario_spec,
                                     const engine::PolicyConfig& policy,
                                     uint64_t seed) {
-  engine::SystemConfig config =
-      WorkloadChangeConfig(policy, /*medium_active=*/true,
-                           /*small_active=*/true, seed);
+  engine::SystemConfig config = WorkloadChangeConfig(policy, seed);
   auto scenario = workload::ScenarioRegistry::Global().Create(scenario_spec);
   RTQ_CHECK_MSG(scenario.ok(), scenario.status().ToString().c_str());
   config.scenario = std::move(scenario).value();

@@ -58,12 +58,10 @@ engine::SystemConfig DiskContentionConfig(double arrival_rate,
                                           const engine::PolicyConfig& policy,
                                           uint64_t seed = 42);
 
-/// Section 5.3 (Table 8): Small + Medium join classes on 6 disks. Both
-/// classes exist; `medium_active` / `small_active` choose the initial
-/// activation (the bench alternates them at run time).
+/// Section 5.3 (Table 8): Small + Medium join classes on 6 disks, both
+/// generating Poisson arrivals; ScenarioConfig layers the alternation
+/// (the "mixshift" scenario) or any other arrival shape over them.
 engine::SystemConfig WorkloadChangeConfig(const engine::PolicyConfig& policy,
-                                          bool medium_active,
-                                          bool small_active,
                                           uint64_t seed = 42);
 
 /// Scenario-engine runs: the Section 5.3 two-class system (Table 8's

@@ -55,8 +55,7 @@ StatusOr<engine::SystemConfig> ServeSession::BuildConfig(
     if (!scenario.ok()) return scenario.status();
     // The serve twin of harness::ScenarioConfig, minus its CHECK on the
     // spec (live input must degrade to a Status, never abort).
-    engine::SystemConfig config = harness::WorkloadChangeConfig(
-        pc, /*medium_active=*/true, /*small_active=*/true, spec.seed);
+    engine::SystemConfig config = harness::WorkloadChangeConfig(pc, spec.seed);
     config.scenario = std::move(scenario).value();
     return config;
   }

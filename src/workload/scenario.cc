@@ -179,9 +179,9 @@ std::optional<SimTime> ArrivalProcess::NextScripted() {
       now_ = candidate;
       return now_;
     }
-    // The draw is consumed but falls past the segment end — exactly the
-    // orphaned arrival event a Source::Deactivate at segment_end leaves
-    // behind. Resume at the next segment.
+    // The draw falls past the segment end: it stays consumed (the pinned
+    // Section 5.3 trajectories depend on that) and generation resumes
+    // at the next segment.
     now_ = segment_end;
     ++step_;
   }

@@ -3,9 +3,9 @@
 // The paper's drivers sweep memoryless Poisson grids; production
 // pressure is diurnal, bursty and trending. A ScenarioSpec assigns each
 // workload class an ArrivalShape — a possibly time-varying arrival-rate
-// function — plus a relation-selection mode, generalizing
-// bench_workload_changes' hand-rolled class alternation into a
-// first-class workload citizen.
+// function — plus a relation-selection mode, making non-stationary
+// load (the Section 5.3 class alternation among it) a first-class
+// workload citizen.
 //
 // Shapes:
 //   kConstant  rate r (rate 0 = class silent) — plain Poisson.
@@ -17,9 +17,11 @@
 //              rate_hi with exponential sojourns of mean sojourn_lo /
 //              sojourn_hi (correlated bursts).
 //   kScript    piecewise-constant rate steps (at, rate); the last step's
-//              rate holds forever. Scripted class-mix shifts — rate 0
-//              segments reproduce Source::Deactivate exactly, including
-//              the orphaned inter-arrival draw at each segment end.
+//              rate holds forever (rate 0 = silent). Scripted class-mix
+//              shifts. The inter-arrival draw that falls past a segment
+//              end is consumed and dropped, not carried over — part of
+//              the Section 5.3 trajectories that test_scenario_equivalence
+//              and the workload_changes smoke reference pin.
 //
 // Time-varying shapes generate by Lewis-Shedler thinning against the
 // shape's maximum rate; piecewise-constant shapes draw directly. All

@@ -121,10 +121,9 @@ StatusOr<ScenarioSpec> MakeBurst(ScenarioArgs args) {
 
 // mixshift: the workload-alternation experiment (paper Section 5.3) as a
 // scripted scenario — `intervals` equal intervals with Medium active on
-// even intervals and Small on odd ones, both silent afterwards. The
-// scripted rate-0 segments reproduce Source::Deactivate draw-for-draw,
-// so this is trajectory-identical to the hand-rolled alternation it
-// replaces (pinned by test_scenario_equivalence).
+// even intervals and Small on odd ones, both silent afterwards. Each
+// segment end drops one orphaned inter-arrival draw; the resulting
+// Section 5.3 trajectories are pinned by test_scenario_equivalence.
 StatusOr<ScenarioSpec> MakeMixShift(ScenarioArgs args) {
   double interval = args.Take("interval", 3600.0);
   double intervals_arg = args.Take("intervals", 6.0);

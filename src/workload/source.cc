@@ -25,10 +25,9 @@ Source::Source(sim::Simulator* sim, const storage::Database* db,
   RTQ_CHECK_MSG(spec_.Validate(*db).ok(), "invalid workload spec");
   RTQ_CHECK(sink_ != nullptr);
   class_state_.reserve(spec_.classes.size());
-  for (const QueryClassSpec& cls : spec_.classes) {
+  for (size_t i = 0; i < spec_.classes.size(); ++i) {
     // Braced init evaluates the two Fork() calls left to right.
-    class_state_.push_back(
-        ClassState{cls.initially_active, 0, rng.Fork(), rng.Fork()});
+    class_state_.push_back(ClassState{rng.Fork(), rng.Fork()});
   }
 }
 
@@ -36,63 +35,28 @@ void Source::Start() {
   RTQ_CHECK_MSG(!started_, "Source started twice");
   started_ = true;
   for (size_t i = 0; i < class_state_.size(); ++i) {
-    if (class_state_[i].active)
-      ScheduleNextArrival(static_cast<int32_t>(i));
-  }
-}
-
-void Source::Stop() {
-  for (size_t i = 0; i < class_state_.size(); ++i) {
-    Deactivate(static_cast<int32_t>(i));
+    ScheduleNextArrival(static_cast<int32_t>(i));
   }
 }
 
 void Source::AppendStateDigest(std::vector<std::string>* out) const {
-  out->push_back("source poisson " + std::to_string(next_id_));
+  out->push_back("source poisson " + std::to_string(next_id_) + " " +
+                 std::to_string(stopped_ ? 1 : 0));
   for (size_t i = 0; i < class_state_.size(); ++i) {
     const ClassState& s = class_state_[i];
     out->push_back("source.class " + std::to_string(i) + " " +
-                   std::to_string(s.active ? 1 : 0) + " " +
-                   std::to_string(s.epoch) + " " +
                    std::to_string(Fnv1a64Hash(s.arrivals.StateString())) +
                    " " +
                    std::to_string(Fnv1a64Hash(s.selection.StateString())));
   }
 }
 
-void Source::Activate(int32_t query_class) {
-  RTQ_CHECK(query_class >= 0 &&
-            query_class < static_cast<int32_t>(class_state_.size()));
-  ClassState& state = class_state_[query_class];
-  if (state.active) return;
-  state.active = true;
-  ++state.epoch;
-  if (started_) ScheduleNextArrival(query_class);
-}
-
-void Source::Deactivate(int32_t query_class) {
-  RTQ_CHECK(query_class >= 0 &&
-            query_class < static_cast<int32_t>(class_state_.size()));
-  ClassState& state = class_state_[query_class];
-  if (!state.active) return;
-  state.active = false;
-  ++state.epoch;  // orphans the pending arrival event
-}
-
-bool Source::active(int32_t query_class) const {
-  RTQ_CHECK(query_class >= 0 &&
-            query_class < static_cast<int32_t>(class_state_.size()));
-  return class_state_[query_class].active;
-}
-
 void Source::ScheduleNextArrival(int32_t query_class) {
   ClassState& state = class_state_[query_class];
   double delay =
       state.arrivals.Exponential(spec_.classes[query_class].arrival_rate);
-  uint64_t epoch = state.epoch;
-  sim_->ScheduleAfter(delay, [this, query_class, epoch] {
-    ClassState& s = class_state_[query_class];
-    if (!s.active || s.epoch != epoch) return;  // deactivated meanwhile
+  sim_->ScheduleAfter(delay, [this, query_class] {
+    if (stopped_) return;  // silenced meanwhile
     EmitQuery(query_class);
     ScheduleNextArrival(query_class);
   });

@@ -1,6 +1,6 @@
 // The Source module: generates the query stream (paper Figure 2, §4.1).
 //
-// For each active class, arrivals follow a Poisson process. On each
+// For each class, arrivals follow a Poisson process. On each
 // arrival the Source picks operand relations from the class's relation
 // groups, builds the memory-adaptive operator, estimates the stand-alone
 // time, draws a slack ratio, and assigns the firm deadline
@@ -8,8 +8,9 @@
 //   Deadline = Arrival + StandAlone * SlackRatio.
 //
 // The constructed (descriptor, operator) pair is handed to the engine
-// through a sink callback. Classes can be activated/deactivated at run
-// time to drive the workload-alternation experiment.
+// through a sink callback. Non-stationary or scripted per-class rates
+// (such as the Section 5.3 workload alternation) are the scenario
+// engine's job (workload/scenario.h).
 
 #ifndef RTQ_WORKLOAD_SOURCE_H_
 #define RTQ_WORKLOAD_SOURCE_H_
@@ -36,16 +37,12 @@ class Source : public ArrivalSource {
          const model::DiskParams& disk_params, double mips, Rng rng,
          Sink sink);
 
-  /// Begins generating arrivals for all initially-active classes.
+  /// Begins generating arrivals for every class.
   void Start() override;
 
-  /// Deactivates every class; pending arrival events fire as no-ops.
-  void Stop() override;
-
-  /// Enables / disables a class's arrival process at run time.
-  void Activate(int32_t query_class);
-  void Deactivate(int32_t query_class);
-  bool active(int32_t query_class) const;
+  /// Silences the source for good; pending arrival events fire as
+  /// no-ops.
+  void Stop() override { stopped_ = true; }
 
   int64_t generated() const override {
     return static_cast<int64_t>(next_id_);
@@ -76,16 +73,13 @@ class Source : public ArrivalSource {
   Sink sink_;
 
   struct ClassState {
-    bool active = false;
-    /// Generation counter: bumping it orphans any scheduled arrival event
-    /// from an earlier activation period.
-    uint64_t epoch = 0;
     Rng arrivals;   // inter-arrival stream
     Rng selection;  // relation & slack stream
   };
   std::vector<ClassState> class_state_;
   QueryId next_id_ = 0;
   bool started_ = false;
+  bool stopped_ = false;
 };
 
 }  // namespace rtq::workload

@@ -5,10 +5,9 @@
 // process, and assigns each query a slack ratio uniform in
 // [slack_min, slack_max] that controls deadline tightness.
 //
-// Classes can start inactive and be (de)activated at run time; the
-// workload-alternation experiment (Section 5.3, Figures 12-14) uses this
-// to switch between the Small and Medium classes mid-run and watch PMM
-// detect the change and re-adapt. Validate() checks a spec against the
+// Time-varying per-class rates, such as the workload alternation of
+// Section 5.3 (Figures 12-14), are scenario shapes (workload/scenario.h)
+// layered over these classes. Validate() checks a spec against the
 // database layout (sorts name one relation group, joins two, groups
 // exist, rates positive) before the Source will accept it — a config
 // error fails fast at Rtdbs::Create rather than mid-simulation.
@@ -35,9 +34,6 @@ struct QueryClassSpec {
   /// Slack-ratio range (uniform).
   double slack_min = 2.5;
   double slack_max = 7.5;
-  /// Inactive classes generate no arrivals until activated (used by the
-  /// workload-alternation experiment, Section 5.3).
-  bool initially_active = true;
 };
 
 struct WorkloadSpec {

@@ -62,7 +62,7 @@ TEST(Engine, QueryConservation) {
   auto sys = Rtdbs::Create(SmallConfig("minmax"));
   ASSERT_TRUE(sys.ok());
   sys.value()->RunUntil(3600.0);
-  int64_t generated = sys.value()->source().generated();
+  int64_t generated = sys.value()->arrivals().generated();
   int64_t finished =
       static_cast<int64_t>(sys.value()->metrics().records().size());
   int64_t live = sys.value()->live_queries();
@@ -187,16 +187,20 @@ TEST(Engine, RepeatedRunUntilComposes) {
 }
 
 TEST(Engine, SourceActivationDrivesWorkloadChanges) {
-  PolicyConfig policy{"pmm"};
-  SystemConfig config = harness::WorkloadChangeConfig(
-      policy, /*medium_active=*/true, /*small_active=*/false);
+  // The mixshift scenario offers only the Medium class over [0, 3600),
+  // then only the Small class, whose 2.8 q/s floods the second segment.
+  SystemConfig config = harness::ScenarioConfig(
+      "mixshift:interval=3600,intervals=2", PolicyConfig{"pmm"});
   auto sys = Rtdbs::Create(config);
   ASSERT_TRUE(sys.ok());
   sys.value()->RunUntil(3600.0);
   int64_t medium_only =
       static_cast<int64_t>(sys.value()->metrics().records().size());
-  sys.value()->source().Deactivate(0);
-  sys.value()->source().Activate(1);
+  EXPECT_GT(medium_only, 0);
+  EXPECT_EQ(MetricsCollector::WindowSummary(sys.value()->metrics().records(),
+                                            0.0, 3600.0, /*class=*/1)
+                .completions,
+            0);
   sys.value()->RunUntil(7200.0);
   // The Small class at 2.8 q/s floods the record stream.
   int64_t after =

@@ -53,7 +53,7 @@ TEST(PaperExperiments, ConfigsValidate) {
   engine::PolicyConfig pmm{"pmm"};
   EXPECT_TRUE(BaselineConfig(0.06, pmm).Validate().ok());
   EXPECT_TRUE(DiskContentionConfig(0.07, pmm).Validate().ok());
-  EXPECT_TRUE(WorkloadChangeConfig(pmm, true, false).Validate().ok());
+  EXPECT_TRUE(WorkloadChangeConfig(pmm).Validate().ok());
   EXPECT_TRUE(ExternalSortConfig(0.08, pmm).Validate().ok());
   EXPECT_TRUE(MulticlassConfig(0.4, pmm).Validate().ok());
   EXPECT_TRUE(MulticlassConfig(0.0, pmm).Validate().ok());

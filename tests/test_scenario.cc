@@ -94,7 +94,7 @@ TEST(ScenarioRegistry, MalformedSpecsReturnStatusErrors) {
     if (scenario.ok()) {
       // Parameter-range violations surface at Validate time instead.
       engine::SystemConfig config =
-          harness::WorkloadChangeConfig({"pmm"}, true, true, 42);
+          harness::WorkloadChangeConfig({"pmm"}, 42);
       config.scenario = scenario.value();
       EXPECT_FALSE(config.Validate().ok()) << spec;
     }

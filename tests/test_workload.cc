@@ -149,6 +149,8 @@ TEST(Source, IdsAreSequential) {
 }
 
 TEST(Source, DeactivationStopsArrivals) {
+  // Stop() silences the source for good: the pending arrival event still
+  // fires (as a no-op) but nothing is emitted or rescheduled after it.
   Rng rng(10);
   sim::Simulator sim;
   storage::Database db = MakeDb(&rng);
@@ -160,13 +162,12 @@ TEST(Source, DeactivationStopsArrivals) {
   sim.RunUntil(2000.0);
   int before = count;
   EXPECT_GT(before, 0);
-  source.Deactivate(0);
-  EXPECT_FALSE(source.active(0));
-  sim.RunUntil(6000.0);
-  EXPECT_EQ(count, before);
-  source.Activate(0);
+  EXPECT_EQ(source.generated(), before);
+  source.Stop();
   sim.RunUntil(10000.0);
-  EXPECT_GT(count, before);
+  EXPECT_EQ(count, before);
+  EXPECT_EQ(source.generated(), before);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(Source, SortClassesBuildSortOperators) {
