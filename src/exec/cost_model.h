@@ -36,7 +36,7 @@ struct CpuCosts {
 };
 
 struct TupleParams {
-  int64_t tuple_bytes = 128;   ///< Table 2 TupleSize (see DESIGN.md note).
+  int64_t tuple_bytes = 128;   ///< Table 2 TupleSize.
   int64_t page_bytes = 8192;   ///< Table 3 PageSize.
 
   int64_t tuples_per_page() const { return page_bytes / tuple_bytes; }

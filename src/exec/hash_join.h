@@ -17,7 +17,7 @@
 // partition pairs are joined in a cleanup pass at the end.
 //
 // The simulation models partitions in aggregate (fractions of pages and
-// tuples) rather than tracking individual tuples; see DESIGN.md.
+// tuples) rather than tracking individual tuples.
 
 #ifndef RTQ_EXEC_HASH_JOIN_H_
 #define RTQ_EXEC_HASH_JOIN_H_

@@ -26,7 +26,7 @@ struct DiskParams {
   /// this fixes the media-transfer rate (72 KB @ 16.7 ms/rev = 4.3 MB/s).
   /// Table 3 gives only the 90-page cylinder; 9-page tracks (10 surfaces)
   /// were calibrated so Table 7's execution-time scale and the Figure 3
-  /// policy ordering reproduce (see DESIGN.md section 8).
+  /// policy ordering reproduce.
   PageCount track_size = 9;
   /// Pages the on-disk prefetch cache can hold (256 KB / 8 KB = 32).
   PageCount cache_pages = 32;
