@@ -50,16 +50,6 @@ class Source : public ArrivalSource {
 
   void AppendStateDigest(std::vector<std::string>* out) const override;
 
-  /// Sets the id of the first query this source will emit. Only valid
-  /// before Start(); a source swapped in mid-run continues the retired
-  /// predecessor's id space so the engine never sees a duplicate id.
-  void set_first_query_id(QueryId id) {
-    RTQ_CHECK_MSG(!started_, "set_first_query_id after Start");
-    next_id_ = id;
-  }
-
-  const WorkloadSpec& spec() const { return spec_; }
-
  private:
   void ScheduleNextArrival(int32_t query_class);
   void EmitQuery(int32_t query_class);
