@@ -159,17 +159,7 @@ TEST(RunPool, SequentialAndParallelRunsAreIdentical) {
   ASSERT_EQ(seq.size(), par.size());
   for (size_t i = 0; i < seq.size(); ++i) {
     EXPECT_EQ(seq[i].label, par[i].label);
-    const engine::SystemSummary& a = seq[i].summary;
-    const engine::SystemSummary& b = par[i].summary;
-    EXPECT_EQ(a.overall.completions, b.overall.completions);
-    EXPECT_EQ(a.overall.misses, b.overall.misses);
-    EXPECT_EQ(a.events_dispatched, b.events_dispatched);
-    EXPECT_DOUBLE_EQ(a.overall.miss_ratio, b.overall.miss_ratio);
-    EXPECT_DOUBLE_EQ(a.overall.avg_wait, b.overall.avg_wait);
-    EXPECT_DOUBLE_EQ(a.overall.avg_exec, b.overall.avg_exec);
-    EXPECT_DOUBLE_EQ(a.overall.avg_response, b.overall.avg_response);
-    EXPECT_DOUBLE_EQ(a.avg_mpl, b.avg_mpl);
-    EXPECT_DOUBLE_EQ(a.avg_disk_utilization, b.avg_disk_utilization);
+    ExpectSameSummary(seq[i].summary, par[i].summary);
     EXPECT_EQ(seq[i].pmm_trace.size(), par[i].pmm_trace.size());
   }
 }
