@@ -59,9 +59,6 @@ struct Grid {
   std::vector<std::string> lanes;
   Policies policies;
   std::vector<RunResult> results;
-  /// Whether points are compared with their row's oracle-ed lane; the
-  /// JSON then records each point's "gap_to_oracle".
-  bool vs_oracle = false;
 
   /// "<lane><at><row>", the point label of most experiments.
   std::string Label(size_t x, size_t l, const std::string& at) const {
@@ -87,10 +84,10 @@ struct Grid {
     }
     return -1;
   }
-  /// Row x's miss ratio on its first oracle-ed lane; NaN unless
-  /// vs_oracle and the sweep has one (RTQ_POLICIES may drop it).
+  /// Row x's miss ratio on its first oracle-ed lane, NaN when the sweep
+  /// has none (the headroom and scenarios defaults have one).
   double OracleMiss(size_t x) const {
-    for (size_t p = 0; vs_oracle && p < policies.size(); ++p) {
+    for (size_t p = 0; p < policies.size(); ++p) {
       auto spec = core::PolicySpec::Parse(policies[p].ResolvedSpec());
       if (spec.ok() && spec.value().name == "oracle-ed") {
         return At(x, p).overall.miss_ratio;
@@ -103,7 +100,7 @@ struct Grid {
 /// Rows print `xs` at `precision` digits; lanes are `variants`.
 Grid NumericGrid(std::vector<double> xs, int precision,
                  std::vector<std::string> variants) {
-  Grid grid{std::move(xs), {}, std::move(variants), {}, {}, false};
+  Grid grid{std::move(xs), {}, std::move(variants), {}, {}};
   for (double x : grid.xs) grid.rows.push_back(F(x, precision));
   return grid;
 }
@@ -136,9 +133,10 @@ struct Sweep {
   }
 
   /// Runs spec(x, l) for every point of `grid` on the pool and adds each
-  /// to the JSON as (lane, xs[x]). A sharded point is followed by one
-  /// point per shard ("<label> #<s>"), so the gate also pins the
-  /// placement split. The JSON totals add up every run's wall time.
+  /// to the JSON as (lane, xs[x]), with its "gap_to_oracle" when its row
+  /// has an oracle-ed lane. A sharded point is followed by one point per
+  /// shard ("<label> #<s>"), so the gate also pins the placement split.
+  /// The JSON totals add up every run's wall time.
   template <typename SpecFn>
   void Run(Grid* grid, SpecFn spec) {
     std::vector<RunSpec> specs;
@@ -169,11 +167,9 @@ struct Sweep {
   /// "<policy label><at><x>" and configured by factory(x, policy) at the
   /// factories' default seed.
   Grid RunPolicies(std::vector<double> xs, int precision, Policies defaults,
-                   const std::string& at, Factory factory,
-                   bool vs_oracle = false) {
+                   const std::string& at, Factory factory) {
     Grid grid = PolicyGrid(std::move(xs), precision,
-                           harness::PoliciesOrDefault(std::move(defaults)));
-    grid.vs_oracle = vs_oracle;
+                           PoliciesOrDefault(std::move(defaults)));
     Run(&grid, [&](size_t x, size_t p) {
       return RunSpec{grid.Label(x, p, at),
                      factory(grid.xs[x], grid.policies[p], /*seed=*/42)};
@@ -712,8 +708,7 @@ void Headroom(const std::string& name) {
   auto run = [&](const std::string& key, std::vector<double> rates,
                  Policies policies, Factory factory) {
     Grid grid = sweep.RunPolicies(std::move(rates), 3, std::move(policies),
-                                  " @ " + key + " ", factory,
-                                  /*vs_oracle=*/true);
+                                  " @ " + key + " ", factory);
     harness::TablePrinter gaps(
         harness::PolicyColumns(key + " rate (gap, pp)", grid.policies));
     for (size_t x = 0; x < grid.rows.size(); ++x) {
@@ -785,7 +780,6 @@ void Scenarios(const std::string& name) {
   // Rows are the shapes, each at its dominant arrival rate.
   Grid grid = PolicyGrid({0.07, 0.5, 0.07, 0.1, 0.07}, 0, policies);
   grid.rows = {"diurnal", "flash", "pareto", "burst", "mixshift"};
-  grid.vs_oracle = true;
   const std::string specs[] = {
       "diurnal:period=" + FormatDouble(d / 1.5),
       "flash:at=" + FormatDouble(d / 3.0) + ",dur=" + FormatDouble(d / 12.0) +

@@ -87,8 +87,8 @@ class BenchJsonEmitter {
 
   /// AddResult plus an optional "gap_to_oracle" field: this point's miss
   /// ratio minus the clairvoyant oracle-ed bound's at the same workload
-  /// point (the headroom study's metric). Pass NaN to omit the field;
-  /// other experiments' documents are unchanged.
+  /// point (the headroom study's metric, recorded by any sweep with an
+  /// oracle-ed lane). Pass NaN to omit the field.
   void AddResult(const RunResult& result, const std::string& policy,
                  double lambda, double gap_to_oracle);
 
