@@ -244,32 +244,36 @@ TEST(RunPool, GlobalAdmissionSpecReportsCoordinatorCounters) {
 
 TEST(RunPool, WindowedSpecMatchesWindowSummaries) {
   // A spec naming a window length also summarizes each window
-  // [i * w, (i + 1) * w) that starts before the run ends — the last one
-  // partial when the duration is not a multiple of w.
+  // [i * w, (i + 1) * w) that starts before the run ends: three windows
+  // both for a duration of exactly 3w and for 2.5w, whose last window
+  // is partial.
   RunSpec spec;
   spec.label = "windowed";
   spec.config = BaselineConfig(0.08, {"pmm"}, /*seed=*/11);
-  spec.duration = 1000.0;
   spec.window = 400.0;
-  std::vector<RunResult> results = RunPool({spec}, 1);
-  ASSERT_EQ(results.size(), 1u);
+  for (SimTime duration : {1200.0, 1000.0}) {
+    SCOPED_TRACE("duration " + std::to_string(duration));
+    spec.duration = duration;
+    std::vector<RunResult> results = RunPool({spec}, 1);
+    ASSERT_EQ(results.size(), 1u);
 
-  auto direct = engine::Rtdbs::Create(spec.config);
-  ASSERT_TRUE(direct.ok());
-  direct.value()->RunUntil(spec.duration);
-  ExpectSameSummary(results[0].summary, direct.value()->Summarize());
-  ASSERT_EQ(results[0].windows.size(), 3u);
-  int64_t completions = 0;
-  for (size_t i = 0; i < 3; ++i) {
-    SCOPED_TRACE("window " + std::to_string(i));
-    ExpectSameClass(results[0].windows[i],
-                    engine::MetricsCollector::WindowSummary(
-                        direct.value()->metrics().records(), i * 400.0,
-                        (i + 1) * 400.0, /*query_class=*/-1));
-    completions += results[0].windows[i].completions;
+    auto direct = engine::Rtdbs::Create(spec.config);
+    ASSERT_TRUE(direct.ok());
+    direct.value()->RunUntil(duration);
+    ExpectSameSummary(results[0].summary, direct.value()->Summarize());
+    ASSERT_EQ(results[0].windows.size(), 3u);
+    int64_t completions = 0;
+    for (size_t i = 0; i < 3; ++i) {
+      SCOPED_TRACE("window " + std::to_string(i));
+      ExpectSameClass(results[0].windows[i],
+                      engine::MetricsCollector::WindowSummary(
+                          direct.value()->metrics().records(), i * 400.0,
+                          (i + 1) * 400.0, /*query_class=*/-1));
+      completions += results[0].windows[i].completions;
+    }
+    EXPECT_EQ(completions, results[0].summary.overall.completions);
+    EXPECT_TRUE(results[0].shard_summaries.empty());
   }
-  EXPECT_EQ(completions, results[0].summary.overall.completions);
-  EXPECT_TRUE(results[0].shard_summaries.empty());
 }
 
 }  // namespace
