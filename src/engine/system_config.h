@@ -42,7 +42,7 @@ struct PolicyConfig {
   /// Registry spec string ("pmm", "minmax:5", "none", ...).
   std::string spec = "pmm";
 
-  /// The spec this config names (kept as the accessor callers use).
+  /// Returns `spec`; rtqbench/harness.cc reads the policy through it.
   const std::string& ResolvedSpec() const { return spec; }
 };
 
