@@ -88,7 +88,7 @@ struct Grid {
   /// has none (the headroom and scenarios defaults have one).
   double OracleMiss(size_t x) const {
     for (size_t p = 0; p < policies.size(); ++p) {
-      auto spec = core::PolicySpec::Parse(policies[p].ResolvedSpec());
+      auto spec = Spec::Parse(policies[p].ResolvedSpec());
       if (spec.ok() && spec.value().name == "oracle-ed") {
         return At(x, p).overall.miss_ratio;
       }

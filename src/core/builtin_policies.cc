@@ -13,7 +13,6 @@
 // needs — factory, lifecycle, registration — lives in one translation
 // unit (see src/policies/ for two out-of-tree examples).
 
-#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -56,8 +55,7 @@ class StaticStrategyPolicy : public MemoryPolicy {
   StrategyFactory make_;
 };
 
-StatusOr<std::unique_ptr<MemoryPolicy>> MakeMaxPolicy(
-    const PolicySpec& spec) {
+StatusOr<std::unique_ptr<MemoryPolicy>> MakeMaxPolicy(const Spec& spec) {
   bool strict = false;
   if (spec.args == "strict") {
     strict = true;
@@ -74,11 +72,11 @@ StatusOr<std::unique_ptr<MemoryPolicy>> MakeMaxPolicy(
 
 /// Shared factory body for the two -N families.
 template <typename StrategyT>
-StatusOr<std::unique_ptr<MemoryPolicy>> MakeLimitPolicy(
-    const PolicySpec& spec, const char* family) {
+StatusOr<std::unique_ptr<MemoryPolicy>> MakeLimitPolicy(const Spec& spec,
+                                                        const char* family) {
   int64_t n = -1;
   if (!spec.args.empty()) {
-    auto parsed = ParseSpecInt(spec.args);
+    auto parsed = SpecArgs::ToInt(spec.args);
     if (!parsed.ok()) return parsed.status();
     n = parsed.value();
     if (n < 1) {
@@ -169,24 +167,14 @@ class PmmFairPolicy : public MemoryPolicy {
   std::unique_ptr<PmmFairController> controller_;
 };
 
-StatusOr<std::unique_ptr<MemoryPolicy>> MakePmmFairPolicy(
-    const PolicySpec& spec) {
+StatusOr<std::unique_ptr<MemoryPolicy>> MakePmmFairPolicy(const Spec& spec) {
   std::vector<double> weights;
-  if (!spec.args.empty()) {
-    auto kv = ParseSpecKeyValue(spec.args);
-    if (!kv.ok()) return kv.status();
-    if (kv.value().first != "w") {
-      return Status::InvalidArgument("pmm-fair: unknown argument '" +
-                                     kv.value().first + "' (expected w=...)");
-    }
-    auto parsed = ParseSpecDoubleList(kv.value().second);
-    if (!parsed.ok()) return parsed.status();
-    weights = std::move(parsed).value();
-    for (double w : weights) {
-      if (!std::isfinite(w) || w <= 0.0) {
-        return Status::InvalidArgument(
-            "pmm-fair: weights must be finite and > 0");
-      }
+  SpecArgs args(spec.args);
+  args.Take("w", &weights);
+  RTQ_RETURN_IF_ERROR(args.Finish());
+  for (double w : weights) {
+    if (w <= 0.0) {
+      return Status::InvalidArgument("pmm-fair: weights must be > 0");
     }
   }
   return std::unique_ptr<MemoryPolicy>(new PmmFairPolicy(std::move(weights)));
@@ -196,32 +184,29 @@ StatusOr<std::unique_ptr<MemoryPolicy>> MakePmmFairPolicy(
 // Registrations.
 // ---------------------------------------------------------------------------
 
-RTQ_REGISTER_POLICY("max", "max[:strict] — all-or-nothing maximum allocations",
-                    MakeMaxPolicy);
-RTQ_REGISTER_POLICY(
-    "minmax", "minmax[:N] — min-then-max top-up, MPL capped at N",
-    [](const PolicySpec& spec) {
-      return MakeLimitPolicy<MinMaxStrategy>(spec, "MinMax");
-    });
-RTQ_REGISTER_POLICY(
-    "prop", "prop[:N] — equal fraction of each maximum, MPL capped at N",
-    [](const PolicySpec& spec) {
-      return MakeLimitPolicy<ProportionalStrategy>(spec, "Proportional");
-    });
-RTQ_REGISTER_POLICY("pmm", "pmm — adaptive Priority Memory Management",
-                    [](const PolicySpec& spec)
-                        -> StatusOr<std::unique_ptr<MemoryPolicy>> {
-                      if (!spec.args.empty()) {
-                        return Status::InvalidArgument(
-                            "pmm takes no arguments (tune via "
-                            "SystemConfig::pmm), got '" +
-                            spec.args + "'");
-                      }
-                      return std::unique_ptr<MemoryPolicy>(new PmmPolicy());
-                    });
-RTQ_REGISTER_POLICY("pmm-fair",
-                    "pmm-fair[:w=w1,w2,...] — PMM + class fairness",
-                    MakePmmFairPolicy);
+RTQ_REGISTER(PolicyRegistry, "max",
+             "max[:strict] — all-or-nothing maximum allocations",
+             MakeMaxPolicy);
+RTQ_REGISTER(PolicyRegistry, "minmax",
+             "minmax[:N] — min-then-max top-up, MPL capped at N",
+             [](const Spec& spec) {
+               return MakeLimitPolicy<MinMaxStrategy>(spec, "MinMax");
+             });
+RTQ_REGISTER(PolicyRegistry, "prop",
+             "prop[:N] — equal fraction of each maximum, MPL capped at N",
+             [](const Spec& spec) {
+               return MakeLimitPolicy<ProportionalStrategy>(spec,
+                                                           "Proportional");
+             });
+RTQ_REGISTER(PolicyRegistry, "pmm",
+             "pmm — adaptive Priority Memory Management",
+             [](const Spec& spec) -> StatusOr<std::unique_ptr<MemoryPolicy>> {
+               RTQ_RETURN_IF_ERROR(SpecArgs(spec.args).Finish());
+               return std::unique_ptr<MemoryPolicy>(new PmmPolicy());
+             });
+RTQ_REGISTER(PolicyRegistry, "pmm-fair",
+             "pmm-fair[:w=w1,w2,...] — PMM + class fairness",
+             MakePmmFairPolicy);
 
 }  // namespace
 }  // namespace rtq::core

@@ -1,110 +1,10 @@
 #include "core/policy_registry.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <utility>
-
-#include "common/check.h"
-
 namespace rtq::core {
-
-namespace {
-
-bool IsNameStart(char c) { return c >= 'a' && c <= 'z'; }
-
-bool IsNameChar(char c) {
-  return IsNameStart(c) || (c >= '0' && c <= '9') || c == '-';
-}
-
-bool IsValidName(const std::string& name) {
-  if (name.empty() || !IsNameStart(name[0])) return false;
-  for (char c : name) {
-    if (!IsNameChar(c)) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-StatusOr<PolicySpec> PolicySpec::Parse(const std::string& spec) {
-  PolicySpec out;
-  size_t colon = spec.find(':');
-  out.name = spec.substr(0, colon);
-  if (colon != std::string::npos) out.args = spec.substr(colon + 1);
-  if (!IsValidName(out.name)) {
-    return Status::InvalidArgument("malformed policy spec '" + spec +
-                                   "': expected name[:args] with name "
-                                   "matching [a-z][a-z0-9-]*");
-  }
-  return out;
-}
-
-std::string PolicySpec::ToString() const {
-  return args.empty() ? name : name + ":" + args;
-}
-
-StatusOr<int64_t> ParseSpecInt(const std::string& text) {
-  if (text.empty()) {
-    return Status::InvalidArgument("expected an integer, got ''");
-  }
-  errno = 0;
-  char* end = nullptr;
-  long long value = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) {
-    return Status::InvalidArgument("expected an integer, got '" + text + "'");
-  }
-  return static_cast<int64_t>(value);
-}
-
-StatusOr<std::vector<double>> ParseSpecDoubleList(const std::string& text) {
-  std::vector<double> out;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    size_t comma = text.find(',', pos);
-    std::string token = text.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    errno = 0;
-    char* end = nullptr;
-    double value = std::strtod(token.c_str(), &end);
-    if (token.empty() || errno != 0 || end != token.c_str() + token.size()) {
-      return Status::InvalidArgument("expected a number, got '" + token +
-                                     "' in '" + text + "'");
-    }
-    out.push_back(value);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
-StatusOr<std::pair<std::string, std::string>> ParseSpecKeyValue(
-    const std::string& text) {
-  size_t eq = text.find('=');
-  if (eq == std::string::npos) {
-    return Status::InvalidArgument("expected key=value, got '" + text + "'");
-  }
-  return std::make_pair(text.substr(0, eq), text.substr(eq + 1));
-}
-
-std::string FormatSpecDoubleList(const std::vector<double>& values) {
-  std::string out;
-  char buf[64];
-  for (size_t i = 0; i < values.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%g", values[i]);
-    if (i > 0) out += ',';
-    out += buf;
-  }
-  return out;
-}
 
 StatusOr<std::vector<std::string>> ParsePolicyList(const std::string& text) {
   std::vector<std::string> specs;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    size_t comma = text.find(',', pos);
-    std::string segment = text.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
+  for (std::string segment : SplitAt(text, ',')) {
     // Trim surrounding whitespace.
     size_t b = segment.find_first_not_of(" \t");
     size_t e = segment.find_last_not_of(" \t");
@@ -119,7 +19,7 @@ StatusOr<std::vector<std::string>> ParsePolicyList(const std::string& text) {
         segment.find('=') != std::string::npos &&
         segment.find('=') < segment.find(':');
     if (!segment.empty() &&
-        (!IsNameStart(segment[0]) || key_value_continuation) &&
+        (segment[0] < 'a' || segment[0] > 'z' || key_value_continuation) &&
         !specs.empty()) {
       specs.back() += "," + segment;
     } else if (!segment.empty()) {
@@ -128,85 +28,19 @@ StatusOr<std::vector<std::string>> ParsePolicyList(const std::string& text) {
       return Status::InvalidArgument("empty policy spec in list '" + text +
                                      "'");
     }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
   }
   if (specs.empty()) {
     return Status::InvalidArgument("empty policy list");
   }
   // Validate each spec's shape eagerly so errors name the offender.
   for (const std::string& spec : specs) {
-    auto parsed = PolicySpec::Parse(spec);
-    if (!parsed.ok()) return parsed.status();
+    auto parsed = Spec::Parse(spec);
+    if (!parsed.ok()) {
+      return Status::InvalidArgument("policy spec '" + spec +
+                                     "': " + parsed.status().message());
+    }
   }
   return specs;
-}
-
-PolicyRegistry& PolicyRegistry::Global() {
-  static PolicyRegistry* registry = new PolicyRegistry();
-  return *registry;
-}
-
-Status PolicyRegistry::Register(const std::string& name, std::string help,
-                                Factory factory) {
-  if (!IsValidName(name)) {
-    return Status::InvalidArgument("invalid policy name '" + name + "'");
-  }
-  if (factory == nullptr) {
-    return Status::InvalidArgument("null factory for policy '" + name + "'");
-  }
-  auto [it, inserted] =
-      entries_.emplace(name, Entry{std::move(help), std::move(factory)});
-  (void)it;
-  if (!inserted) {
-    return Status::FailedPrecondition("policy '" + name +
-                                      "' registered twice");
-  }
-  return Status::Ok();
-}
-
-bool PolicyRegistry::Contains(const std::string& name) const {
-  return entries_.count(name) > 0;
-}
-
-StatusOr<std::unique_ptr<MemoryPolicy>> PolicyRegistry::Create(
-    const std::string& spec) const {
-  auto parsed = PolicySpec::Parse(spec);
-  if (!parsed.ok()) return parsed.status();
-  auto it = entries_.find(parsed.value().name);
-  if (it == entries_.end()) {
-    return Status::NotFound("unknown policy '" + parsed.value().name +
-                            "'; registered: " + Help());
-  }
-  auto policy = it->second.factory(parsed.value());
-  if (!policy.ok()) {
-    return Status(policy.status().code(),
-                  "policy spec '" + spec + "': " + policy.status().message());
-  }
-  return policy;
-}
-
-std::vector<std::string> PolicyRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) names.push_back(name);
-  return names;
-}
-
-std::string PolicyRegistry::Help() const {
-  std::string out;
-  for (const auto& [name, entry] : entries_) {
-    if (!out.empty()) out += "; ";
-    out += entry.help.empty() ? name : entry.help;
-  }
-  return out;
-}
-
-PolicyRegistrar::PolicyRegistrar(const std::string& name, std::string help,
-                                 PolicyRegistry::Factory factory) {
-  Status status = PolicyRegistry::Global().Register(name, std::move(help),
-                                                    std::move(factory));
-  RTQ_CHECK_MSG(status.ok(), status.ToString().c_str());
 }
 
 }  // namespace rtq::core

@@ -1,58 +1,28 @@
-// String-keyed registry of MemoryPolicy factories + the spec grammar.
+// The registry of MemoryPolicy factories and the policy-list grammar.
 //
-// A policy is named by a *spec string*:
-//
-//   spec  := name [":" args]
-//   name  := [a-z][a-z0-9-]*          (registry key, e.g. "pmm-fair")
-//   args  := free-form text the policy's factory parses
-//
-// Examples: "max", "max:strict", "minmax:5", "prop:10", "pmm",
-// "pmm-fair:w=1,2", "none", "oracle-ed". MemoryPolicy::Describe()
-// returns the canonical spec, so Create(Describe()) round-trips.
-//
-// Factories self-register from their own translation units via
-// RTQ_REGISTER_POLICY, so adding a policy is one new .cc file — no edits
-// under src/engine/ (see src/policies/ for two examples). Malformed
-// specs and unknown names surface as Status errors, never CHECK aborts.
+// A policy is named by a spec string (common/spec.h), e.g. "max",
+// "max:strict", "minmax:5", "prop:10", "pmm", "pmm-fair:w=1,2", "none",
+// "oracle-ed". MemoryPolicy::Describe() returns the canonical spec, so
+// Create(Describe()) round-trips. Factories self-register with
+// RTQ_REGISTER(PolicyRegistry, ...) from their own translation units, so
+// adding a policy is one new .cc file — no edits under src/engine/ (see
+// src/policies/).
 
 #ifndef RTQ_CORE_POLICY_REGISTRY_H_
 #define RTQ_CORE_POLICY_REGISTRY_H_
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/registry.h"
 #include "common/status.h"
 #include "core/memory_policy.h"
 
 namespace rtq::core {
 
-/// A parsed spec string: the registry key plus the raw argument text
-/// (everything after the first ':', empty when absent).
-struct PolicySpec {
-  std::string name;
-  std::string args;
-
-  static StatusOr<PolicySpec> Parse(const std::string& spec);
-  std::string ToString() const;
-};
-
-// --- arg-parsing helpers shared by factories -------------------------------
-
-/// Parses a whole string as a base-10 integer.
-StatusOr<int64_t> ParseSpecInt(const std::string& text);
-
-/// Parses "v1,v2,..." as doubles.
-StatusOr<std::vector<double>> ParseSpecDoubleList(const std::string& text);
-
-/// Splits "key=value" (first '='); fails when no '=' is present.
-StatusOr<std::pair<std::string, std::string>> ParseSpecKeyValue(
-    const std::string& text);
-
-/// Formats a double list back into canonical "v1,v2" spec form.
-std::string FormatSpecDoubleList(const std::vector<double>& values);
+inline constexpr char kPolicyNoun[] = "policy";
+using PolicyRegistry = Registry<std::unique_ptr<MemoryPolicy>, kPolicyNoun>;
 
 /// Splits a policy *list* ("pmm,none" / "minmax:5,pmm-fair:w=1,2,max")
 /// into individual specs. Commas separate specs, except that a segment
@@ -62,55 +32,6 @@ std::string FormatSpecDoubleList(const std::vector<double>& values);
 /// (the "window=10" of "select:candidates=pmm,window=10" — '=' can
 /// never appear in a policy name).
 StatusOr<std::vector<std::string>> ParsePolicyList(const std::string& text);
-
-class PolicyRegistry {
- public:
-  using Factory =
-      std::function<StatusOr<std::unique_ptr<MemoryPolicy>>(const PolicySpec&)>;
-
-  /// The process-wide registry all spec strings resolve against.
-  static PolicyRegistry& Global();
-
-  /// Registers `factory` under `name`. `help` is a one-line usage note
-  /// ("minmax[:N] — MinMax-N, N omitted = unlimited"). Fails on
-  /// duplicate or ill-formed names.
-  Status Register(const std::string& name, std::string help, Factory factory);
-
-  bool Contains(const std::string& name) const;
-
-  /// Parses `spec` and invokes the named factory.
-  StatusOr<std::unique_ptr<MemoryPolicy>> Create(const std::string& spec) const;
-
-  /// Registered names in deterministic (lexicographic) order.
-  std::vector<std::string> Names() const;
-
-  /// One "name — help" line per registered policy, in Names() order.
-  std::string Help() const;
-
- private:
-  struct Entry {
-    std::string help;
-    Factory factory;
-  };
-  std::map<std::string, Entry> entries_;
-};
-
-/// Self-registration hook: construct one at namespace scope in the
-/// policy's own translation unit (see RTQ_REGISTER_POLICY).
-class PolicyRegistrar {
- public:
-  PolicyRegistrar(const std::string& name, std::string help,
-                  PolicyRegistry::Factory factory);
-};
-
-#define RTQ_POLICY_CONCAT_INNER(a, b) a##b
-#define RTQ_POLICY_CONCAT(a, b) RTQ_POLICY_CONCAT_INNER(a, b)
-
-/// Registers `factory` (a PolicyRegistry::Factory expression) under
-/// `name` when the enclosing translation unit is linked in.
-#define RTQ_REGISTER_POLICY(name, help, factory)          \
-  static const ::rtq::core::PolicyRegistrar RTQ_POLICY_CONCAT( \
-      rtq_policy_registrar_, __COUNTER__)(name, help, factory)
 
 }  // namespace rtq::core
 

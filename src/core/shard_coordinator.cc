@@ -1,8 +1,7 @@
 #include "core/shard_coordinator.h"
 
-#include <cstdlib>
-
 #include "common/check.h"
+#include "common/spec.h"
 
 namespace rtq::core {
 
@@ -51,24 +50,19 @@ void ShardCoordinator::Release(int32_t shard) {
 
 StatusOr<int64_t> ParseAdmissionSpec(const std::string& spec) {
   if (spec == "local") return static_cast<int64_t>(0);
-  if (spec.rfind("global", 0) == 0) {
-    if (spec == "global")
-      return Status::InvalidArgument(
-          "admission \"global\" requires a cap: use global:mpl=N");
-    if (spec.rfind("global:mpl=", 0) != 0)
-      return Status::InvalidArgument("bad admission spec \"" + spec +
-                                     "\" (want local or global:mpl=N)");
-    const char* value = spec.c_str() + 11;
-    char* end = nullptr;
-    long long mpl = std::strtoll(value, &end, 10);
-    if (end == value || *end != '\0' || mpl < 1)
-      return Status::InvalidArgument(
-          "admission \"global\": mpl must be a positive integer, got \"" +
-          spec.substr(11) + "\"");
-    return static_cast<int64_t>(mpl);
+  int64_t mpl = 0;
+  if (spec.rfind("global:", 0) == 0) {
+    SpecArgs args(spec.substr(7));
+    args.Take("mpl", &mpl);
+    Status read = args.Finish();
+    if (!read.ok())
+      return Status::InvalidArgument("admission \"" + spec +
+                                     "\": " + read.message());
   }
-  return Status::InvalidArgument("bad admission spec \"" + spec +
-                                 "\" (want local or global:mpl=N)");
+  if (mpl < 1)
+    return Status::InvalidArgument("bad admission spec \"" + spec +
+                                   "\" (want local or global:mpl=N, N >= 1)");
+  return mpl;
 }
 
 }  // namespace rtq::core

@@ -12,7 +12,6 @@
 #include "core/strategy.h"
 #include "workload/placement.h"
 #include "workload/scenario.h"
-#include "workload/scenario_registry.h"
 #include "workload/source.h"
 #include "workload/trace.h"
 #include "workload/trace_source.h"

@@ -8,7 +8,7 @@
 #include "common/check.h"
 #include "core/policy_registry.h"
 #include "harness/args.h"
-#include "workload/scenario_registry.h"
+#include "workload/scenario.h"
 
 namespace rtq::harness {
 

@@ -37,7 +37,6 @@
 // maximum. Registers from its own translation unit: no edits under
 // src/engine/.
 
-#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -118,32 +117,20 @@ class EdfShedPolicy : public MemoryPolicy {
   double margin_;
 };
 
-StatusOr<std::unique_ptr<MemoryPolicy>> MakeEdfShedPolicy(
-    const PolicySpec& spec) {
+StatusOr<std::unique_ptr<MemoryPolicy>> MakeEdfShedPolicy(const Spec& spec) {
   double margin = 1.0;
-  if (!spec.args.empty()) {
-    auto kv = ParseSpecKeyValue(spec.args);
-    if (!kv.ok()) return kv.status();
-    if (kv.value().first != "m") {
-      return Status::InvalidArgument("edf-shed: unknown argument '" +
-                                     kv.value().first + "' (expected m=...)");
-    }
-    auto parsed = ParseSpecDoubleList(kv.value().second);
-    if (!parsed.ok()) return parsed.status();
-    if (parsed.value().size() != 1 || !std::isfinite(parsed.value()[0]) ||
-        parsed.value()[0] <= 0.0) {
-      return Status::InvalidArgument(
-          "edf-shed: m must be a single finite positive number");
-    }
-    margin = parsed.value()[0];
+  SpecArgs args(spec.args);
+  args.Take("m", &margin);
+  RTQ_RETURN_IF_ERROR(args.Finish());
+  if (margin <= 0.0) {
+    return Status::InvalidArgument("edf-shed: m must be > 0");
   }
   return std::unique_ptr<MemoryPolicy>(new EdfShedPolicy(margin));
 }
 
-RTQ_REGISTER_POLICY("edf-shed",
-                    "edf-shed[:m=F] — EDF MinMax sharing, infeasible "
-                    "queries shed",
-                    MakeEdfShedPolicy);
+RTQ_REGISTER(PolicyRegistry, "edf-shed",
+             "edf-shed[:m=F] — EDF MinMax sharing, infeasible queries shed",
+             MakeEdfShedPolicy);
 
 }  // namespace
 }  // namespace rtq::core

@@ -64,17 +64,12 @@ class NonePolicy : public MemoryPolicy {
   std::string DisplayName() const override { return "None"; }
 };
 
-RTQ_REGISTER_POLICY("none",
-                    "none — no admission control, FCFS maximum grants",
-                    [](const PolicySpec& spec)
-                        -> StatusOr<std::unique_ptr<MemoryPolicy>> {
-                      if (!spec.args.empty()) {
-                        return Status::InvalidArgument(
-                            "none takes no arguments, got '" + spec.args +
-                            "'");
-                      }
-                      return std::unique_ptr<MemoryPolicy>(new NonePolicy());
-                    });
+RTQ_REGISTER(PolicyRegistry, "none",
+             "none — no admission control, FCFS maximum grants",
+             [](const Spec& spec) -> StatusOr<std::unique_ptr<MemoryPolicy>> {
+               RTQ_RETURN_IF_ERROR(SpecArgs(spec.args).Finish());
+               return std::unique_ptr<MemoryPolicy>(new NonePolicy());
+             });
 
 }  // namespace
 }  // namespace rtq::core

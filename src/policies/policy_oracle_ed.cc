@@ -23,7 +23,6 @@
 // Like policy_none.cc, this registers from its own translation unit —
 // no edits under src/engine/ or src/core/.
 
-#include <cmath>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -90,31 +89,20 @@ class OracleEdPolicy : public MemoryPolicy {
   double margin_;
 };
 
-StatusOr<std::unique_ptr<MemoryPolicy>> MakeOracleEdPolicy(
-    const PolicySpec& spec) {
+StatusOr<std::unique_ptr<MemoryPolicy>> MakeOracleEdPolicy(const Spec& spec) {
   double margin = 1.0;
-  if (!spec.args.empty()) {
-    auto kv = ParseSpecKeyValue(spec.args);
-    if (!kv.ok()) return kv.status();
-    if (kv.value().first != "m") {
-      return Status::InvalidArgument("oracle-ed: unknown argument '" +
-                                     kv.value().first + "' (expected m=...)");
-    }
-    auto parsed = ParseSpecDoubleList(kv.value().second);
-    if (!parsed.ok()) return parsed.status();
-    if (parsed.value().size() != 1 || !std::isfinite(parsed.value()[0]) ||
-        parsed.value()[0] <= 0.0) {
-      return Status::InvalidArgument(
-          "oracle-ed: m must be a single finite positive number");
-    }
-    margin = parsed.value()[0];
+  SpecArgs args(spec.args);
+  args.Take("m", &margin);
+  RTQ_RETURN_IF_ERROR(args.Finish());
+  if (margin <= 0.0) {
+    return Status::InvalidArgument("oracle-ed: m must be > 0");
   }
   return std::unique_ptr<MemoryPolicy>(new OracleEdPolicy(margin));
 }
 
-RTQ_REGISTER_POLICY("oracle-ed",
-                    "oracle-ed[:m=F] — clairvoyant feasibility admission",
-                    MakeOracleEdPolicy);
+RTQ_REGISTER(PolicyRegistry, "oracle-ed",
+             "oracle-ed[:m=F] — clairvoyant feasibility admission",
+             MakeOracleEdPolicy);
 
 }  // namespace
 }  // namespace rtq::core

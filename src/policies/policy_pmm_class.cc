@@ -21,7 +21,6 @@
 // Like the other files in src/policies/, this registers from its own
 // translation unit: no edits under src/engine/.
 
-#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -167,41 +166,30 @@ class PmmClassPolicy : public MemoryPolicy {
   std::unique_ptr<PmmClassController> controller_;
 };
 
-StatusOr<std::unique_ptr<MemoryPolicy>> MakePmmClassPolicy(
-    const PolicySpec& spec) {
+StatusOr<std::unique_ptr<MemoryPolicy>> MakePmmClassPolicy(const Spec& spec) {
+  std::vector<double> values;
+  SpecArgs args(spec.args);
+  args.Take("targets", &values);
+  RTQ_RETURN_IF_ERROR(args.Finish());
   std::vector<int64_t> targets;
-  if (!spec.args.empty()) {
-    auto kv = ParseSpecKeyValue(spec.args);
-    if (!kv.ok()) return kv.status();
-    if (kv.value().first != "targets") {
-      return Status::InvalidArgument("pmm-class: unknown argument '" +
-                                     kv.value().first +
-                                     "' (expected targets=...)");
+  for (double v : values) {
+    // Range-check before casting: converting an out-of-int64-range
+    // double (1e19, ...) is undefined behavior.
+    if (v < 1.0 || v >= 9.2e18 ||
+        static_cast<double>(static_cast<int64_t>(v)) != v) {
+      return Status::InvalidArgument(
+          "pmm-class: targets must be integers >= 1");
     }
-    auto parsed = ParseSpecDoubleList(kv.value().second);
-    if (!parsed.ok()) return parsed.status();
-    for (double v : parsed.value()) {
-      // Range-check before casting: converting an out-of-int64-range
-      // double (inf, 1e19, ...) is undefined behavior.
-      if (!std::isfinite(v) || v < 1.0 || v >= 9.2e18 ||
-          static_cast<double>(static_cast<int64_t>(v)) != v) {
-        return Status::InvalidArgument(
-            "pmm-class: targets must be integers >= 1");
-      }
-      targets.push_back(static_cast<int64_t>(v));
-    }
-    if (targets.empty()) {
-      return Status::InvalidArgument("pmm-class: targets list is empty");
-    }
+    targets.push_back(static_cast<int64_t>(v));
   }
   return std::unique_ptr<MemoryPolicy>(
       new PmmClassPolicy(std::move(targets)));
 }
 
-RTQ_REGISTER_POLICY("pmm-class",
-                    "pmm-class[:targets=n1,n2,...] — PMM + per-class "
-                    "admission quotas",
-                    MakePmmClassPolicy);
+RTQ_REGISTER(PolicyRegistry, "pmm-class",
+             "pmm-class[:targets=n1,n2,...] — PMM + per-class admission "
+             "quotas",
+             MakePmmClassPolicy);
 
 }  // namespace
 }  // namespace rtq::core

@@ -54,7 +54,6 @@
 // unit: no edits under src/engine/.
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -244,62 +243,35 @@ class PmmPredictPolicy : public MemoryPolicy {
 };
 
 StatusOr<std::unique_ptr<MemoryPolicy>> MakePmmPredictPolicy(
-    const PolicySpec& spec) {
+    const Spec& spec) {
   int64_t window = kDefaultWindow;
   int64_t lead = kDefaultLead;
   double band = kDefaultBand;
   double conf = kDefaultConf;
-  if (!spec.args.empty()) {
-    size_t pos = 0;
-    while (pos <= spec.args.size()) {
-      size_t comma = spec.args.find(',', pos);
-      std::string piece = spec.args.substr(
-          pos, comma == std::string::npos ? std::string::npos : comma - pos);
-      auto kv = ParseSpecKeyValue(piece);
-      if (!kv.ok()) return kv.status();
-      const std::string& key = kv.value().first;
-      const std::string& value = kv.value().second;
-      if (key == "window" || key == "lead") {
-        auto parsed = ParseSpecInt(value);
-        if (!parsed.ok()) return parsed.status();
-        if (key == "window") {
-          if (parsed.value() < 3) {
-            return Status::InvalidArgument(
-                "pmm-predict: window must be >= 3");
-          }
-          window = parsed.value();
-        } else {
-          if (parsed.value() < 1) {
-            return Status::InvalidArgument("pmm-predict: lead must be >= 1");
-          }
-          lead = parsed.value();
-        }
-      } else if (key == "band" || key == "conf") {
-        auto parsed = ParseSpecDoubleList(value);
-        if (!parsed.ok()) return parsed.status();
-        if (parsed.value().size() != 1 || !std::isfinite(parsed.value()[0]) ||
-            parsed.value()[0] <= 0.0 || parsed.value()[0] >= 1.0) {
-          return Status::InvalidArgument("pmm-predict: " + key +
-                                         " must be a number in (0,1)");
-        }
-        (key == "band" ? band : conf) = parsed.value()[0];
-      } else {
-        return Status::InvalidArgument(
-            "pmm-predict: unknown argument '" + key +
-            "' (expected window=, lead=, band=, conf=)");
-      }
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
+  SpecArgs args(spec.args);
+  args.Take("window", &window);
+  args.Take("lead", &lead);
+  args.Take("band", &band);
+  args.Take("conf", &conf);
+  RTQ_RETURN_IF_ERROR(args.Finish());
+  if (window < 3) {
+    return Status::InvalidArgument("pmm-predict: window must be >= 3");
+  }
+  if (lead < 1) {
+    return Status::InvalidArgument("pmm-predict: lead must be >= 1");
+  }
+  if (band <= 0.0 || band >= 1.0 || conf <= 0.0 || conf >= 1.0) {
+    return Status::InvalidArgument(
+        "pmm-predict: band and conf must be numbers in (0,1)");
   }
   return std::unique_ptr<MemoryPolicy>(
       new PmmPredictPolicy(window, lead, band, conf));
 }
 
-RTQ_REGISTER_POLICY("pmm-predict",
-                    "pmm-predict[:window=N,lead=K,band=F,conf=F] — PMM "
-                    "clamped ahead of confidently forecast load waves",
-                    MakePmmPredictPolicy);
+RTQ_REGISTER(PolicyRegistry, "pmm-predict",
+             "pmm-predict[:window=N,lead=K,band=F,conf=F] — PMM clamped "
+             "ahead of confidently forecast load waves",
+             MakePmmPredictPolicy);
 
 }  // namespace
 }  // namespace rtq::core

@@ -102,31 +102,22 @@ class PmmTickPolicy : public MemoryPolicy {
   SimTime last_flush_ = 0.0;
 };
 
-StatusOr<std::unique_ptr<MemoryPolicy>> MakePmmTickPolicy(
-    const PolicySpec& spec) {
+StatusOr<std::unique_ptr<MemoryPolicy>> MakePmmTickPolicy(const Spec& spec) {
   int64_t period_ms = kDefaultPeriodMs;
-  if (!spec.args.empty()) {
-    auto kv = ParseSpecKeyValue(spec.args);
-    if (!kv.ok()) return kv.status();
-    if (kv.value().first != "ms") {
-      return Status::InvalidArgument("pmm-tick: unknown argument '" +
-                                     kv.value().first + "' (expected ms=...)");
-    }
-    auto parsed = ParseSpecInt(kv.value().second);
-    if (!parsed.ok()) return parsed.status();
-    if (parsed.value() < 0) {
-      return Status::InvalidArgument("pmm-tick: ms must be >= 0, got " +
-                                     kv.value().second);
-    }
-    period_ms = parsed.value();
+  SpecArgs args(spec.args);
+  args.Take("ms", &period_ms);
+  RTQ_RETURN_IF_ERROR(args.Finish());
+  if (period_ms < 0) {
+    return Status::InvalidArgument("pmm-tick: ms must be >= 0, got " +
+                                   std::to_string(period_ms));
   }
   return std::unique_ptr<MemoryPolicy>(new PmmTickPolicy(period_ms));
 }
 
-RTQ_REGISTER_POLICY("pmm-tick",
-                    "pmm-tick[:ms=N] — PMM batched by simulated time via "
-                    "OnTick (0 = per-completion)",
-                    MakePmmTickPolicy);
+RTQ_REGISTER(PolicyRegistry, "pmm-tick",
+             "pmm-tick[:ms=N] — PMM batched by simulated time via OnTick "
+             "(0 = per-completion)",
+             MakePmmTickPolicy);
 
 }  // namespace
 }  // namespace rtq::core

@@ -174,72 +174,36 @@ class SelectPolicy : public MemoryPolicy {
   int64_t misses_ = 0;
 };
 
-StatusOr<std::unique_ptr<MemoryPolicy>> MakeSelectPolicy(
-    const PolicySpec& spec) {
+StatusOr<std::unique_ptr<MemoryPolicy>> MakeSelectPolicy(const Spec& spec) {
+  // The candidates value keeps its commas: candidate specs contain them
+  // ("pmm-class:targets=6,10").
   std::string candidates_arg = "pmm";
   int64_t window = kDefaultWindow;
-  if (!spec.args.empty()) {
-    // Key segments are "candidates=..." / "window=..."; any other
-    // segment is part of the current value (candidate specs themselves
-    // contain commas: "pmm-class:targets=6,10").
-    std::string* current = nullptr;
-    bool have_candidates = false;
-    std::string window_arg;
-    size_t pos = 0;
-    while (pos <= spec.args.size()) {
-      size_t comma = spec.args.find(',', pos);
-      std::string piece = spec.args.substr(
-          pos, comma == std::string::npos ? std::string::npos : comma - pos);
-      if (piece.rfind("candidates=", 0) == 0) {
-        candidates_arg = piece.substr(11);
-        have_candidates = true;
-        current = &candidates_arg;
-      } else if (piece.rfind("window=", 0) == 0) {
-        window_arg = piece.substr(7);
-        current = &window_arg;
-      } else if (current != nullptr) {
-        *current += "," + piece;
-      } else {
-        return Status::InvalidArgument(
-            "select: expected candidates=... or window=..., got '" + piece +
-            "'");
-      }
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-    if (have_candidates && candidates_arg.empty()) {
-      return Status::InvalidArgument("select: candidates list is empty");
-    }
-    if (!window_arg.empty()) {
-      auto parsed = ParseSpecInt(window_arg);
-      if (!parsed.ok()) return parsed.status();
-      if (parsed.value() < 1) {
-        return Status::InvalidArgument("select: window must be >= 1 tick");
-      }
-      window = parsed.value();
-    }
+  SpecArgs args(spec.args);
+  args.Take("candidates", &candidates_arg);
+  args.Take("window", &window);
+  RTQ_RETURN_IF_ERROR(args.Finish());
+  if (candidates_arg.empty()) {
+    return Status::InvalidArgument("select: candidates list is empty");
+  }
+  if (window < 1) {
+    return Status::InvalidArgument("select: window must be >= 1 tick");
   }
 
   // Candidates: '+'-separated groups, each group itself a policy list
   // (so both the canonical '+' form and the comma form parse).
   std::vector<std::string> raw_specs;
-  size_t pos = 0;
-  while (pos <= candidates_arg.size()) {
-    size_t plus = candidates_arg.find('+', pos);
-    std::string group = candidates_arg.substr(
-        pos, plus == std::string::npos ? std::string::npos : plus - pos);
+  for (const std::string& group : SplitAt(candidates_arg, '+')) {
     auto specs = ParsePolicyList(group);
     if (!specs.ok()) return specs.status();
     for (auto& s : specs.value()) raw_specs.push_back(std::move(s));
-    if (plus == std::string::npos) break;
-    pos = plus + 1;
   }
 
   // Canonicalize and validate each candidate by building it once.
   std::vector<std::string> canonical;
   std::vector<std::string> display_names;
   for (const std::string& raw : raw_specs) {
-    auto parsed = PolicySpec::Parse(raw);
+    auto parsed = Spec::Parse(raw);
     if (!parsed.ok()) return parsed.status();
     if (parsed.value().name == "select") {
       return Status::InvalidArgument("select: candidates cannot nest select");
@@ -253,10 +217,10 @@ StatusOr<std::unique_ptr<MemoryPolicy>> MakeSelectPolicy(
       std::move(canonical), std::move(display_names), window));
 }
 
-RTQ_REGISTER_POLICY("select",
-                    "select[:candidates=s1+s2+...,window=N] — UCB bandit "
-                    "over policy specs, re-selected every N ticks",
-                    MakeSelectPolicy);
+RTQ_REGISTER(PolicyRegistry, "select",
+             "select[:candidates=s1+s2+...,window=N] — UCB bandit over "
+             "policy specs, re-selected every N ticks",
+             MakeSelectPolicy);
 
 }  // namespace
 }  // namespace rtq::core

@@ -1,27 +1,11 @@
 #include "serve/serve_session.h"
 
-#include <cmath>
-#include <cstdlib>
-
+#include "common/spec.h"
 #include "core/policy_registry.h"
 #include "harness/paper_experiments.h"
-#include "workload/scenario_registry.h"
+#include "workload/scenario.h"
 
 namespace rtq::serve {
-
-namespace {
-
-bool ParsePositiveDouble(const std::string& token, double* out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  double v = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size()) return false;
-  if (!std::isfinite(v) || v <= 0.0) return false;
-  *out = v;
-  return true;
-}
-
-}  // namespace
 
 StatusOr<engine::SystemConfig> ServeSession::BuildConfig(
     const SessionSpec& spec) {
@@ -32,18 +16,21 @@ StatusOr<engine::SystemConfig> ServeSession::BuildConfig(
   engine::PolicyConfig pc(spec.policy);
 
   const std::string& w = spec.workload;
-  size_t colon = w.find(':');
-  std::string kind = colon == std::string::npos ? w : w.substr(0, colon);
-  std::string rest = colon == std::string::npos ? "" : w.substr(colon + 1);
+  StatusOr<Spec> parsed = Spec::Parse(w);
+  const std::string kind = parsed.ok() ? parsed.value().name : "";
+  const std::string rest = parsed.ok() ? parsed.value().args : "";
 
   if (kind == "baseline" || kind == "multiclass") {
-    if (rest.rfind("rate=", 0) != 0)
-      return Status::InvalidArgument("workload '" + w + "': expected '" +
-                                     kind + ":rate=<queries/sec>'");
     double rate = 0.0;
-    if (!ParsePositiveDouble(rest.substr(5), &rate))
-      return Status::InvalidArgument("workload '" + w +
-                                     "': rate must be a positive number");
+    SpecArgs args(rest);
+    args.Take("rate", &rate);
+    Status read = args.Finish();
+    if (!read.ok())
+      return Status::InvalidArgument("workload '" + w + "': " +
+                                     read.message());
+    if (rate <= 0.0)
+      return Status::InvalidArgument("workload '" + w + "': expected '" +
+                                     kind + ":rate=R' with R > 0");
     return kind == "baseline" ? harness::BaselineConfig(rate, pc, spec.seed)
                               : harness::MulticlassConfig(rate, pc, spec.seed);
   }

@@ -1,9 +1,9 @@
 #include "workload/placement.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/fnv.h"
+#include "common/spec.h"
 
 namespace rtq::workload {
 
@@ -25,44 +25,34 @@ StatusOr<ShardPlacement> ShardPlacement::Make(const std::string& spec,
   ShardPlacement p;
   p.num_shards_ = num_shards;
 
-  std::string name = spec;
-  std::string args;
-  if (auto colon = spec.find(':'); colon != std::string::npos) {
-    name = spec.substr(0, colon);
-    args = spec.substr(colon + 1);
-  }
-
-  if (name == "hash" || name == "range") {
-    if (!args.empty())
-      return Status::InvalidArgument("placement \"" + name +
-                                     "\" takes no arguments, got \"" + args +
-                                     "\"");
-    p.kind_ = name == "hash" ? Kind::kHash : Kind::kRange;
-    p.spec_ = name;
-    return p;
-  }
-  if (name == "skew") {
+  StatusOr<Spec> parsed = Spec::Parse(spec);
+  const std::string name = parsed.ok() ? parsed.value().name : "";
+  SpecArgs args(parsed.ok() ? parsed.value().args : "");
+  if (name == "hash") {
+    p.kind_ = Kind::kHash;
+  } else if (name == "range") {
+    p.kind_ = Kind::kRange;
+  } else if (name == "skew") {
     p.kind_ = Kind::kSkew;
-    if (!args.empty()) {
-      if (args.rfind("hot=", 0) != 0)
-        return Status::InvalidArgument("placement \"skew\": unknown argument \"" +
-                                       args + "\" (want hot=F)");
-      char* end = nullptr;
-      const char* value = args.c_str() + 4;
-      double hot = std::strtod(value, &end);
-      if (end == value || *end != '\0' || !(hot > 0.0) || hot > 1.0)
-        return Status::InvalidArgument(
-            "placement \"skew\": hot must be in (0, 1], got \"" +
-            args.substr(4) + "\"");
-      p.hot_ = hot;
-    }
+    args.Take("hot", &p.hot_);
+  } else {
+    return Status::InvalidArgument("unknown placement \"" + spec +
+                                   "\" (want hash, range, or skew[:hot=F])");
+  }
+  Status read = args.Finish();
+  if (!read.ok())
+    return Status::InvalidArgument("placement \"" + spec +
+                                   "\": " + read.message());
+  p.spec_ = name;
+  if (p.kind_ == Kind::kSkew) {
+    if (!(p.hot_ > 0.0) || p.hot_ > 1.0)
+      return Status::InvalidArgument("placement \"" + spec +
+                                     "\": hot must be in (0, 1]");
     char buf[48];
     std::snprintf(buf, sizeof(buf), "skew:hot=%.2f", p.hot_);
     p.spec_ = buf;
-    return p;
   }
-  return Status::InvalidArgument("unknown placement \"" + name +
-                                 "\" (want hash, range, or skew[:hot=F])");
+  return p;
 }
 
 int32_t ShardPlacement::ShardOf(QueryId id, int64_t relation,

@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "common/registry.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -100,6 +101,14 @@ struct ScenarioSpec {
   /// workload's classes.
   Status Validate(const WorkloadSpec& workload) const;
 };
+
+/// Scenario generators by spec string: "diurnal", "flash:mult=12,at=600",
+/// "mixshift:intervals=6". Every factory resolves its defaults and writes
+/// the fully-parameterized canonical spec into ScenarioSpec::name, so
+/// Create(Create(s).name) rebuilds the identical scenario. The built-in
+/// catalog registers from scenario_catalog.cc.
+inline constexpr char kScenarioNoun[] = "scenario";
+using ScenarioRegistry = Registry<ScenarioSpec, kScenarioNoun>;
 
 /// One class's arrival-time stream: successive calls return the
 /// non-decreasing arrival times of the shape, consuming the arrivals /

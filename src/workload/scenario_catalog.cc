@@ -4,7 +4,7 @@
 // canonical spec name, so the same string regenerates the identical
 // scenario.
 
-#include "workload/scenario_registry.h"
+#include "workload/scenario.h"
 #include "workload/trace.h"
 
 namespace rtq::workload {
@@ -24,13 +24,17 @@ ArrivalShape Constant(double rate) {
 
 // diurnal: Medium load swells and ebbs sinusoidally while a light
 // constant Small stream rides along.
-StatusOr<ScenarioSpec> MakeDiurnal(ScenarioArgs args) {
-  double rate = args.Take("rate", 0.07);
-  double amp = args.Take("amp", 0.6);
-  double period = args.Take("period", 7200.0);
-  double small = args.Take("small", 0.5);
-  Status st = args.Finish();
-  if (!st.ok()) return st;
+StatusOr<ScenarioSpec> MakeDiurnal(const Spec& request) {
+  double rate = 0.07;
+  double amp = 0.6;
+  double period = 7200.0;
+  double small = 0.5;
+  SpecArgs args(request.args);
+  args.Take("rate", &rate);
+  args.Take("amp", &amp);
+  args.Take("period", &period);
+  args.Take("small", &small);
+  RTQ_RETURN_IF_ERROR(args.Finish());
 
   ScenarioSpec spec;
   spec.name = "diurnal:" + Param("rate", rate) + "," + Param("amp", amp) +
@@ -47,15 +51,21 @@ StatusOr<ScenarioSpec> MakeDiurnal(ScenarioArgs args) {
 
 // flash: a steady mixed load until the Small stream steps to mult× its
 // base rate for `dur` seconds, then decays back exponentially.
-StatusOr<ScenarioSpec> MakeFlash(ScenarioArgs args) {
-  double rate = args.Take("rate", 0.5);
-  double mult = args.Take("mult", 8.0);
-  double at = args.Take("at", 3600.0);
-  double dur = args.Take("dur", 900.0);
-  double decay = args.Take("decay", 450.0);
-  double medium = args.Take("medium", 0.05);
-  Status st = args.Finish();
-  if (!st.ok()) return st;
+StatusOr<ScenarioSpec> MakeFlash(const Spec& request) {
+  double rate = 0.5;
+  double mult = 8.0;
+  double at = 3600.0;
+  double dur = 900.0;
+  double decay = 450.0;
+  double medium = 0.05;
+  SpecArgs args(request.args);
+  args.Take("rate", &rate);
+  args.Take("mult", &mult);
+  args.Take("at", &at);
+  args.Take("dur", &dur);
+  args.Take("decay", &decay);
+  args.Take("medium", &medium);
+  RTQ_RETURN_IF_ERROR(args.Finish());
 
   ScenarioSpec spec;
   spec.name = "flash:" + Param("rate", rate) + "," + Param("mult", mult) +
@@ -76,11 +86,13 @@ StatusOr<ScenarioSpec> MakeFlash(ScenarioArgs args) {
 // pareto: Medium-only Poisson stream whose operand relations follow a
 // bounded Pareto over the group's sizes — mostly small operands with a
 // heavy tail of the large ones.
-StatusOr<ScenarioSpec> MakePareto(ScenarioArgs args) {
-  double rate = args.Take("rate", 0.07);
-  double alpha = args.Take("alpha", 1.5);
-  Status st = args.Finish();
-  if (!st.ok()) return st;
+StatusOr<ScenarioSpec> MakePareto(const Spec& request) {
+  double rate = 0.07;
+  double alpha = 1.5;
+  SpecArgs args(request.args);
+  args.Take("rate", &rate);
+  args.Take("alpha", &alpha);
+  RTQ_RETURN_IF_ERROR(args.Finish());
 
   ScenarioSpec spec;
   spec.name = "pareto:" + Param("rate", rate) + "," + Param("alpha", alpha);
@@ -95,14 +107,19 @@ StatusOr<ScenarioSpec> MakePareto(ScenarioArgs args) {
 // burst: Small arrivals come from a two-state Markov-modulated Poisson
 // process — long quiet stretches at `lo` punctuated by correlated bursts
 // at `hi` — over a constant Medium background.
-StatusOr<ScenarioSpec> MakeBurst(ScenarioArgs args) {
-  double lo = args.Take("lo", 0.1);
-  double hi = args.Take("hi", 2.5);
-  double tlo = args.Take("tlo", 900.0);
-  double thi = args.Take("thi", 300.0);
-  double medium = args.Take("medium", 0.05);
-  Status st = args.Finish();
-  if (!st.ok()) return st;
+StatusOr<ScenarioSpec> MakeBurst(const Spec& request) {
+  double lo = 0.1;
+  double hi = 2.5;
+  double tlo = 900.0;
+  double thi = 300.0;
+  double medium = 0.05;
+  SpecArgs args(request.args);
+  args.Take("lo", &lo);
+  args.Take("hi", &hi);
+  args.Take("tlo", &tlo);
+  args.Take("thi", &thi);
+  args.Take("medium", &medium);
+  RTQ_RETURN_IF_ERROR(args.Finish());
 
   ScenarioSpec spec;
   spec.name = "burst:" + Param("lo", lo) + "," + Param("hi", hi) + "," +
@@ -124,13 +141,17 @@ StatusOr<ScenarioSpec> MakeBurst(ScenarioArgs args) {
 // even intervals and Small on odd ones, both silent afterwards. Each
 // segment end drops one orphaned inter-arrival draw; the resulting
 // Section 5.3 trajectories are pinned by test_scenario_equivalence.
-StatusOr<ScenarioSpec> MakeMixShift(ScenarioArgs args) {
-  double interval = args.Take("interval", 3600.0);
-  double intervals_arg = args.Take("intervals", 6.0);
-  double rate0 = args.Take("rate0", 0.07);
-  double rate1 = args.Take("rate1", 2.8);
-  Status st = args.Finish();
-  if (!st.ok()) return st;
+StatusOr<ScenarioSpec> MakeMixShift(const Spec& request) {
+  double interval = 3600.0;
+  double intervals_arg = 6.0;
+  double rate0 = 0.07;
+  double rate1 = 2.8;
+  SpecArgs args(request.args);
+  args.Take("interval", &interval);
+  args.Take("intervals", &intervals_arg);
+  args.Take("rate0", &rate0);
+  args.Take("rate1", &rate1);
+  RTQ_RETURN_IF_ERROR(args.Finish());
   auto intervals = static_cast<int>(intervals_arg);
   if (interval <= 0.0 || intervals < 1 ||
       intervals_arg != static_cast<double>(intervals))
@@ -157,31 +178,26 @@ StatusOr<ScenarioSpec> MakeMixShift(ScenarioArgs args) {
   return spec;
 }
 
-RTQ_REGISTER_SCENARIO(
-    "diurnal",
-    "diurnal[:rate=,amp=,period=,small=] — sinusoidal Medium rate over a "
-    "constant Small stream",
-    MakeDiurnal);
-RTQ_REGISTER_SCENARIO(
-    "flash",
-    "flash[:rate=,mult=,at=,dur=,decay=,medium=] — Small flash crowd: "
-    "step burst then exponential decay",
-    MakeFlash);
-RTQ_REGISTER_SCENARIO(
-    "pareto",
-    "pareto[:rate=,alpha=] — Medium-only stream with bounded-Pareto "
-    "operand sizes",
-    MakePareto);
-RTQ_REGISTER_SCENARIO(
-    "burst",
-    "burst[:lo=,hi=,tlo=,thi=,medium=] — Markov-modulated Small bursts "
-    "over a constant Medium stream",
-    MakeBurst);
-RTQ_REGISTER_SCENARIO(
-    "mixshift",
-    "mixshift[:interval=,intervals=,rate0=,rate1=] — scripted Medium/"
-    "Small class alternation (Section 5.3)",
-    MakeMixShift);
+RTQ_REGISTER(ScenarioRegistry, "diurnal",
+             "diurnal[:rate=,amp=,period=,small=] — sinusoidal Medium rate "
+             "over a constant Small stream",
+             MakeDiurnal);
+RTQ_REGISTER(ScenarioRegistry, "flash",
+             "flash[:rate=,mult=,at=,dur=,decay=,medium=] — Small flash "
+             "crowd: step burst then exponential decay",
+             MakeFlash);
+RTQ_REGISTER(ScenarioRegistry, "pareto",
+             "pareto[:rate=,alpha=] — Medium-only stream with "
+             "bounded-Pareto operand sizes",
+             MakePareto);
+RTQ_REGISTER(ScenarioRegistry, "burst",
+             "burst[:lo=,hi=,tlo=,thi=,medium=] — Markov-modulated Small "
+             "bursts over a constant Medium stream",
+             MakeBurst);
+RTQ_REGISTER(ScenarioRegistry, "mixshift",
+             "mixshift[:interval=,intervals=,rate0=,rate1=] — scripted "
+             "Medium/Small class alternation (Section 5.3)",
+             MakeMixShift);
 
 }  // namespace
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/rtdbs.h"
@@ -13,12 +14,12 @@ namespace rtq::core {
 namespace {
 
 TEST(PolicySpec, ParsesNameAndArgs) {
-  auto plain = PolicySpec::Parse("pmm");
+  auto plain = Spec::Parse("pmm");
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(plain.value().name, "pmm");
   EXPECT_EQ(plain.value().args, "");
 
-  auto with_args = PolicySpec::Parse("pmm-fair:w=1,2");
+  auto with_args = Spec::Parse("pmm-fair:w=1,2");
   ASSERT_TRUE(with_args.ok());
   EXPECT_EQ(with_args.value().name, "pmm-fair");
   EXPECT_EQ(with_args.value().args, "w=1,2");
@@ -27,7 +28,7 @@ TEST(PolicySpec, ParsesNameAndArgs) {
 
 TEST(PolicySpec, RejectsMalformedNames) {
   for (const char* bad : {"", ":5", "Max", "min max", "5minmax", "-x"}) {
-    auto spec = PolicySpec::Parse(bad);
+    auto spec = Spec::Parse(bad);
     EXPECT_FALSE(spec.ok()) << bad;
     EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << bad;
   }
@@ -70,7 +71,8 @@ TEST(PolicyRegistry, MalformedArgsAreStatusErrors) {
         "edf-shed:x=2", "pmm-tick:ms=", "pmm-tick:ms=-1", "pmm-tick:ms=abc",
         "pmm-tick:s=5", "pmm-predict:window=2", "pmm-predict:lead=0",
         "pmm-predict:band=1.5", "pmm-predict:band=0", "pmm-predict:conf=2",
-        "pmm-predict:x=1", "select:window=0", "select:bogus",
+        "pmm-predict:x=1", "pmm-predict:window=8,window=9",
+        "select:window=0", "select:bogus", "select:window=3,window=4",
         "select:candidates=", "select:candidates=pmm+select"}) {
     auto policy = PolicyRegistry::Global().Create(bad);
     EXPECT_FALSE(policy.ok()) << bad;
@@ -80,7 +82,7 @@ TEST(PolicyRegistry, MalformedArgsAreStatusErrors) {
 
 TEST(PolicyRegistry, DuplicateRegistrationFails) {
   Status status = PolicyRegistry::Global().Register(
-      "max", "again", [](const PolicySpec&) {
+      "max", "again", [](const Spec&) {
         return StatusOr<std::unique_ptr<MemoryPolicy>>(
             Status::Internal("unreachable"));
       });
@@ -109,9 +111,20 @@ TEST(PolicyRegistry, DescribeRoundTrips) {
 }
 
 TEST(PolicyRegistry, NonCanonicalSpecsNormalize) {
-  auto policy = PolicyRegistry::Global().Create("pmm-fair:w=1.0,2.00");
-  ASSERT_TRUE(policy.ok());
-  EXPECT_EQ(policy.value()->Describe(), "pmm-fair:w=1,2");
+  const std::pair<const char*, const char*> cases[] = {
+      {"pmm-fair:w=1.0,2.00", "pmm-fair:w=1,2"},
+      // The candidates value keeps its commas: "lead=3+pmm" continues
+      // the pmm-predict candidate, it does not open a select key.
+      {"select:candidates=pmm-predict:window=8,lead=3+pmm",
+       "select:candidates=pmm-predict:window=8,lead=3+pmm,window=5"},
+      {"select:candidates=pmm,pmm-predict",
+       "select:candidates=pmm+pmm-predict,window=5"},
+  };
+  for (const auto& [spec, canonical] : cases) {
+    auto policy = PolicyRegistry::Global().Create(spec);
+    ASSERT_TRUE(policy.ok()) << spec << ": " << policy.status().ToString();
+    EXPECT_EQ(policy.value()->Describe(), canonical) << spec;
+  }
 }
 
 TEST(ParsePolicyList, SplitsSpecsAndKeepsWeightLists) {

@@ -78,17 +78,15 @@ class TickProbePolicy : public MemoryPolicy {
   bool use_minmax_ = false;
 };
 
-RTQ_REGISTER_POLICY("tick-probe",
-                    "tick-probe — test-only OnTick recorder/reallocator",
-                    [](const PolicySpec& spec)
-                        -> StatusOr<std::unique_ptr<MemoryPolicy>> {
-                      if (!spec.args.empty()) {
-                        return Status::InvalidArgument(
-                            "tick-probe takes no arguments");
-                      }
-                      return std::unique_ptr<MemoryPolicy>(
-                          new TickProbePolicy());
-                    });
+RTQ_REGISTER(PolicyRegistry, "tick-probe",
+             "tick-probe — test-only OnTick recorder/reallocator",
+             [](const Spec& spec) -> StatusOr<std::unique_ptr<MemoryPolicy>> {
+               if (!spec.args.empty()) {
+                 return Status::InvalidArgument(
+                     "tick-probe takes no arguments");
+               }
+               return std::unique_ptr<MemoryPolicy>(new TickProbePolicy());
+             });
 
 TEST(OnTickContract, TicksArriveOnTheConfiguredCadence) {
   for (SimTime interval : {60.0, 25.0}) {

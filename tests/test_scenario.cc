@@ -25,7 +25,7 @@
 #include "engine/rtdbs.h"
 #include "harness/paper_experiments.h"
 #include "harness/runner.h"
-#include "workload/scenario_registry.h"
+#include "workload/scenario.h"
 #include "workload/trace.h"
 
 namespace rtq::workload {
@@ -80,14 +80,15 @@ TEST(ScenarioRegistry, CanonicalNameIsACreateFixedPoint) {
 
 TEST(ScenarioRegistry, MalformedSpecsReturnStatusErrors) {
   const char* bad[] = {
-      "",                      // empty name
-      "Diurnal",               // names are lowercase
-      "no-such-scenario",      // unknown
-      "diurnal:bogus=1",       // unknown key
-      "diurnal:rate",          // not k=v
-      "diurnal:rate=abc",      // non-numeric value
-      "diurnal:rate=1,rate=2", // duplicate key
-      "diurnal:amp=3",         // amplitude out of [0,1]... caught below
+      "",                          // empty name
+      "Diurnal",                   // names are lowercase
+      "no-such-scenario",          // unknown
+      "diurnal:bogus=1",           // unknown key
+      "diurnal:rate",              // not k=v
+      "diurnal:rate=abc",          // non-numeric value
+      "diurnal:rate=1,rate=2",     // duplicate key
+      "diurnal:rate=0.1,bogus=5",  // unknown key after a scalar value
+      "diurnal:amp=3",             // amplitude out of [0,1]... caught below
   };
   for (const char* spec : bad) {
     auto scenario = ScenarioRegistry::Global().Create(spec);
@@ -99,6 +100,12 @@ TEST(ScenarioRegistry, MalformedSpecsReturnStatusErrors) {
       EXPECT_FALSE(config.Validate().ok()) << spec;
     }
   }
+  // Only list-valued keys take continuation segments, so "bogus=5" after
+  // a scalar is an unknown key rather than part of rate's value.
+  auto unknown = ScenarioRegistry::Global().Create("diurnal:rate=0.1,bogus=5");
+  EXPECT_NE(unknown.status().message().find("unknown key 'bogus'"),
+            std::string::npos)
+      << unknown.status().ToString();
   // The two must agree 1:1 with the workload's class list.
   auto scenario = ScenarioRegistry::Global().Create("diurnal");
   ASSERT_TRUE(scenario.ok());

@@ -12,7 +12,7 @@
 #include "core/policy_registry.h"
 #include "gtest/gtest.h"
 #include "serve/serve_session.h"
-#include "workload/scenario_registry.h"
+#include "workload/scenario.h"
 
 namespace rtq::serve {
 namespace {
