@@ -3,10 +3,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <thread>
 
 #include "common/check.h"
+#include "common/file.h"
 #include "harness/args.h"
 #include "harness/paper_experiments.h"
 
@@ -232,20 +232,7 @@ std::string BenchJsonEmitter::path() const {
 }
 
 Status BenchJsonEmitter::WriteFile(double total_wall_seconds) const {
-  std::string file = path();
-  std::error_code ec;
-  std::filesystem::path p(file);
-  if (p.has_parent_path()) {
-    std::filesystem::create_directories(p.parent_path(), ec);
-    if (ec) return Status::Internal("mkdir failed: " + ec.message());
-  }
-  FILE* f = std::fopen(file.c_str(), "w");
-  if (f == nullptr) return Status::Internal("cannot open " + file);
-  std::string data = ToJson(total_wall_seconds);
-  size_t written = std::fwrite(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  if (written != data.size()) return Status::Internal("short write to " + file);
-  return Status::Ok();
+  return WriteStringToFile(path(), ToJson(total_wall_seconds));
 }
 
 }  // namespace rtq::harness

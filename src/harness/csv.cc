@@ -1,7 +1,6 @@
 #include "harness/csv.h"
 
-#include <cstdio>
-#include <filesystem>
+#include "common/file.h"
 
 namespace rtq::harness {
 
@@ -42,20 +41,7 @@ std::string CsvWriter::ToString() const {
 }
 
 Status CsvWriter::WriteFile(const std::string& path) const {
-  std::error_code ec;
-  std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::filesystem::create_directories(p.parent_path(), ec);
-    if (ec) return Status::Internal("mkdir failed: " + ec.message());
-  }
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::Internal("cannot open " + path);
-  std::string data = ToString();
-  size_t written = std::fwrite(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  if (written != data.size())
-    return Status::Internal("short write to " + path);
-  return Status::Ok();
+  return WriteStringToFile(path, ToString());
 }
 
 }  // namespace rtq::harness

@@ -38,7 +38,10 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "common/file.h"
+#include "common/spec.h"
 #include "harness/args.h"
 #include "harness/bench_json.h"
 #include "harness/metrics_streamer.h"
@@ -232,32 +235,19 @@ Status Execute(ServeState& state, const Command& cmd) {
 /// Scripted mode: execute the command file top to bottom. Any parse or
 /// execution failure is fatal (deterministic CI behavior).
 int RunScript(ServeState& state, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    std::fprintf(stderr, "rtq_serve: cannot open --cmds file %s\n",
-                 path.c_str());
+  rtq::StatusOr<std::string> read = rtq::ReadFileToString(path);
+  if (!read.ok()) {
+    std::fprintf(stderr, "rtq_serve: --cmds: %s\n",
+                 read.status().ToString().c_str());
     return 2;
   }
-  std::string data;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
-  std::fclose(f);
-
-  size_t pos = 0;
-  int line_no = 0;
-  while (pos <= data.size() && !state.quit) {
-    size_t nl = data.find('\n', pos);
-    std::string line = data.substr(
-        pos, nl == std::string::npos ? std::string::npos : nl - pos);
-    pos = nl == std::string::npos ? data.size() + 1 : nl + 1;
-    ++line_no;
-    if (line.empty() && pos > data.size()) break;
-
-    auto cmd = rtq::serve::ParseCommand(line);
+  std::vector<std::string> lines = rtq::SplitAt(read.value(), '\n');
+  if (lines.back().empty()) lines.pop_back();  // after the final newline
+  for (size_t i = 0; i < lines.size() && !state.quit; ++i) {
+    auto cmd = rtq::serve::ParseCommand(lines[i]);
     Status st = cmd.ok() ? Execute(state, cmd.value()) : cmd.status();
     if (!st.ok()) {
-      std::fprintf(stderr, "rtq_serve: %s:%d: %s\n", path.c_str(), line_no,
+      std::fprintf(stderr, "rtq_serve: %s:%zu: %s\n", path.c_str(), i + 1,
                    st.ToString().c_str());
       return 2;
     }

@@ -1,11 +1,10 @@
 #include "serve/snapshot.h"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <sstream>
 
+#include "common/file.h"
 #include "workload/trace.h"
 
 namespace rtq::serve {
@@ -241,30 +240,13 @@ StatusOr<Snapshot> ParseSnapshot(const std::string& text) {
 }
 
 Status WriteSnapshotFile(const Snapshot& snapshot, const std::string& path) {
-  std::error_code ec;
-  std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::filesystem::create_directories(p.parent_path(), ec);
-    if (ec) return Status::Internal("mkdir failed: " + ec.message());
-  }
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::Internal("cannot open " + path);
-  std::string data = SerializeSnapshot(snapshot);
-  size_t written = std::fwrite(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  if (written != data.size()) return Status::Internal("short write to " + path);
-  return Status::Ok();
+  return WriteStringToFile(path, SerializeSnapshot(snapshot));
 }
 
 StatusOr<Snapshot> ReadSnapshotFile(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return Status::NotFound("cannot open " + path);
-  std::string data;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
-  std::fclose(f);
-  return ParseSnapshot(data);
+  StatusOr<std::string> data = ReadFileToString(path);
+  if (!data.ok()) return data.status();
+  return ParseSnapshot(data.value());
 }
 
 }  // namespace rtq::serve

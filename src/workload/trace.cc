@@ -3,8 +3,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <sstream>
+
+#include "common/file.h"
 
 namespace rtq::workload {
 
@@ -247,30 +248,13 @@ StatusOr<Trace> ParseTrace(const std::string& text) {
 }
 
 Status WriteTraceFile(const Trace& trace, const std::string& path) {
-  std::error_code ec;
-  std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::filesystem::create_directories(p.parent_path(), ec);
-    if (ec) return Status::Internal("mkdir failed: " + ec.message());
-  }
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::Internal("cannot open " + path);
-  std::string data = SerializeTrace(trace);
-  size_t written = std::fwrite(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  if (written != data.size()) return Status::Internal("short write to " + path);
-  return Status::Ok();
+  return WriteStringToFile(path, SerializeTrace(trace));
 }
 
 StatusOr<Trace> ReadTraceFile(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return Status::NotFound("cannot open " + path);
-  std::string data;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
-  std::fclose(f);
-  return ParseTrace(data);
+  StatusOr<std::string> data = ReadFileToString(path);
+  if (!data.ok()) return data.status();
+  return ParseTrace(data.value());
 }
 
 }  // namespace rtq::workload

@@ -5,6 +5,7 @@
 
 #include "serve/snapshot.h"
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -109,6 +110,11 @@ TEST(SnapshotFormat, FileRoundTripAndMissingFile) {
   auto missing = ReadSnapshotFile(path + ".does-not-exist");
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+
+  // A full device accepts the buffered write and fails only at close.
+  if (std::filesystem::exists("/dev/full")) {
+    EXPECT_FALSE(WriteSnapshotFile(snap, "/dev/full").ok());
+  }
 }
 
 // Mirrors TraceFuzz.CorruptedInputNeverCrashes: random mutations and
