@@ -1,7 +1,8 @@
 #include "harness/args.h"
 
-#include <cerrno>
 #include <cstdlib>
+
+#include "common/spec.h"
 
 namespace rtq::harness {
 
@@ -29,7 +30,7 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
+      errors_.push_back("unexpected argument '" + arg + "'");
       continue;
     }
     std::string body = arg.substr(2);
@@ -53,67 +54,39 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
   }
 }
 
-ArgParser::Entry* ArgParser::Find(const std::string& flag) {
+const std::string* ArgParser::Value(const std::string& flag) {
   auto it = flags_.find(flag);
   if (it == flags_.end()) return nullptr;
   it->second.consumed = true;
-  return &it->second;
+  if (!it->second.has_value) {
+    errors_.push_back("--" + flag + " requires a value (--" + flag + "=...)");
+    return nullptr;
+  }
+  return &it->second.value;
 }
 
 std::string ArgParser::String(const std::string& flag,
                               const std::string& fallback) {
-  Entry* e = Find(flag);
-  if (e == nullptr) return fallback;
-  if (!e->has_value) {
-    errors_.push_back("--" + flag + " requires a value (--" + flag + "=...)");
-    return fallback;
-  }
-  return e->value;
+  const std::string* value = Value(flag);
+  return value == nullptr ? fallback : *value;
 }
 
 double ArgParser::Double(const std::string& flag, double fallback) {
-  Entry* e = Find(flag);
-  if (e == nullptr) return fallback;
-  if (!e->has_value) {
-    errors_.push_back("--" + flag + " requires a numeric value");
-    return fallback;
-  }
-  errno = 0;
-  char* end = nullptr;
-  double parsed = std::strtod(e->value.c_str(), &end);
-  if (errno != 0 || end == e->value.c_str() || *end != '\0') {
-    errors_.push_back("--" + flag + "=" + e->value + ": not a number");
-    return fallback;
-  }
-  return parsed;
+  const std::string* value = Value(flag);
+  if (value == nullptr) return fallback;
+  StatusOr<double> parsed = SpecArgs::ToDouble(*value);
+  if (parsed.ok()) return parsed.value();
+  errors_.push_back("--" + flag + ": " + parsed.status().message());
+  return fallback;
 }
 
 int64_t ArgParser::Int(const std::string& flag, int64_t fallback) {
-  Entry* e = Find(flag);
-  if (e == nullptr) return fallback;
-  if (!e->has_value) {
-    errors_.push_back("--" + flag + " requires an integer value");
-    return fallback;
-  }
-  errno = 0;
-  char* end = nullptr;
-  long long parsed = std::strtoll(e->value.c_str(), &end, 10);
-  if (errno != 0 || end == e->value.c_str() || *end != '\0') {
-    errors_.push_back("--" + flag + "=" + e->value + ": not an integer");
-    return fallback;
-  }
-  return static_cast<int64_t>(parsed);
-}
-
-bool ArgParser::Bool(const std::string& flag) {
-  Entry* e = Find(flag);
-  if (e == nullptr) return false;
-  if (!e->has_value) return true;
-  if (e->value == "true" || e->value == "1") return true;
-  if (e->value == "false" || e->value == "0") return false;
-  errors_.push_back("--" + flag + "=" + e->value +
-                    ": expected true/false/1/0");
-  return false;
+  const std::string* value = Value(flag);
+  if (value == nullptr) return fallback;
+  StatusOr<int64_t> parsed = SpecArgs::ToInt(*value);
+  if (parsed.ok()) return parsed.value();
+  errors_.push_back("--" + flag + ": " + parsed.status().message());
+  return fallback;
 }
 
 Status ArgParser::Finish() const {

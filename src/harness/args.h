@@ -44,34 +44,28 @@ int EnvPositiveInt(const char* name, int fallback);
 ///   ArgParser args(argc, argv);
 ///   std::string workload = args.String("workload", "baseline:rate=0.06");
 ///   int64_t max_events = args.Int("max-events", 0);
-///   bool paced = args.Bool("pace");
 ///   RTQ_RETURN_IF_ERROR(args.Finish());
 ///
 /// Accessors consume their flag; Finish() rejects any flag that was
-/// never consumed (catching typos like --max-event) and any value that
-/// failed to parse, with one error message naming them all.
+/// never consumed (catching typos like --max-event), any value that
+/// failed to parse and any argument that is not a flag, with one error
+/// message naming them all.
 class ArgParser {
  public:
-  /// Parses argv[1..argc). Arguments not starting with "--" are
-  /// collected as positionals (see positional()).
+  /// Parses argv[1..argc).
   ArgParser(int argc, const char* const* argv);
 
   /// Value of --<flag>=... , else `fallback`.
   std::string String(const std::string& flag, const std::string& fallback);
 
-  /// Value of --<flag>=... parsed as a double, else `fallback`.
+  /// Value of --<flag>=... parsed as a finite double, else `fallback`.
   double Double(const std::string& flag, double fallback);
 
   /// Value of --<flag>=... parsed as an integer, else `fallback`.
   int64_t Int(const std::string& flag, int64_t fallback);
 
-  /// True when --<flag> was given, bare or as --<flag>=true/false.
-  bool Bool(const std::string& flag);
-
-  const std::vector<std::string>& positional() const { return positional_; }
-
-  /// Ok when every given flag was consumed and every value parsed;
-  /// InvalidArgument naming the offenders otherwise.
+  /// Ok when every argument was a flag, every flag was consumed and
+  /// every value parsed; InvalidArgument naming the offenders otherwise.
   Status Finish() const;
 
  private:
@@ -81,10 +75,11 @@ class ArgParser {
     bool consumed = false;
   };
 
-  Entry* Find(const std::string& flag);
+  /// Consumes `flag`: its value, or nullptr when it is absent or bare
+  /// (recording the error).
+  const std::string* Value(const std::string& flag);
 
   std::map<std::string, Entry> flags_;
-  std::vector<std::string> positional_;
   std::vector<std::string> errors_;
 };
 
