@@ -100,6 +100,18 @@ StatusOr<double> SpecArgs::ToDouble(const std::string& text) {
   return value;
 }
 
+StatusOr<uint64_t> SpecArgs::ToUint(const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  if (text.empty() || !(text[0] >= '0' && text[0] <= '9') || errno != 0 ||
+      end != text.c_str() + text.size()) {
+    return Status::InvalidArgument("expected an unsigned integer, got '" +
+                                   text + "'");
+  }
+  return static_cast<uint64_t>(value);
+}
+
 Status SpecArgs::Finish() {
   if (text_.empty()) return Status::Ok();
   if (keys_.empty()) {

@@ -78,6 +78,9 @@ class SpecArgs {
   /// integer, or as a finite double.
   static StatusOr<int64_t> ToInt(const std::string& text);
   static StatusOr<double> ToDouble(const std::string& text);
+  /// The whole of `text` as unsigned base-10 digits: no sign, no
+  /// overflow, no trailing text.
+  static StatusOr<uint64_t> ToUint(const std::string& text);
 
  private:
   struct Key {

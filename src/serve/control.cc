@@ -1,6 +1,6 @@
 #include "serve/control.h"
 
-#include <cstdlib>
+#include "common/spec.h"
 
 namespace rtq::serve {
 
@@ -28,15 +28,6 @@ std::string Rest(const std::string& line, size_t pos) {
   return line.substr(start, end - start + 1);
 }
 
-bool ParseUint64(const std::string& token, uint64_t* out) {
-  if (token.empty() || token[0] == '-' || token[0] == '+') return false;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-  if (end != token.c_str() + token.size()) return false;
-  *out = v;
-  return true;
-}
-
 Status CommandError(const std::string& what) {
   return Status::InvalidArgument("control: " + what);
 }
@@ -52,9 +43,11 @@ StatusOr<Command> ParseCommand(const std::string& line) {
   if (keyword == "run") {
     cmd.kind = Command::Kind::kRun;
     std::string count = NextToken(line, &pos);
-    if (!ParseUint64(count, &cmd.count) || cmd.count == 0)
+    StatusOr<uint64_t> n = SpecArgs::ToUint(count);
+    if (!n.ok() || n.value() == 0)
       return CommandError("'run' needs a positive event count, got '" + count +
                           "'");
+    cmd.count = n.value();
     if (!Rest(line, pos).empty())
       return CommandError("trailing input after 'run " + count + "'");
     return cmd;

@@ -3,9 +3,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "common/file.h"
+#include "common/spec.h"
 
 namespace rtq::workload {
 
@@ -32,35 +34,6 @@ std::vector<std::string> Tokenize(const std::string& line) {
     if (i > start) tokens.push_back(line.substr(start, i - start));
   }
   return tokens;
-}
-
-/// Strict whole-token strtod; rejects empty, partial, nan and inf.
-bool ParseFiniteDouble(const std::string& token, double* out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  double v = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size()) return false;
-  if (!std::isfinite(v)) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseInt64(const std::string& token, int64_t* out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  long long v = std::strtoll(token.c_str(), &end, 10);
-  if (end != token.c_str() + token.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseUint64(const std::string& token, uint64_t* out) {
-  if (token.empty() || token[0] == '-') return false;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-  if (end != token.c_str() + token.size()) return false;
-  *out = v;
-  return true;
 }
 
 }  // namespace
@@ -136,23 +109,22 @@ StatusOr<Trace> ParseTrace(const std::string& text) {
     if (!saw_version) {
       if (tag != "rtqt" || tokens.size() != 2)
         return LineError(line_no, "expected version header 'rtqt 1'");
-      int64_t version = 0;
-      if (!ParseInt64(tokens[1], &version))
+      StatusOr<int64_t> version = SpecArgs::ToInt(tokens[1]);
+      if (!version.ok())
         return LineError(line_no, "bad version number '" + tokens[1] + "'");
-      if (version != 1)
-        return LineError(line_no, "unsupported trace version " +
-                                      std::to_string(version));
-      trace.version = static_cast<int32_t>(version);
+      if (version.value() != 1)
+        return LineError(line_no, "unsupported trace version " + tokens[1]);
+      trace.version = 1;
       saw_version = true;
       continue;
     }
 
     if (tag == "classes") {
-      int64_t n = 0;
-      if (saw_classes || tokens.size() != 2 || !ParseInt64(tokens[1], &n) ||
-          n <= 0)
+      StatusOr<int64_t> n = SpecArgs::ToInt(tokens.back());
+      if (saw_classes || tokens.size() != 2 || !n.ok() || n.value() <= 0 ||
+          n.value() > std::numeric_limits<int32_t>::max())
         return LineError(line_no, "bad 'classes' header");
-      trace.num_classes = static_cast<int32_t>(n);
+      trace.num_classes = static_cast<int32_t>(n.value());
       saw_classes = true;
       continue;
     }
@@ -170,16 +142,19 @@ StatusOr<Trace> ParseTrace(const std::string& text) {
       continue;
     }
     if (tag == "seed") {
-      if (saw_seed || tokens.size() != 2 ||
-          !ParseUint64(tokens[1], &trace.seed))
+      StatusOr<uint64_t> seed = SpecArgs::ToUint(tokens.back());
+      if (saw_seed || tokens.size() != 2 || !seed.ok())
         return LineError(line_no, "bad 'seed' header");
+      trace.seed = seed.value();
       saw_seed = true;
       continue;
     }
     if (tag == "records") {
-      if (declared_records >= 0 || tokens.size() != 2 ||
-          !ParseInt64(tokens[1], &declared_records) || declared_records < 0)
+      StatusOr<int64_t> n = SpecArgs::ToInt(tokens.back());
+      if (declared_records >= 0 || tokens.size() != 2 || !n.ok() ||
+          n.value() < 0)
         return LineError(line_no, "bad 'records' header");
+      declared_records = n.value();
       continue;
     }
 
@@ -193,16 +168,18 @@ StatusOr<Trace> ParseTrace(const std::string& text) {
                            std::to_string(tokens.size()) + ")");
 
     TraceRecord r;
-    if (!ParseFiniteDouble(tokens[1], &r.time) || r.time < 0.0)
+    StatusOr<double> time = SpecArgs::ToDouble(tokens[1]);
+    if (!time.ok() || time.value() < 0.0)
       return LineError(line_no, "bad arrival time '" + tokens[1] + "'");
+    r.time = time.value();
     if (!trace.records.empty() && r.time < last_time)
       return LineError(line_no, "out-of-order arrival time");
     last_time = r.time;
 
-    int64_t cls = 0;
-    if (!ParseInt64(tokens[2], &cls) || cls < 0 || cls >= trace.num_classes)
+    StatusOr<int64_t> cls = SpecArgs::ToInt(tokens[2]);
+    if (!cls.ok() || cls.value() < 0 || cls.value() >= trace.num_classes)
       return LineError(line_no, "unknown class '" + tokens[2] + "'");
-    r.query_class = static_cast<int32_t>(cls);
+    r.query_class = static_cast<int32_t>(cls.value());
 
     if (tokens[3] == "join") {
       r.type = exec::QueryType::kHashJoin;
@@ -212,25 +189,33 @@ StatusOr<Trace> ParseTrace(const std::string& text) {
       return LineError(line_no, "unknown query type '" + tokens[3] + "'");
     }
 
-    if (!ParseInt64(tokens[4], &r.r) || r.r < 0)
+    StatusOr<int64_t> rel = SpecArgs::ToInt(tokens[4]);
+    if (!rel.ok() || rel.value() < 0)
       return LineError(line_no, "bad relation id '" + tokens[4] + "'");
+    r.r = rel.value();
     if (tokens[5] == "-") {
       if (r.type == exec::QueryType::kHashJoin)
         return LineError(line_no, "join record missing outer relation");
       r.s = -1;
     } else {
-      if (!ParseInt64(tokens[5], &r.s) || r.s < 0)
+      StatusOr<int64_t> outer = SpecArgs::ToInt(tokens[5]);
+      if (!outer.ok() || outer.value() < 0)
         return LineError(line_no, "bad relation id '" + tokens[5] + "'");
       if (r.type == exec::QueryType::kExternalSort)
         return LineError(line_no, "sort record with outer relation");
+      r.s = outer.value();
     }
 
-    if (!ParseFiniteDouble(tokens[6], &r.slack) || r.slack <= 0.0)
+    StatusOr<double> slack = SpecArgs::ToDouble(tokens[6]);
+    if (!slack.ok() || slack.value() <= 0.0)
       return LineError(line_no, "bad slack ratio '" + tokens[6] + "'");
+    r.slack = slack.value();
     if (tokens[7] != "-") {
-      if (!ParseFiniteDouble(tokens[7], &r.standalone) || r.standalone <= 0.0)
+      StatusOr<double> standalone = SpecArgs::ToDouble(tokens[7]);
+      if (!standalone.ok() || standalone.value() <= 0.0)
         return LineError(line_no,
                          "bad stand-alone time '" + tokens[7] + "'");
+      r.standalone = standalone.value();
     }
     trace.records.push_back(r);
   }

@@ -56,18 +56,19 @@ TEST(Control, BlankAndCommentLinesAreNops) {
 
 TEST(Control, MalformedLinesAreStatusErrorsNotCrashes) {
   const char* bad[] = {
-      "run",            // missing count
-      "run zero",       // non-numeric count
-      "run 0",          // zero count
-      "run -5",         // negative count
-      "run 10 extra",   // trailing junk
-      "policy",         // missing spec
-      "scenario",       // missing spec
-      "snapshot",       // missing path
-      "restore",        // missing path
-      "stats now",      // trailing junk on an argument-less command
-      "quit 1",         // trailing junk
-      "reboot",         // unknown keyword
+      "run",                       // missing count
+      "run zero",                  // non-numeric count
+      "run 0",                     // zero count
+      "run -5",                    // negative count
+      "run 10 extra",              // trailing junk
+      "run 99999999999999999999",  // count past 2^64
+      "policy",                    // missing spec
+      "scenario",                  // missing spec
+      "snapshot",                  // missing path
+      "restore",                   // missing path
+      "stats now",                 // trailing junk on an argument-less command
+      "quit 1",                    // trailing junk
+      "reboot",                    // unknown keyword
   };
   for (const char* line : bad) {
     auto parsed = Parse(line);

@@ -130,6 +130,9 @@ TEST(Trace, MalformedInputsReturnStatusErrors) {
       {"record before header", "rtqt 1\nq 0 0 join 0 1 2.5 -\n"},
       {"duplicate classes", "rtqt 1\nclasses 2\nclasses 2\n"},
       {"negative seed", "rtqt 1\nclasses 2\nscenario -\nseed -3\n"},
+      {"signed seed", "rtqt 1\nclasses 2\nscenario -\nseed +7\nrecords 0\n"},
+      {"classes past 2^31",
+       "rtqt 1\nclasses 4294967297\nscenario -\nseed 42\nrecords 0\n"},
       {"unknown directive", std::string(header) + "frobnicate 3\n"},
       {"truncated record", std::string(header) + "q 0 0 join 0 1\n"},
       {"extra tokens", std::string(header) + "q 0 0 join 0 1 2.5 - extra\n"},
