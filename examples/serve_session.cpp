@@ -29,7 +29,7 @@ namespace {
 void Banner(const char* text) { std::printf("\n=== %s ===\n", text); }
 
 void PrintState(ServeSession& session) {
-  rtq::engine::Rtdbs& sys = session.system();
+  rtq::engine::Rtdbs& sys = session.cluster().shard(0);
   std::printf("  t=%8.1fs  events=%-7llu  live=%-3lld  policy=%s\n",
               sys.simulator().Now(),
               static_cast<unsigned long long>(session.events()),
@@ -75,12 +75,7 @@ int main() {
   PrintState(*session);
 
   Banner("snapshot mid-flight");
-  auto taken = session->TakeSnapshot();
-  if (!taken.ok()) {
-    std::fprintf(stderr, "%s\n", taken.status().ToString().c_str());
-    return 1;
-  }
-  Snapshot snapshot = std::move(taken).value();
+  Snapshot snapshot = session->TakeSnapshot();
   const std::string path = "results/serve_session_example.rtqs";
   rtq::Status wrote = rtq::serve::WriteSnapshotFile(snapshot, path);
   if (!wrote.ok()) {
@@ -115,8 +110,8 @@ int main() {
   Banner("proof: both trajectories are bit-identical");
   std::vector<std::string> a;
   std::vector<std::string> b;
-  session->system().AppendStateDigest(&a);
-  restored.value()->system().AppendStateDigest(&b);
+  session->cluster().AppendStateDigest(&a);
+  restored.value()->cluster().AppendStateDigest(&b);
   if (a != b) {
     std::printf("  DIVERGED (%zu vs %zu digest lines)\n", a.size(), b.size());
     return 1;
@@ -125,6 +120,6 @@ int main() {
 
   Banner("one metrics line (the rtq_serve stream format)");
   rtq::harness::MetricsStreamer streamer(stdout);
-  streamer.Emit(restored.value()->system(), 0.0);
+  streamer.Emit(restored.value()->cluster().shard(0), 0.0);
   return 0;
 }

@@ -295,6 +295,14 @@ void ShardedRtdbs::AppendStateDigest(std::vector<std::string>* out) const {
     out->push_back("shard " + std::to_string(s));
     shards_[static_cast<size_t>(s)]->AppendStateDigest(out);
   }
+  if (coordinator_ == nullptr) return;
+  std::string line = "coordinator " + std::to_string(coordinator_->in_use()) +
+                     " " + std::to_string(coordinator_->high_water()) + " " +
+                     std::to_string(coordinator_->refusals());
+  for (int32_t s = 0; s < num_shards(); ++s) {
+    line += " " + std::to_string(coordinator_->held_by(s));
+  }
+  out->push_back(std::move(line));
 }
 
 }  // namespace rtq::engine

@@ -110,7 +110,9 @@ class ShardedRtdbs {
   SystemSummary Summarize() const;
   SystemSummary SummarizeShard(int32_t s) const;
 
-  /// Per-shard digests, each prefixed by a "shard <i>" line.
+  /// Per-shard digests, each prefixed by a "shard <i>" line; under
+  /// global admission then one "coordinator" line: in_use, high_water,
+  /// refusals, and held_by for each shard.
   void AppendStateDigest(std::vector<std::string>* out) const;
 
  private:

@@ -62,7 +62,6 @@ struct ShardConfig {
   std::string admission = "local";
 
   Status Validate() const;
-  bool sharded() const { return num_shards > 1; }
 };
 
 /// Identity stamped on a shard's SystemConfig by engine::ShardedRtdbs so

@@ -92,7 +92,7 @@ int64_t ArgParser::Int(const std::string& flag, int64_t fallback) {
 Status ArgParser::Finish() const {
   std::vector<std::string> problems = errors_;
   for (const auto& [name, entry] : flags_) {
-    if (!entry.consumed) problems.push_back("unknown flag --" + name);
+    if (!entry.consumed) problems.push_back("unexpected flag --" + name);
   }
   if (problems.empty()) return Status::Ok();
   std::string joined;

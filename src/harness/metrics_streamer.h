@@ -22,9 +22,10 @@
 // v2 added "retired"/"recycled": the query-runtime recycling gauges
 // (parked runtimes awaiting reuse, lifetime arena-reset reuses) that
 // back the allocation-free steady state. v3 added the optional
-// sharding fields: a sharded serve session streams one line per shard
-// per emission, tagged with "shard" and the shard's filtered-arrival
-// drop count "routed_elsewhere"; unsharded sessions omit both.
+// sharding fields: a serve session with more than one shard streams one
+// line per shard per emission, tagged with "shard" and the shard's
+// filtered-arrival drop count "routed_elsewhere"; one-shard sessions
+// omit both.
 
 #ifndef RTQ_HARNESS_METRICS_STREAMER_H_
 #define RTQ_HARNESS_METRICS_STREAMER_H_

@@ -6,14 +6,14 @@
 // deterministic snapshot/restore mid-flight.
 //
 //   rtq_serve [--workload=SPEC] [--policy=SPEC] [--seed=N]
-//             [--shards=N]                serve a sharded cluster
-//                                         (engine::ShardedRtdbs); metrics
-//                                         stream one line per shard and
-//                                         `snapshot` is rejected as
-//                                         Unimplemented
+//             [--shards=N]                engine::ShardedRtdbs shard count
+//                                         (default 1); more than one
+//                                         streams a metrics line per shard
 //             [--placement=SPEC]          hash | range | skew:hot=F
 //             [--admission=SPEC]          local | global:mpl=N
-//             [--restore=PATH]            start from a `.rtqs` snapshot
+//             [--restore=PATH]            start from a `.rtqs` snapshot,
+//                                         whose genesis governs: the six
+//                                         genesis flags above are refused
 //             [--cmds=PATH]               scripted mode: execute commands,
 //                                         then exit (errors exit 2)
 //             [--pace=R]                  R simulated seconds per wall
@@ -69,9 +69,9 @@ double WallNow() {
 
 struct ServeState {
   std::unique_ptr<ServeSession> session;
-  /// One streamer per shard (a single entry for unsharded sessions), so
-  /// each shard's incremental record cursor advances independently.
-  std::vector<std::unique_ptr<rtq::harness::MetricsStreamer>> streamers;
+  /// One streamer per shard, so each shard's incremental record cursor
+  /// advances independently.
+  std::vector<rtq::harness::MetricsStreamer> streamers;
   int64_t metrics_every = 20000;
   uint64_t next_metrics = 0;
   uint64_t max_events = 0;  ///< 0 = uncapped
@@ -81,14 +81,10 @@ struct ServeState {
     // A restored session replays history from event zero, so the
     // incremental record cursors must restart too.
     streamers.clear();
-    if (session->sharded()) {
-      for (int32_t s = 0; s < session->cluster().num_shards(); ++s) {
-        streamers.push_back(
-            std::make_unique<rtq::harness::MetricsStreamer>(stdout, s));
-      }
-    } else {
-      streamers.push_back(
-          std::make_unique<rtq::harness::MetricsStreamer>(stdout));
+    const int32_t shards = session->cluster().num_shards();
+    for (int32_t s = 0; s < shards; ++s) {
+      // One-shard lines carry no v3 shard fields.
+      streamers.emplace_back(stdout, shards > 1 ? s : -1);
     }
     next_metrics =
         metrics_every > 0
@@ -98,13 +94,9 @@ struct ServeState {
   }
 
   void EmitMetrics() {
-    if (session->sharded()) {
-      for (int32_t s = 0; s < session->cluster().num_shards(); ++s) {
-        streamers[static_cast<size_t>(s)]->Emit(session->cluster().shard(s),
-                                                WallNow());
-      }
-    } else {
-      streamers[0]->Emit(session->system(), WallNow());
+    for (size_t s = 0; s < streamers.size(); ++s) {
+      streamers[s].Emit(session->cluster().shard(static_cast<int32_t>(s)),
+                        WallNow());
     }
   }
 
@@ -132,44 +124,28 @@ struct ServeState {
 };
 
 void PrintStats(ServeState& state) {
-  if (state.session->sharded()) {
-    rtq::engine::ShardedRtdbs& cluster = state.session->cluster();
-    rtq::engine::SystemSummary s = cluster.Summarize();
-    std::fprintf(stderr,
-                 "stats: t=%.3f events=%" PRIu64
-                 " shards=%d completed=%lld missed=%lld miss_ratio=%.4f "
-                 "cluster_mpl=%.2f policy=%s\n",
-                 cluster.Now(), state.session->events(),
-                 cluster.num_shards(),
-                 static_cast<long long>(s.overall.completions),
-                 static_cast<long long>(s.overall.misses),
-                 s.overall.miss_ratio, s.avg_mpl,
-                 cluster.shard(0).policy().Describe().c_str());
-    for (int32_t sh = 0; sh < cluster.num_shards(); ++sh) {
-      rtq::engine::SystemSummary ss = cluster.SummarizeShard(sh);
-      std::fprintf(stderr,
-                   "stats: shard=%d live=%lld completed=%lld missed=%lld "
-                   "miss_ratio=%.4f routed_elsewhere=%lld\n",
-                   sh, static_cast<long long>(cluster.shard(sh).live_queries()),
-                   static_cast<long long>(ss.overall.completions),
-                   static_cast<long long>(ss.overall.misses),
-                   ss.overall.miss_ratio,
-                   static_cast<long long>(cluster.shard(sh).routed_elsewhere()));
-    }
-    return;
-  }
-  rtq::engine::Rtdbs& sys = state.session->system();
-  rtq::engine::SystemSummary s = sys.Summarize();
+  rtq::engine::ShardedRtdbs& cluster = state.session->cluster();
+  rtq::engine::SystemSummary s = cluster.Summarize();
   std::fprintf(stderr,
                "stats: t=%.3f events=%" PRIu64
-               " live=%lld completed=%lld missed=%lld miss_ratio=%.4f "
+               " shards=%d completed=%lld missed=%lld miss_ratio=%.4f "
                "avg_mpl=%.2f policy=%s\n",
-               sys.simulator().Now(), state.session->events(),
-               static_cast<long long>(sys.live_queries()),
+               cluster.Now(), state.session->events(), cluster.num_shards(),
                static_cast<long long>(s.overall.completions),
-               static_cast<long long>(s.overall.misses),
-               s.overall.miss_ratio, s.avg_mpl,
-               sys.policy().Describe().c_str());
+               static_cast<long long>(s.overall.misses), s.overall.miss_ratio,
+               s.avg_mpl, cluster.shard(0).policy().Describe().c_str());
+  for (int32_t sh = 0; sh < cluster.num_shards(); ++sh) {
+    rtq::engine::Rtdbs& shard = cluster.shard(sh);
+    rtq::engine::SystemSummary ss = shard.Summarize();
+    std::fprintf(stderr,
+                 "stats: shard=%d live=%lld completed=%lld missed=%lld "
+                 "miss_ratio=%.4f routed_elsewhere=%lld\n",
+                 sh, static_cast<long long>(shard.live_queries()),
+                 static_cast<long long>(ss.overall.completions),
+                 static_cast<long long>(ss.overall.misses),
+                 ss.overall.miss_ratio,
+                 static_cast<long long>(shard.routed_elsewhere()));
+  }
 }
 
 /// Executes one parsed command. Returns Ok, or the failure for the
@@ -206,12 +182,11 @@ Status Execute(ServeState& state, const Command& cmd) {
       state.EmitMetrics();
       return Status::Ok();
     case Command::Kind::kSnapshot: {
-      auto snap = state.session->TakeSnapshot();
-      if (!snap.ok()) return snap.status();
-      Status st = rtq::serve::WriteSnapshotFile(snap.value(), cmd.arg);
+      Snapshot snap = state.session->TakeSnapshot();
+      Status st = rtq::serve::WriteSnapshotFile(snap, cmd.arg);
       if (!st.ok()) return st;
       std::fprintf(stderr, "snapshot: wrote %s at event %" PRIu64 "\n",
-                   cmd.arg.c_str(), snap.value().position_events);
+                   cmd.arg.c_str(), snap.position_events);
       return Status::Ok();
     }
     case Command::Kind::kRestore: {
@@ -259,15 +234,10 @@ int RunScript(ServeState& state, const std::string& path) {
 /// for control lines. Command failures are reported and survived — a
 /// typo must not take down a long-running server. Exits on `quit`,
 /// stdin EOF, the --max-events cap, or a drained calendar.
-double SimNow(ServeState& state) {
-  return state.session->sharded() ? state.session->cluster().Now()
-                                  : state.session->system().simulator().Now();
-}
-
 int RunInteractive(ServeState& state, double pace) {
   std::string pending;
   bool eof = false;
-  const double sim_start = SimNow(state);
+  const double sim_start = state.session->cluster().Now();
   const double wall_start = WallNow();
 
   while (!state.quit) {
@@ -279,7 +249,7 @@ int RunInteractive(ServeState& state, double pace) {
         // Paced: never let the simulated clock outrun
         // sim_start + pace * elapsed wall seconds.
         double target = sim_start + pace * (WallNow() - wall_start);
-        if (SimNow(state) >= target) want = 0;
+        if (state.session->cluster().Now() >= target) want = 0;
       }
       if (want > 0) stepped = state.Step(want);
       if (want > 0 && stepped == 0) {
@@ -328,14 +298,19 @@ int RunInteractive(ServeState& state, double pace) {
 int main(int argc, char** argv) {
   WallNow();  // pin the wall-clock epoch to process start
   rtq::harness::ArgParser args(argc, argv);
-  SessionSpec spec;
-  spec.workload = args.String("workload", spec.workload);
-  spec.policy = args.String("policy", spec.policy);
-  spec.seed = static_cast<uint64_t>(args.Int("seed", 42));
-  spec.shards = static_cast<int32_t>(args.Int("shards", 1));
-  spec.placement = args.String("placement", spec.placement);
-  spec.admission = args.String("admission", spec.admission);
   std::string restore_path = args.String("restore", "");
+  SessionSpec spec;
+  if (restore_path.empty()) {
+    // A snapshot's recorded genesis governs a restored session, so the
+    // genesis flags are read only without --restore; given alongside
+    // it, they stay unconsumed and Finish() refuses them.
+    spec.workload = args.String("workload", spec.workload);
+    spec.policy = args.String("policy", spec.policy);
+    spec.seed = static_cast<uint64_t>(args.Int("seed", 42));
+    spec.shards = static_cast<int32_t>(args.Int("shards", 1));
+    spec.placement = args.String("placement", spec.placement);
+    spec.admission = args.String("admission", spec.admission);
+  }
   std::string cmds_path = args.String("cmds", "");
   double pace = args.Double("pace", 0.0);
   ServeState state;
@@ -349,16 +324,6 @@ int main(int argc, char** argv) {
   }
 
   if (!restore_path.empty()) {
-    // A snapshot's recorded genesis governs the restored session, and the
-    // .rtqs grammar has no shard fields — refuse the contradictory flag
-    // rather than silently restoring an unsharded session.
-    if (spec.shards != 1) {
-      std::fprintf(stderr,
-                   "rtq_serve: --restore and --shards=%d conflict: snapshots "
-                   "are unsharded (their genesis has no shard fields)\n",
-                   spec.shards);
-      return 2;
-    }
     auto snap = rtq::serve::ReadSnapshotFile(restore_path);
     if (!snap.ok()) {
       std::fprintf(stderr, "rtq_serve: %s\n", snap.status().ToString().c_str());
@@ -392,16 +357,14 @@ int main(int argc, char** argv) {
 
   if (rc == 0 && !bench_json.empty()) {
     rtq::harness::BenchJsonEmitter emitter(bench_json);
+    rtq::engine::ShardedRtdbs& cluster = state.session->cluster();
     rtq::harness::RunResult result;
     result.label = state.session->session_spec().workload;
-    const bool sharded = state.session->sharded();
-    rtq::engine::Rtdbs& front = sharded ? state.session->cluster().shard(0)
-                                        : state.session->system();
-    result.config = front.config();
-    result.summary = sharded ? state.session->cluster().Summarize()
-                             : front.Summarize();
+    result.config = cluster.shard(0).config();
+    result.summary = cluster.Summarize();
     result.wall_seconds = WallNow();
-    emitter.AddResult(result, front.policy().Describe(), /*lambda=*/0.0);
+    emitter.AddResult(result, cluster.shard(0).policy().Describe(),
+                      /*lambda=*/0.0);
     Status st = emitter.WriteFile(WallNow());
     if (!st.ok()) {
       std::fprintf(stderr, "rtq_serve: %s\n", st.ToString().c_str());

@@ -55,20 +55,14 @@ StatusOr<std::unique_ptr<ServeSession>> ServeSession::Create(
     const SessionSpec& spec) {
   auto config = BuildConfig(spec);
   if (!config.ok()) return config.status();
-  if (spec.shards > 1) {
-    engine::ShardConfig shard_config;
-    shard_config.num_shards = spec.shards;
-    shard_config.placement = spec.placement;
-    shard_config.admission = spec.admission;
-    auto cluster = engine::ShardedRtdbs::Create(config.value(), shard_config);
-    if (!cluster.ok()) return cluster.status();
-    return std::unique_ptr<ServeSession>(
-        new ServeSession(spec, std::move(cluster).value()));
-  }
-  auto sys = engine::Rtdbs::Create(config.value());
-  if (!sys.ok()) return sys.status();
+  engine::ShardConfig shards;
+  shards.num_shards = spec.shards;
+  shards.placement = spec.placement;
+  shards.admission = spec.admission;
+  auto cluster = engine::ShardedRtdbs::Create(config.value(), shards);
+  if (!cluster.ok()) return cluster.status();
   return std::unique_ptr<ServeSession>(
-      new ServeSession(spec, std::move(sys).value()));
+      new ServeSession(spec, std::move(cluster).value()));
 }
 
 StatusOr<std::unique_ptr<ServeSession>> ServeSession::Restore(
@@ -105,7 +99,7 @@ StatusOr<std::unique_ptr<ServeSession>> ServeSession::Restore(
   // The digest is the proof obligation: every line of the rebuilt
   // session's state must match what the snapshot recorded.
   std::vector<std::string> digest;
-  s->sys_->AppendStateDigest(&digest);
+  s->cluster_->AppendStateDigest(&digest);
   if (digest.size() != snapshot.digest.size())
     return Status::Internal(
         "restore digest mismatch: snapshot has " +
@@ -121,82 +115,55 @@ StatusOr<std::unique_ptr<ServeSession>> ServeSession::Restore(
   return s;
 }
 
-uint64_t ServeSession::RunEvents(uint64_t n) {
-  if (sharded()) return cluster_->StepEvents(n);
-  uint64_t stepped = 0;
-  while (stepped < n && sys_->StepEvent()) ++stepped;
-  return stepped;
-}
-
 engine::PolicySwapOutcome ServeSession::ApplyPolicy(const std::string& spec) {
-  engine::PolicySwapOutcome out;
-  if (sharded()) {
-    // Every shard swaps, or none: shard 0 probes the spec; the remaining
-    // shards only swap after it succeeded. A rollback on shard 0 leaves
-    // the whole cluster on the incumbent policy.
-    out = cluster_->shard(0).SwapPolicy(spec);
-    if (out.status.ok()) {
-      for (int32_t s = 1; s < cluster_->num_shards(); ++s) {
-        engine::PolicySwapOutcome rest = cluster_->shard(s).SwapPolicy(spec);
-        RTQ_CHECK_MSG(rest.status.ok(),
-                      "policy spec accepted by shard 0 but rejected later");
-      }
-    }
-  } else {
-    out = sys_->SwapPolicy(spec);
+  // Shard 0 probes the spec. Whenever it attached a fresh instance — the
+  // new policy, or the incumbent rebuilt after an attach failure — every
+  // other shard, built from the same config, swaps the same way, so the
+  // shards never disagree and replaying the journal entry reproduces
+  // all of them.
+  engine::PolicySwapOutcome out = cluster_->shard(0).SwapPolicy(spec);
+  if (!out.reattached) return out;
+  for (int32_t s = 1; s < cluster_->num_shards(); ++s) {
+    engine::PolicySwapOutcome rest = cluster_->shard(s).SwapPolicy(spec);
+    RTQ_CHECK_MSG(rest.reattached && rest.active_spec == out.active_spec,
+                  "shards disagree on a policy swap");
   }
-  // Journal whenever a fresh instance was attached — including the
-  // rollback after an attach failure, which resets adaptive state and
-  // must therefore be reproduced by a replay.
-  if (out.reattached)
-    journal_.push_back(JournalEntry{events(), "policy", out.active_spec});
+  journal_.push_back(JournalEntry{events(), "policy", out.active_spec});
   return out;
 }
 
 StatusOr<std::string> ServeSession::ApplyScenario(const std::string& spec) {
-  StatusOr<std::string> canonical = Status::Internal("unset");
-  if (sharded()) {
-    // Same protocol as ApplyPolicy. Every shard forks the new source
-    // from its own live rng; those streams are identical across shards
-    // (same genesis seed), so filtered replication still sees one global
-    // arrival process.
-    canonical = cluster_->shard(0).SwapScenario(spec);
-    if (canonical.ok()) {
-      for (int32_t s = 1; s < cluster_->num_shards(); ++s) {
-        auto rest = cluster_->shard(s).SwapScenario(spec);
-        RTQ_CHECK_MSG(rest.ok(),
-                      "scenario spec accepted by shard 0 but rejected later");
-      }
-    }
-  } else {
-    canonical = sys_->SwapScenario(spec);
+  // Same protocol as ApplyPolicy. Every shard forks the new source from
+  // its own live rng; those streams are identical across shards (same
+  // genesis seed), so filtered replication still sees one global arrival
+  // process.
+  StatusOr<std::string> canonical = cluster_->shard(0).SwapScenario(spec);
+  if (!canonical.ok()) return canonical;
+  for (int32_t s = 1; s < cluster_->num_shards(); ++s) {
+    auto rest = cluster_->shard(s).SwapScenario(spec);
+    RTQ_CHECK_MSG(rest.ok(),
+                  "scenario spec accepted by shard 0 but rejected later");
   }
-  if (canonical.ok())
-    journal_.push_back(JournalEntry{events(), "scenario", canonical.value()});
+  journal_.push_back(JournalEntry{events(), "scenario", canonical.value()});
   return canonical;
 }
 
-StatusOr<Snapshot> ServeSession::TakeSnapshot() {
-  if (sharded())
-    return Status::Unimplemented(
-        "snapshot of a sharded session: the .rtqs format has no shard "
-        "fields yet; run with --shards=1 to snapshot");
+Snapshot ServeSession::TakeSnapshot() const {
   Snapshot snap;
   snap.session = spec_;
   snap.journal = journal_;
   snap.position_events = events();
-  snap.position_time = sys_->simulator().Now();
-  sys_->AppendStateDigest(&snap.digest);
+  snap.position_time = cluster_->Now();
+  cluster_->AppendStateDigest(&snap.digest);
   return snap;
 }
 
 Status ServeSession::StepTo(uint64_t target) {
-  while (events() < target) {
-    if (!sys_->StepEvent())
-      return Status::Internal(
-          "snapshot position unreachable: event calendar drained at " +
-          std::to_string(events()) + " of " + std::to_string(target));
-  }
+  const uint64_t at = events();
+  if (at < target && RunEvents(target - at) < target - at)
+    return Status::Internal(
+        "snapshot position unreachable: event calendar drained at " +
+        std::to_string(events()) + " of " + std::to_string(target));
   return Status::Ok();
 }
 

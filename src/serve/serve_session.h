@@ -1,16 +1,18 @@
 // A long-running engine session with deterministic snapshot/restore.
 //
-// ServeSession wraps an engine::Rtdbs built from a SessionSpec genesis
-// and records every state-mutating control command (policy/scenario
-// swaps) in a journal keyed by the event count it was applied at.
-// Because the engine is deterministic, {genesis, journal, position} is a
-// complete serialization of the session: Restore rebuilds the system
-// from genesis, replays the journal at the exact event boundaries,
-// steps to the snapshot position, and verifies the recomputed state
-// digest line-by-line against the snapshot's. A restored session's
-// future trajectory is bit-identical to the uninterrupted original —
-// the invariant tests/test_serve_snapshot.cc pins for every registered
-// policy.
+// ServeSession wraps an engine::ShardedRtdbs built from a SessionSpec
+// genesis (one shard unless the genesis asks for more; a 1-shard
+// cluster is bit-identical to a plain engine::Rtdbs) and records every
+// state-mutating control command (policy/scenario swaps) in a journal
+// keyed by the event count it was applied at. Because the engine is
+// deterministic, {genesis, journal, position} is a complete
+// serialization of the session: Restore rebuilds the cluster from
+// genesis, replays the journal at the exact event boundaries, steps to
+// the snapshot position, and verifies the recomputed state digest
+// line-by-line against the snapshot's. A restored session's future
+// trajectory is bit-identical to the uninterrupted original — the
+// invariant tests/test_serve_snapshot.cc pins for every registered
+// policy and for sharded sessions under both admission modes.
 //
 // Failure discipline: malformed specs, corrupt snapshots, and
 // unreachable positions all surface as Status errors that leave the
@@ -25,7 +27,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "engine/rtdbs.h"
 #include "engine/sharded_rtdbs.h"
 #include "serve/snapshot.h"
 
@@ -35,7 +36,8 @@ class ServeSession {
  public:
   /// Builds a fresh session from its genesis. Fails (without crashing)
   /// on an unknown workload grammar, a policy spec the PolicyRegistry
-  /// rejects, or a scenario spec the ScenarioRegistry rejects.
+  /// rejects, a scenario spec the ScenarioRegistry rejects, or a shard
+  /// count, placement or admission spec ShardedRtdbs rejects.
   static StatusOr<std::unique_ptr<ServeSession>> Create(
       const SessionSpec& spec);
 
@@ -47,13 +49,14 @@ class ServeSession {
   static StatusOr<std::unique_ptr<ServeSession>> Restore(
       const Snapshot& snapshot);
 
-  /// Steps up to `n` events; returns how many actually dispatched
-  /// (fewer only when the event calendar drains).
-  uint64_t RunEvents(uint64_t n);
+  /// Steps up to `n` events on the cluster's merged clock; returns how
+  /// many actually dispatched (fewer only when every calendar drains).
+  uint64_t RunEvents(uint64_t n) { return cluster_->StepEvents(n); }
 
-  /// Hot-swaps the memory policy, journaling the canonical spec whenever
-  /// a fresh policy instance was attached (including a rebuild-rollback
-  /// after an attach failure — replay must reproduce the state reset).
+  /// Hot-swaps the memory policy on every shard, journaling the
+  /// canonical spec whenever a fresh policy instance was attached
+  /// (including a rebuild-rollback after an attach failure — replay must
+  /// reproduce the state reset).
   engine::PolicySwapOutcome ApplyPolicy(const std::string& spec);
 
   /// Swaps the arrival stream to `spec`; journals and returns the
@@ -61,25 +64,10 @@ class ServeSession {
   StatusOr<std::string> ApplyScenario(const std::string& spec);
 
   /// Captures {genesis, journal, position, state digest} at this instant.
-  /// Sharded sessions return Unimplemented: the `.rtqs` grammar has no
-  /// shard fields yet, so there is nothing a restore could verify.
-  StatusOr<Snapshot> TakeSnapshot();
+  Snapshot TakeSnapshot() const;
 
-  uint64_t events() {
-    return sharded() ? cluster_->events_dispatched()
-                     : sys_->simulator().events_dispatched();
-  }
-  /// True when the genesis asked for shards > 1; `system()` is then
-  /// invalid and `cluster()` is the engine.
-  bool sharded() const { return cluster_ != nullptr; }
-  engine::Rtdbs& system() {
-    RTQ_CHECK_MSG(!sharded(), "system(): session is sharded, use cluster()");
-    return *sys_;
-  }
-  engine::ShardedRtdbs& cluster() {
-    RTQ_CHECK_MSG(sharded(), "cluster(): session is unsharded, use system()");
-    return *cluster_;
-  }
+  uint64_t events() const { return cluster_->events_dispatched(); }
+  engine::ShardedRtdbs& cluster() { return *cluster_; }
   const SessionSpec& session_spec() const { return spec_; }
   const std::vector<JournalEntry>& journal() const { return journal_; }
 
@@ -90,8 +78,6 @@ class ServeSession {
   static StatusOr<engine::SystemConfig> BuildConfig(const SessionSpec& spec);
 
  private:
-  ServeSession(SessionSpec spec, std::unique_ptr<engine::Rtdbs> sys)
-      : spec_(std::move(spec)), sys_(std::move(sys)) {}
   ServeSession(SessionSpec spec, std::unique_ptr<engine::ShardedRtdbs> cluster)
       : spec_(std::move(spec)), cluster_(std::move(cluster)) {}
 
@@ -100,8 +86,6 @@ class ServeSession {
   Status StepTo(uint64_t target);
 
   SessionSpec spec_;
-  /// Exactly one of the two engines is set (sys_ unless spec_.shards > 1).
-  std::unique_ptr<engine::Rtdbs> sys_;
   std::unique_ptr<engine::ShardedRtdbs> cluster_;
   std::vector<JournalEntry> journal_;
 };

@@ -1,10 +1,10 @@
 #include "serve/snapshot.h"
 
-#include <cmath>
-#include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "common/file.h"
+#include "common/spec.h"
 #include "workload/trace.h"
 
 namespace rtq::serve {
@@ -14,26 +14,6 @@ namespace {
 Status LineError(size_t line, const std::string& what) {
   return Status::InvalidArgument("snapshot line " + std::to_string(line) +
                                  ": " + what);
-}
-
-/// Strict whole-token strtoull; rejects empty, sign and trailing junk.
-bool ParseUint64(const std::string& token, uint64_t* out) {
-  if (token.empty() || token[0] == '-' || token[0] == '+') return false;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-  if (end != token.c_str() + token.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseFiniteDouble(const std::string& token, double* out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  double v = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size()) return false;
-  if (!std::isfinite(v)) return false;
-  *out = v;
-  return true;
 }
 
 /// Cursor over the text's meaningful lines (comments and blanks
@@ -94,6 +74,27 @@ class LineReader {
 
   size_t line_no() const { return line_no_; }
 
+  /// Advances to the next line, which must read "<key> <text>"; stores
+  /// the non-empty rest of the line in `*out`.
+  Status Text(const std::string& key, std::string* out) {
+    if (!Next() || Head() != key)
+      return LineError(line_no_, "expected '" + key + " <spec>'");
+    *out = Rest(1);
+    if (out->empty()) return LineError(line_no_, "empty " + key + " spec");
+    return Status::Ok();
+  }
+
+  /// Advances to the next line, which must read "<key> <uint>".
+  Status Uint(const std::string& key, uint64_t* out) {
+    if (!Next() || Head() != key)
+      return LineError(line_no_, "expected '" + key + " <uint>'");
+    StatusOr<uint64_t> value = SpecArgs::ToUint(Token(1));
+    if (!value.ok() || !Rest(2).empty())
+      return LineError(line_no_, "bad " + key + " '" + Rest(1) + "'");
+    *out = value.value();
+    return Status::Ok();
+  }
+
  private:
   std::istringstream in_;
   std::string line_;
@@ -129,6 +130,9 @@ std::string SerializeSnapshot(const Snapshot& snapshot) {
   out += "workload " + snapshot.session.workload + "\n";
   out += "policy " + snapshot.session.policy + "\n";
   out += "seed " + std::to_string(snapshot.session.seed) + "\n";
+  out += "shards " + std::to_string(snapshot.session.shards) + "\n";
+  out += "placement " + snapshot.session.placement + "\n";
+  out += "admission " + snapshot.session.admission + "\n";
   out += "journal " + std::to_string(snapshot.journal.size()) + "\n";
   for (const JournalEntry& e : snapshot.journal) {
     out += "j " + std::to_string(e.events) + " " + e.command + " " + e.arg +
@@ -148,39 +152,23 @@ StatusOr<Snapshot> ParseSnapshot(const std::string& text) {
   Snapshot snap;
   LineReader in(text);
 
-  if (!in.Next()) return LineError(in.line_no(), "empty snapshot");
-  if (in.Head() != "rtqs")
-    return LineError(in.line_no(), "not a snapshot (expected 'rtqs 1')");
   uint64_t version = 0;
-  if (!ParseUint64(in.Token(1), &version) || version != 1)
-    return LineError(in.line_no(),
-                     "unsupported snapshot version '" + in.Token(1) + "'");
-  snap.version = static_cast<int32_t>(version);
+  if (!in.Uint("rtqs", &version).ok() || version != 2)
+    return LineError(in.line_no(), "expected the 'rtqs 2' version header");
 
-  if (!in.Next() || in.Head() != "workload")
-    return LineError(in.line_no(), "expected 'workload <spec>'");
-  snap.session.workload = in.Rest(1);
-  if (snap.session.workload.empty())
-    return LineError(in.line_no(), "empty workload spec");
+  RTQ_RETURN_IF_ERROR(in.Text("workload", &snap.session.workload));
+  RTQ_RETURN_IF_ERROR(in.Text("policy", &snap.session.policy));
+  RTQ_RETURN_IF_ERROR(in.Uint("seed", &snap.session.seed));
+  uint64_t shards = 0;
+  RTQ_RETURN_IF_ERROR(in.Uint("shards", &shards));
+  if (shards < 1 || shards > std::numeric_limits<int32_t>::max())
+    return LineError(in.line_no(), "shards must be in [1, 2^31)");
+  snap.session.shards = static_cast<int32_t>(shards);
+  RTQ_RETURN_IF_ERROR(in.Text("placement", &snap.session.placement));
+  RTQ_RETURN_IF_ERROR(in.Text("admission", &snap.session.admission));
 
-  if (!in.Next() || in.Head() != "policy")
-    return LineError(in.line_no(), "expected 'policy <spec>'");
-  snap.session.policy = in.Rest(1);
-  if (snap.session.policy.empty())
-    return LineError(in.line_no(), "empty policy spec");
-
-  if (!in.Next() || in.Head() != "seed")
-    return LineError(in.line_no(), "expected 'seed <uint>'");
-  if (!ParseUint64(in.Token(1), &snap.session.seed) ||
-      !in.Rest(2).empty())
-    return LineError(in.line_no(), "bad seed '" + in.Rest(1) + "'");
-
-  if (!in.Next() || in.Head() != "journal")
-    return LineError(in.line_no(), "expected 'journal <count>'");
   uint64_t journal_count = 0;
-  if (!ParseUint64(in.Token(1), &journal_count) || !in.Rest(2).empty())
-    return LineError(in.line_no(), "bad journal count '" + in.Rest(1) + "'");
-
+  RTQ_RETURN_IF_ERROR(in.Uint("journal", &journal_count));
   uint64_t prev_events = 0;
   for (uint64_t i = 0; i < journal_count; ++i) {
     if (!in.Next() || in.Head() != "j")
@@ -188,9 +176,11 @@ StatusOr<Snapshot> ParseSnapshot(const std::string& text) {
                        "expected " + std::to_string(journal_count) +
                            " journal entries, got " + std::to_string(i));
     JournalEntry entry;
-    if (!ParseUint64(in.Token(1), &entry.events))
+    StatusOr<uint64_t> events = SpecArgs::ToUint(in.Token(1));
+    if (!events.ok())
       return LineError(in.line_no(),
                        "bad journal event count '" + in.Token(1) + "'");
+    entry.events = events.value();
     entry.command = in.Token(2);
     if (entry.command != "policy" && entry.command != "scenario")
       return LineError(in.line_no(),
@@ -206,21 +196,21 @@ StatusOr<Snapshot> ParseSnapshot(const std::string& text) {
 
   if (!in.Next() || in.Head() != "position")
     return LineError(in.line_no(), "expected 'position <events> <time>'");
-  if (!ParseUint64(in.Token(1), &snap.position_events))
+  StatusOr<uint64_t> events = SpecArgs::ToUint(in.Token(1));
+  if (!events.ok())
     return LineError(in.line_no(), "bad position events '" + in.Token(1) + "'");
-  if (!ParseFiniteDouble(in.Token(2), &snap.position_time) ||
-      snap.position_time < 0.0 || !in.Rest(3).empty())
+  snap.position_events = events.value();
+  StatusOr<double> time = SpecArgs::ToDouble(in.Token(2));
+  if (!time.ok() || time.value() < 0.0 || !in.Rest(3).empty())
     return LineError(in.line_no(), "bad position time '" + in.Rest(2) + "'");
+  snap.position_time = time.value();
   if (!snap.journal.empty() &&
       snap.journal.back().events > snap.position_events)
     return LineError(in.line_no(),
                      "journal extends past the snapshot position");
 
-  if (!in.Next() || in.Head() != "digest")
-    return LineError(in.line_no(), "expected 'digest <count>'");
   uint64_t digest_count = 0;
-  if (!ParseUint64(in.Token(1), &digest_count) || !in.Rest(2).empty())
-    return LineError(in.line_no(), "bad digest count '" + in.Rest(1) + "'");
+  RTQ_RETURN_IF_ERROR(in.Uint("digest", &digest_count));
   for (uint64_t i = 0; i < digest_count; ++i) {
     if (!in.Next() || in.Head() != "s")
       return LineError(in.line_no(),

@@ -1,37 +1,47 @@
-// The `.rtqs` deterministic snapshot format (version 1).
+// The `.rtqs` deterministic snapshot format (version 2).
 //
 // A snapshot is NOT a memory dump. The engine's event calendar holds
 // arbitrary closures that cannot be serialized, so the format records a
-// *recipe* instead: the session genesis (workload/policy/seed — enough
-// to rebuild the identical system), the journal of state-mutating
-// control commands with the exact event count at which each was applied,
-// and the position (event count + simulated clock) the snapshot was
-// taken at. Because the simulation is deterministic, rebuilding from
-// genesis and replaying the journal at the recorded event boundaries
-// reproduces the snapshotted state bit-for-bit — restore-then-continue
-// is indistinguishable from an uninterrupted run.
+// *recipe* instead: the session genesis (workload/policy/seed and the
+// cluster shape — enough to rebuild the identical system), the journal
+// of state-mutating control commands with the exact event count at
+// which each was applied, and the position (event count + simulated
+// clock) the snapshot was taken at. Because the simulation is
+// deterministic, rebuilding from genesis and replaying the journal at
+// the recorded event boundaries reproduces the snapshotted state
+// bit-for-bit — restore-then-continue is indistinguishable from an
+// uninterrupted run.
 //
 // The digest section makes that claim checkable rather than assumed:
-// it captures one line per engine state dimension (clock, calendar
-// keys, per-query runtime, CPU/disk/cache, memory manager, policy,
-// source cursors, rng fingerprints — see Rtdbs::AppendStateDigest).
-// Restore recomputes the digest after replay and any differing line
-// fails the restore with a Status error naming it.
+// per shard, a "shard <i>" line and then one line per engine state
+// dimension (clock, calendar keys, per-query runtime, CPU/disk/cache,
+// memory manager, policy, source cursors, rng fingerprints — see
+// Rtdbs::AppendStateDigest), plus the cross-shard admission
+// coordinator's counters under global admission (see
+// ShardedRtdbs::AppendStateDigest). Restore recomputes the digest after
+// replay and any differing line fails the restore with a Status error
+// naming it.
 //
 // Grammar (line-oriented text; '#' starts a comment, blank lines are
 // ignored; tokens are space-separated; mirrors `.rtqt`):
 //
-//   snapshot := "rtqs 1" NL
+//   snapshot := "rtqs 2" NL
 //               "workload" SPEC NL
 //               "policy" SPEC NL
 //               "seed" UINT NL
-//               "journal" INT NL
+//               "shards" UINT NL
+//               "placement" SPEC NL
+//               "admission" SPEC NL
+//               "journal" UINT NL
 //               ("j" EVENTS ("policy"|"scenario") SPEC NL)*
 //               "position" EVENTS TIME NL
-//               "digest" INT NL
+//               "digest" UINT NL
 //               ("s" TEXT NL)*
 //               "end" NL
 //
+// UINT and EVENTS are whole unsigned decimal tokens (no sign); shards
+// is in [1, 2^31); TIME is a finite, non-negative number. A version-1
+// file (no cluster-shape lines) is refused.
 // Journal event counts must be non-decreasing and <= the position's;
 // all structural violations surface as Status errors, never crashes —
 // a corrupt snapshot must not take down a serving process.
@@ -55,10 +65,9 @@ struct SessionSpec {
   std::string workload = "baseline:rate=0.06";
   std::string policy = "pmm";
   uint64_t seed = 42;
-  /// Sharded serving (engine::ShardedRtdbs) when shards > 1. Sharded
-  /// sessions run, stream metrics, and accept live reconfig, but do not
-  /// snapshot yet — TakeSnapshot returns Unimplemented, and the `.rtqs`
-  /// grammar deliberately has no shard fields until they do.
+  /// The engine::ShardedRtdbs shape every session is served as (an
+  /// engine::ShardConfig). One shard is bit-identical to a plain
+  /// engine::Rtdbs.
   int32_t shards = 1;
   std::string placement = "hash";
   std::string admission = "local";
@@ -74,15 +83,15 @@ struct JournalEntry {
 };
 
 struct Snapshot {
-  /// Format version; only 1 exists.
-  int32_t version = 1;
+  /// Format version; only 2 is read.
+  int32_t version = 2;
   SessionSpec session;
   std::vector<JournalEntry> journal;
   /// Events dispatched / simulated clock at the snapshot instant.
   uint64_t position_events = 0;
   double position_time = 0.0;
-  /// Engine state digest lines (Rtdbs::AppendStateDigest), verified
-  /// line-by-line after a restore replay.
+  /// Cluster state digest lines (ShardedRtdbs::AppendStateDigest),
+  /// verified line-by-line after a restore replay.
   std::vector<std::string> digest;
 };
 

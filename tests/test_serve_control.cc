@@ -93,7 +93,7 @@ TEST(ControlFailure, RejectedPolicySwapLeavesStateBitIdentical) {
   s.RunEvents(2000);
 
   std::vector<std::string> before;
-  s.system().AppendStateDigest(&before);
+  s.cluster().AppendStateDigest(&before);
 
   // Unknown policy name and malformed parameter: both must fail at the
   // registry Create stage without touching the engine.
@@ -106,7 +106,7 @@ TEST(ControlFailure, RejectedPolicySwapLeavesStateBitIdentical) {
   EXPECT_TRUE(s.journal().empty());
 
   std::vector<std::string> after;
-  s.system().AppendStateDigest(&after);
+  s.cluster().AppendStateDigest(&after);
   EXPECT_EQ(before, after);
 }
 
@@ -117,7 +117,7 @@ TEST(ControlFailure, RejectedScenarioSwapLeavesStateBitIdentical) {
   s.RunEvents(2000);
 
   std::vector<std::string> before;
-  s.system().AppendStateDigest(&before);
+  s.cluster().AppendStateDigest(&before);
 
   // Unknown scenario, and a well-formed one whose class count does not
   // match the baseline's single-class workload.
@@ -128,7 +128,7 @@ TEST(ControlFailure, RejectedScenarioSwapLeavesStateBitIdentical) {
   EXPECT_TRUE(s.journal().empty());
 
   std::vector<std::string> after;
-  s.system().AppendStateDigest(&after);
+  s.cluster().AppendStateDigest(&after);
   EXPECT_EQ(before, after);
 }
 

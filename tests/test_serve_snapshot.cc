@@ -1,10 +1,11 @@
 // serve/snapshot + serve/serve_session: the `.rtqs` format and the
 // headline serve-mode invariant — restore-then-continue is bit-identical
 // to an uninterrupted run, for every registered policy, with and without
-// mid-run policy/scenario swaps in the journal.
+// mid-run policy/scenario swaps in the journal, and for sharded sessions.
 
 #include "serve/snapshot.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -23,6 +24,9 @@ Snapshot SampleSnapshot() {
   snap.session.workload = "multiclass:rate=0.1";
   snap.session.policy = "pmm-fair:w=1,2";
   snap.session.seed = 7;
+  snap.session.shards = 3;
+  snap.session.placement = "skew:hot=0.6";
+  snap.session.admission = "global:mpl=6";
   snap.journal.push_back(JournalEntry{1000, "policy", "minmax:10"});
   snap.journal.push_back(
       JournalEntry{2500, "scenario", "flash:rate=0.5,mult=6"});
@@ -43,11 +47,14 @@ TEST(SnapshotFormat, SerializeParseIsAFixedPoint) {
 TEST(SnapshotFormat, ParsesCommentsAndBlankLines) {
   auto parsed = ParseSnapshot(
       "# a serve snapshot\n"
-      "rtqs 1\n"
+      "rtqs 2\n"
       "\n"
       "workload baseline:rate=0.06\n"
       "policy pmm\n"
       "seed 42\n"
+      "shards 1\n"
+      "placement hash\n"
+      "admission local\n"
       "journal 0\n"
       "position 0 0\n"
       "# no digest yet\n"
@@ -59,8 +66,11 @@ TEST(SnapshotFormat, ParsesCommentsAndBlankLines) {
 }
 
 TEST(SnapshotFormat, StructuralViolationsAreStatusErrors) {
-  const char* header =
-      "rtqs 1\nworkload w\npolicy p\nseed 42\n";
+  const std::string genesis = "rtqs 2\nworkload w\npolicy p\nseed 42\n";
+  const std::string shape = "shards 2\nplacement hash\nadmission local\n";
+  const std::string header = genesis + shape;
+  // Completes a header into a snapshot that is otherwise well formed.
+  const std::string tail = "journal 0\nposition 0 0\ndigest 0\nend\n";
   struct Case {
     const char* label;
     std::string text;
@@ -68,26 +78,34 @@ TEST(SnapshotFormat, StructuralViolationsAreStatusErrors) {
   const Case cases[] = {
       {"empty", ""},
       {"wrong magic", "rtqt 1\n"},
-      {"future version", "rtqs 2\n"},
-      {"missing workload", "rtqs 1\npolicy p\n"},
-      {"bad seed", "rtqs 1\nworkload w\npolicy p\nseed -1\n"},
-      {"bad journal count", std::string(header) + "journal many\n"},
-      {"truncated journal", std::string(header) + "journal 2\n"
+      {"version 1", "rtqs 1\nworkload w\npolicy p\nseed 42\n" + tail},
+      {"future version", "rtqs 3\n"},
+      {"missing workload", "rtqs 2\npolicy p\n"},
+      {"bad seed", "rtqs 2\nworkload w\npolicy p\nseed -1\n"},
+      {"seed past 2^64", "rtqs 2\nworkload w\npolicy p\n"
+                         "seed 99999999999999999999\n" + shape + tail},
+      {"zero shards", genesis + "shards 0\n"
+                      "placement hash\nadmission local\n" + tail},
+      {"shards past 2^31", genesis + "shards 4294967297\n"
+                           "placement hash\nadmission local\n" + tail},
+      {"missing placement", genesis + "shards 2\nadmission local\n" + tail},
+      {"bad journal count", header + "journal many\n"},
+      {"truncated journal", header + "journal 2\n"
                             "j 10 policy pmm\nposition 10 1\n"},
-      {"unknown journal command", std::string(header) + "journal 1\n"
+      {"unknown journal command", header + "journal 1\n"
                                   "j 10 restart pmm\n"},
-      {"journal going backwards", std::string(header) + "journal 2\n"
+      {"journal going backwards", header + "journal 2\n"
                                   "j 20 policy pmm\nj 10 policy max\n"},
-      {"journal past position", std::string(header) + "journal 1\n"
+      {"journal past position", header + "journal 1\n"
                                 "j 50 policy pmm\nposition 10 1\n"
                                 "digest 0\nend\n"},
-      {"negative position time", std::string(header) + "journal 0\n"
+      {"negative position time", header + "journal 0\n"
                                  "position 10 -1\n"},
-      {"truncated digest", std::string(header) + "journal 0\n"
+      {"truncated digest", header + "journal 0\n"
                            "position 0 0\ndigest 2\ns clock 0\n"},
-      {"missing end", std::string(header) + "journal 0\n"
+      {"missing end", header + "journal 0\n"
                       "position 0 0\ndigest 0\n"},
-      {"trailing content", std::string(header) + "journal 0\n"
+      {"trailing content", header + "journal 0\n"
                            "position 0 0\ndigest 0\nend\nrtqs 1\n"},
   };
   for (const Case& c : cases) {
@@ -155,25 +173,25 @@ TEST(SnapshotFuzz, CorruptedInputNeverCrashes) {
 /// `after` events and digests. Both digests must be identical.
 void ExpectZeroDriftRestore(const SessionSpec& spec, uint64_t before,
                             uint64_t after) {
-  SCOPED_TRACE(spec.workload + " / " + spec.policy);
+  SCOPED_TRACE(spec.workload + " / " + spec.policy + " / " +
+               std::to_string(spec.shards) + " shards, " + spec.admission);
   auto original = ServeSession::Create(spec);
   ASSERT_TRUE(original.ok()) << original.status().ToString();
   ASSERT_EQ(original.value()->RunEvents(before), before);
 
-  auto taken = original.value()->TakeSnapshot();
-  ASSERT_TRUE(taken.ok()) << taken.status().ToString();
-  auto snapshot = ParseSnapshot(SerializeSnapshot(taken.value()));
+  auto snapshot =
+      ParseSnapshot(SerializeSnapshot(original.value()->TakeSnapshot()));
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
 
   ASSERT_EQ(original.value()->RunEvents(after), after);
   std::vector<std::string> uninterrupted;
-  original.value()->system().AppendStateDigest(&uninterrupted);
+  original.value()->cluster().AppendStateDigest(&uninterrupted);
 
   auto restored = ServeSession::Restore(snapshot.value());
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   ASSERT_EQ(restored.value()->RunEvents(after), after);
   std::vector<std::string> resumed;
-  restored.value()->system().AppendStateDigest(&resumed);
+  restored.value()->cluster().AppendStateDigest(&resumed);
 
   EXPECT_EQ(uninterrupted, resumed);
 }
@@ -213,59 +231,80 @@ TEST(SnapshotProperty, EveryScenarioRestoresWithZeroDrift) {
 
 // The journal replay path: a session with live policy and scenario swaps
 // mid-run must restore with zero drift too — the snapshot records the
-// swaps at their exact event positions.
+// swaps at their exact event positions. A swap whose attach fails counts:
+// its rollback rebuilds the incumbent on every shard.
 TEST(SnapshotProperty, JournaledSwapsRestoreWithZeroDrift) {
-  SessionSpec spec;
-  spec.workload = "multiclass:rate=0.1";
-  spec.policy = "pmm";
-  auto original = ServeSession::Create(spec);
-  ASSERT_TRUE(original.ok()) << original.status().ToString();
-  ServeSession& s = *original.value();
+  for (int32_t shards : {1, 3}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    SessionSpec spec;
+    spec.workload = "multiclass:rate=0.1";
+    spec.policy = "pmm";
+    spec.shards = shards;
+    auto original = ServeSession::Create(spec);
+    ASSERT_TRUE(original.ok()) << original.status().ToString();
+    ServeSession& s = *original.value();
 
-  ASSERT_EQ(s.RunEvents(1500), 1500u);
-  auto swap1 = s.ApplyPolicy("select:candidates=pmm+pmm-predict");
-  ASSERT_TRUE(swap1.status.ok()) << swap1.status.ToString();
-  ASSERT_EQ(s.RunEvents(1500), 1500u);
-  auto swap2 = s.ApplyScenario("flash:mult=6");
-  ASSERT_TRUE(swap2.ok()) << swap2.status().ToString();
-  ASSERT_EQ(s.RunEvents(1000), 1000u);
+    ASSERT_EQ(s.RunEvents(1500), 1500u);
+    auto swap1 = s.ApplyPolicy("select:candidates=pmm+pmm-predict");
+    ASSERT_TRUE(swap1.status.ok()) << swap1.status.ToString();
+    ASSERT_EQ(s.RunEvents(1500), 1500u);
+    auto swap2 = s.ApplyScenario("flash:mult=6");
+    ASSERT_TRUE(swap2.ok()) << swap2.status().ToString();
+    ASSERT_EQ(s.RunEvents(1000), 1000u);
+    // One target for two classes: pmm-class creates but fails to attach.
+    auto rollback = s.ApplyPolicy("pmm-class:targets=4");
+    ASSERT_FALSE(rollback.status.ok());
+    ASSERT_TRUE(rollback.reattached);
+    ASSERT_EQ(s.RunEvents(1000), 1000u);
 
-  auto taken = s.TakeSnapshot();
-  ASSERT_TRUE(taken.ok()) << taken.status().ToString();
-  auto snapshot = ParseSnapshot(SerializeSnapshot(taken.value()));
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  ASSERT_EQ(snapshot.value().journal.size(), 2u);
+    auto snapshot = ParseSnapshot(SerializeSnapshot(s.TakeSnapshot()));
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    ASSERT_EQ(snapshot.value().journal.size(), 3u);
 
-  ASSERT_EQ(s.RunEvents(2000), 2000u);
-  std::vector<std::string> uninterrupted;
-  s.system().AppendStateDigest(&uninterrupted);
+    ASSERT_EQ(s.RunEvents(2000), 2000u);
+    std::vector<std::string> uninterrupted;
+    s.cluster().AppendStateDigest(&uninterrupted);
 
-  auto restored = ServeSession::Restore(snapshot.value());
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored.value()->journal(), snapshot.value().journal);
-  ASSERT_EQ(restored.value()->RunEvents(2000), 2000u);
-  std::vector<std::string> resumed;
-  restored.value()->system().AppendStateDigest(&resumed);
+    auto restored = ServeSession::Restore(snapshot.value());
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(restored.value()->journal(), snapshot.value().journal);
+    ASSERT_EQ(restored.value()->RunEvents(2000), 2000u);
+    std::vector<std::string> resumed;
+    restored.value()->cluster().AppendStateDigest(&resumed);
 
-  EXPECT_EQ(uninterrupted, resumed);
+    EXPECT_EQ(uninterrupted, resumed);
+  }
 }
 
 // A snapshot whose digest does not match the replayed state must fail
 // restore with an error naming the first mismatching line — a corrupt
 // or hand-edited snapshot cannot silently produce a diverged session.
+// Under global admission that covers the coordinator's counters too.
 TEST(SnapshotProperty, TamperedDigestFailsRestore) {
-  auto session = ServeSession::Create(SessionSpec{});
-  ASSERT_TRUE(session.ok());
-  ASSERT_EQ(session.value()->RunEvents(2000), 2000u);
-  Snapshot snap = session.value()->TakeSnapshot().value();
-  ASSERT_FALSE(snap.digest.empty());
-  snap.digest[0] = "clock 999999";
+  SessionSpec global;
+  global.shards = 2;
+  global.admission = "global:mpl=6";
+  const struct {
+    SessionSpec spec;
+    std::string line;  ///< first word of the digest line to tamper with
+  } cases[] = {{SessionSpec{}, "clock"}, {global, "coordinator"}};
+  for (const auto& c : cases) {
+    auto session = ServeSession::Create(c.spec);
+    ASSERT_TRUE(session.ok());
+    ASSERT_EQ(session.value()->RunEvents(2000), 2000u);
+    Snapshot snap = session.value()->TakeSnapshot();
+    auto it = std::find_if(
+        snap.digest.begin(), snap.digest.end(),
+        [&](const std::string& l) { return l.rfind(c.line + " ", 0) == 0; });
+    ASSERT_NE(it, snap.digest.end()) << c.line;
+    *it = c.line + " 999999";
 
-  auto restored = ServeSession::Restore(snap);
-  ASSERT_FALSE(restored.ok());
-  EXPECT_NE(restored.status().message().find("digest mismatch"),
-            std::string::npos)
-      << restored.status().message();
+    auto restored = ServeSession::Restore(snap);
+    ASSERT_FALSE(restored.ok()) << c.line;
+    EXPECT_NE(restored.status().message().find("digest mismatch"),
+              std::string::npos)
+        << restored.status().message();
+  }
 }
 
 // A journal entry whose spec no longer applies (here: a scenario whose
@@ -275,7 +314,7 @@ TEST(SnapshotProperty, UnreplayableJournalFailsRestore) {
   auto session = ServeSession::Create(SessionSpec{});
   ASSERT_TRUE(session.ok());
   ASSERT_EQ(session.value()->RunEvents(2000), 2000u);
-  Snapshot snap = session.value()->TakeSnapshot().value();
+  Snapshot snap = session.value()->TakeSnapshot();
   snap.journal.push_back(JournalEntry{1000, "scenario", "flash:mult=6"});
   // Keep the grammar valid: entries must be non-decreasing and within
   // the position, which 1000 <= 2000 satisfies.
@@ -296,7 +335,6 @@ TEST(ShardedServe, RunsAndAppliesPolicySwapsClusterWide) {
   spec.placement = "skew:hot=0.6";
   auto session = ServeSession::Create(spec);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
-  ASSERT_TRUE(session.value()->sharded());
   EXPECT_EQ(session.value()->cluster().num_shards(), 4);
 
   ASSERT_EQ(session.value()->RunEvents(20000), 20000u);
@@ -315,17 +353,19 @@ TEST(ShardedServe, RunsAndAppliesPolicySwapsClusterWide) {
   }
 }
 
-TEST(ShardedServe, SnapshotIsUnimplemented) {
-  SessionSpec spec;
-  spec.shards = 2;
-  auto session = ServeSession::Create(spec);
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  ASSERT_EQ(session.value()->RunEvents(2000), 2000u);
-  auto snap = session.value()->TakeSnapshot();
-  ASSERT_FALSE(snap.ok());
-  EXPECT_EQ(snap.status().code(), StatusCode::kUnimplemented);
-  EXPECT_NE(snap.status().message().find("sharded"), std::string::npos)
-      << snap.status().message();
+// Sharded sessions snapshot like one-shard ones: the genesis carries the
+// cluster shape and the digest every shard's state. The load is heavy
+// enough that the global cap is full at the snapshot and refuses
+// admissions after it.
+TEST(ShardedServe, SnapshotRestoresWithZeroDrift) {
+  for (const char* admission : {"local", "global:mpl=6"}) {
+    SessionSpec spec;
+    spec.workload = "baseline:rate=0.48";
+    spec.shards = 4;
+    spec.placement = "skew:hot=0.6";
+    spec.admission = admission;
+    ExpectZeroDriftRestore(spec, 20000, 10000);
+  }
 }
 
 TEST(ShardedServe, RejectsBadShardSpecs) {

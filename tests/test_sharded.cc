@@ -170,34 +170,49 @@ TEST(ShardPlacement, RejectsMalformedSpecs) {
 
 TEST(ShardedRtdbs, OneShardIsBitIdenticalToPlainRtdbs) {
   SystemConfig config = harness::BaselineConfig(0.06, {"pmm"}, 42);
-
-  auto plain = Rtdbs::Create(config);
-  ASSERT_TRUE(plain.ok());
-  plain.value()->RunUntil(1800.0);
-
   ShardConfig shards;
   shards.num_shards = 1;
   shards.placement = "hash";
-  auto cluster = ShardedRtdbs::Create(config, shards);
-  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
-  cluster.value()->RunUntil(1800.0);
 
-  std::vector<std::string> a, b;
-  plain.value()->AppendStateDigest(&a);
-  cluster.value()->shard(0).AppendStateDigest(&b);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "digest line " << i;
+  // Both ways a cluster advances: RunUntil, and StepEvents, which every
+  // serve session steps by (one shard unless its genesis asks for more).
+  for (bool by_event : {false, true}) {
+    SCOPED_TRACE(by_event ? "StepEvents" : "RunUntil");
+    auto plain = Rtdbs::Create(config);
+    ASSERT_TRUE(plain.ok());
+    auto cluster = ShardedRtdbs::Create(config, shards);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    if (by_event) {
+      constexpr uint64_t kEvents = 200000;
+      for (uint64_t i = 0; i < kEvents; ++i) {
+        ASSERT_TRUE(plain.value()->StepEvent());
+      }
+      ASSERT_EQ(cluster.value()->StepEvents(kEvents), kEvents);
+    } else {
+      plain.value()->RunUntil(1800.0);
+      cluster.value()->RunUntil(1800.0);
+    }
+
+    std::vector<std::string> a, b;
+    plain.value()->AppendStateDigest(&a);
+    cluster.value()->shard(0).AppendStateDigest(&b);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i], b[i]) << "digest line " << i;
+    }
+
+    SystemSummary sp = plain.value()->Summarize();
+    SystemSummary sc = cluster.value()->Summarize();
+    EXPECT_EQ(sp.overall.completions, sc.overall.completions);
+    EXPECT_EQ(sp.overall.misses, sc.overall.misses);
+    EXPECT_EQ(sp.events_dispatched, sc.events_dispatched);
+    EXPECT_DOUBLE_EQ(sp.avg_mpl, sc.avg_mpl);
+    EXPECT_DOUBLE_EQ(sp.cpu_utilization, sc.cpu_utilization);
+    EXPECT_DOUBLE_EQ(sp.overall.avg_wait, sc.overall.avg_wait);
+    EXPECT_DOUBLE_EQ(sp.overall.avg_exec, sc.overall.avg_exec);
+    EXPECT_DOUBLE_EQ(sp.overall.avg_response, sc.overall.avg_response);
+    EXPECT_EQ(cluster.value()->shard(0).routed_elsewhere(), 0);
   }
-
-  SystemSummary sp = plain.value()->Summarize();
-  SystemSummary sc = cluster.value()->Summarize();
-  EXPECT_EQ(sp.overall.completions, sc.overall.completions);
-  EXPECT_EQ(sp.overall.misses, sc.overall.misses);
-  EXPECT_EQ(sp.events_dispatched, sc.events_dispatched);
-  EXPECT_DOUBLE_EQ(sp.avg_mpl, sc.avg_mpl);
-  EXPECT_DOUBLE_EQ(sp.cpu_utilization, sc.cpu_utilization);
-  EXPECT_EQ(cluster.value()->shard(0).routed_elsewhere(), 0);
 }
 
 // ---------------------------------------------------------------------------
