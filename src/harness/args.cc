@@ -80,12 +80,19 @@ double ArgParser::Double(const std::string& flag, double fallback) {
   return fallback;
 }
 
-int64_t ArgParser::Int(const std::string& flag, int64_t fallback) {
+int64_t ArgParser::Int(const std::string& flag, int64_t fallback,
+                       int64_t min, int64_t max) {
   const std::string* value = Value(flag);
   if (value == nullptr) return fallback;
   StatusOr<int64_t> parsed = SpecArgs::ToInt(*value);
-  if (parsed.ok()) return parsed.value();
-  errors_.push_back("--" + flag + ": " + parsed.status().message());
+  if (!parsed.ok()) {
+    errors_.push_back("--" + flag + ": " + parsed.status().message());
+  } else if (parsed.value() < min || parsed.value() > max) {
+    errors_.push_back("--" + flag + ": " + *value + " is outside [" +
+                      std::to_string(min) + ", " + std::to_string(max) + "]");
+  } else {
+    return parsed.value();
+  }
   return fallback;
 }
 

@@ -18,6 +18,7 @@
 #define RTQ_HARNESS_ARGS_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -48,8 +49,8 @@ int EnvPositiveInt(const char* name, int fallback);
 ///
 /// Accessors consume their flag; Finish() rejects any flag that was
 /// never consumed (catching typos like --max-event), any value that
-/// failed to parse and any argument that is not a flag, with one error
-/// message naming them all.
+/// failed to parse or fell out of range and any argument that is not a
+/// flag, with one error message naming them all.
 class ArgParser {
  public:
   /// Parses argv[1..argc).
@@ -61,8 +62,11 @@ class ArgParser {
   /// Value of --<flag>=... parsed as a finite double, else `fallback`.
   double Double(const std::string& flag, double fallback);
 
-  /// Value of --<flag>=... parsed as an integer, else `fallback`.
-  int64_t Int(const std::string& flag, int64_t fallback);
+  /// Value of --<flag>=... parsed as an integer, else `fallback`. A
+  /// value outside [min, max] is an error.
+  int64_t Int(const std::string& flag, int64_t fallback,
+              int64_t min = std::numeric_limits<int64_t>::min(),
+              int64_t max = std::numeric_limits<int64_t>::max());
 
   /// Ok when every argument was a flag, every flag was consumed and
   /// every value parsed; InvalidArgument naming the offenders otherwise.

@@ -26,7 +26,8 @@
 //
 // Streams: metrics JSON lines -> stdout; human-readable acks, stats and
 // errors -> stderr. Exit 0 on a clean quit/EOF/cap, 2 on a fatal error
-// (bad flags, unreadable snapshot, scripted-mode command failure).
+// (bad or out-of-range flags, unreadable snapshot, scripted-mode command
+// failure).
 
 #include <poll.h>
 #include <unistd.h>
@@ -36,6 +37,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -298,6 +300,7 @@ int RunInteractive(ServeState& state, double pace) {
 int main(int argc, char** argv) {
   WallNow();  // pin the wall-clock epoch to process start
   rtq::harness::ArgParser args(argc, argv);
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   std::string restore_path = args.String("restore", "");
   SessionSpec spec;
   if (restore_path.empty()) {
@@ -306,16 +309,17 @@ int main(int argc, char** argv) {
     // it, they stay unconsumed and Finish() refuses them.
     spec.workload = args.String("workload", spec.workload);
     spec.policy = args.String("policy", spec.policy);
-    spec.seed = static_cast<uint64_t>(args.Int("seed", 42));
-    spec.shards = static_cast<int32_t>(args.Int("shards", 1));
+    spec.seed = static_cast<uint64_t>(args.Int("seed", 42, 0, kMax));
+    spec.shards = static_cast<int32_t>(
+        args.Int("shards", 1, 1, std::numeric_limits<int32_t>::max()));
     spec.placement = args.String("placement", spec.placement);
     spec.admission = args.String("admission", spec.admission);
   }
   std::string cmds_path = args.String("cmds", "");
   double pace = args.Double("pace", 0.0);
   ServeState state;
-  state.metrics_every = args.Int("metrics-every", 20000);
-  state.max_events = static_cast<uint64_t>(args.Int("max-events", 0));
+  state.metrics_every = args.Int("metrics-every", 20000, 0, kMax);
+  state.max_events = static_cast<uint64_t>(args.Int("max-events", 0, 0, kMax));
   std::string bench_json = args.String("bench-json", "");
   Status flag_status = args.Finish();
   if (!flag_status.ok()) {

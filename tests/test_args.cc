@@ -83,12 +83,15 @@ TEST(ArgParser, UnknownFlagFailsFinish) {
 }
 
 TEST(ArgParser, MalformedValueFailsFinish) {
-  auto argv = Argv({"--seed=seven"});
+  auto argv = Argv({"--seed=seven", "--shards=4294967297"});
   ArgParser args(static_cast<int>(argv.size()), argv.data());
   EXPECT_EQ(args.Int("seed", 42), 42);  // falls back, but records the error
+  // An integer outside the accessor's range is an error too.
+  EXPECT_EQ(args.Int("shards", 1, 1, 1 << 30), 1);
   Status st = args.Finish();
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("seed"), std::string::npos);
+  EXPECT_NE(st.message().find("shards"), std::string::npos);
 }
 
 TEST(ArgParser, CollectsPositionals) {
