@@ -12,7 +12,6 @@
 #include "core/strategy.h"
 #include "workload/placement.h"
 #include "workload/scenario.h"
-#include "workload/source.h"
 #include "workload/trace.h"
 #include "workload/trace_source.h"
 
@@ -256,9 +255,10 @@ Status Rtdbs::Init() {
 
   RTQ_RETURN_IF_ERROR(policy_->Attach(MakePolicyHost()));
 
-  // Arrival source: trace replay > scenario > plain Poisson. All three
-  // feed the same sink; the source_rng fork happens above regardless, so
-  // swapping sources never perturbs the placement stream.
+  // Arrival source: trace replay, else live generation from the config's
+  // scenario, or from the paper's per-class Poisson streams when it sets
+  // none. Both feed the same sink; the source_rng fork happens above
+  // regardless, so swapping sources never perturbs the placement stream.
   workload::ArrivalSource::Sink sink = MakeSink();
   if (config_.trace != nullptr) {
     auto src = workload::TraceSource::Create(
@@ -266,14 +266,14 @@ Status Rtdbs::Init() {
         config_.mips, config_.trace, std::move(sink));
     if (!src.ok()) return src.status();
     source_ = std::move(src).value();
-  } else if (config_.scenario.enabled()) {
-    source_ = std::make_unique<workload::ScenarioSource>(
-        &sim_, db_.get(), config_.workload, config_.scenario, config_.exec,
-        config_.disk, config_.mips, std::move(source_rng), std::move(sink));
   } else {
-    source_ = std::make_unique<workload::Source>(
-        &sim_, db_.get(), config_.workload, config_.exec, config_.disk,
-        config_.mips, std::move(source_rng), std::move(sink));
+    const workload::ScenarioSpec scenario =
+        config_.scenario.enabled()
+            ? config_.scenario
+            : workload::PoissonScenario(config_.workload);
+    source_ = std::make_unique<workload::ScenarioSource>(
+        &sim_, db_.get(), config_.workload, scenario, std::move(source_rng),
+        std::move(sink));
   }
 
   metrics_.UpdateMpl(0.0, 0);
@@ -388,8 +388,8 @@ StatusOr<std::string> Rtdbs::SwapScenario(const std::string& spec) {
   auto first_id = static_cast<QueryId>(source_->generated());
   retired_sources_.push_back(std::move(source_));
   auto incoming = std::make_unique<workload::ScenarioSource>(
-      &sim_, db_.get(), config_.workload, scenario, config_.exec,
-      config_.disk, config_.mips, live_rng_.Fork(), MakeSink());
+      &sim_, db_.get(), config_.workload, scenario, live_rng_.Fork(),
+      MakeSink());
   incoming->set_first_query_id(first_id);
   if (started_) incoming->Start();
   source_ = std::move(incoming);

@@ -1,8 +1,9 @@
 // The assembled firm real-time database system (paper Figure 2).
 //
-// Wires together the Source, the operators ("Query Manager"), the buffer
-// pool + memory-management policy ("Buffer Manager"), and the CPU and
-// disk managers, and owns the lifecycle of every query:
+// Wires together the arrival source (the paper's Source), the operators
+// ("Query Manager"), the buffer pool + memory-management policy ("Buffer
+// Manager"), and the CPU and disk managers, and owns the lifecycle of
+// every query:
 //
 //   arrival -> [waiting] -> admission (first allocation) -> execution
 //           -> completion | deadline abort (firm: work is discarded)
@@ -108,8 +109,8 @@ class Rtdbs {
   // --- component access (experiments, tests) ----------------------------
   sim::Simulator& simulator() { return sim_; }
   const sim::Simulator& simulator() const { return sim_; }
-  /// The arrival source, whichever kind the config selected (Poisson
-  /// Source, ScenarioSource, or TraceSource).
+  /// The arrival source: a TraceSource when the config replays a trace,
+  /// else a ScenarioSource (over PoissonScenario when no scenario is set).
   workload::ArrivalSource& arrivals() { return *source_; }
   core::MemoryManager& memory_manager() { return *mm_; }
   const storage::Database& database() const { return *db_; }

@@ -91,9 +91,9 @@ struct SystemConfig {
   exec::ExecParams exec;
   storage::DatabaseSpec database;
   workload::WorkloadSpec workload;
-  /// Optional scenario: when enabled(), arrivals come from a
-  /// ScenarioSource driving `scenario`'s per-class arrival shapes instead
-  /// of the plain Poisson Source. Mutually exclusive with `trace`.
+  /// Optional scenario: when enabled(), arrivals follow `scenario`'s
+  /// per-class arrival shapes; when not, the workload's per-class Poisson
+  /// rates (workload::PoissonScenario). Mutually exclusive with `trace`.
   workload::ScenarioSpec scenario;
   /// Optional trace replay: when set, arrivals replay this `.rtqt` trace
   /// through a TraceSource (no randomness consumed). Mutually exclusive

@@ -1,9 +1,9 @@
 // The abstract arrival stream feeding the engine (paper Figure 2's
 // Source box, generalized).
 //
-// Three implementations exist: the classic Poisson Source
-// (workload/source.h), the live scenario generator
-// (workload/scenario.h) for non-stationary shapes, and the
+// Two implementations exist: the live scenario generator
+// (workload/scenario.h), which also runs the paper's stationary Poisson
+// workload as a constant-shape scenario (PoissonScenario), and the
 // deterministic trace replayer (workload/trace_source.h). The engine
 // only sees this interface: Start() begins scheduling arrival events on
 // the simulator, and every constructed (descriptor, operator) pair is

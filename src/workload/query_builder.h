@@ -1,14 +1,13 @@
 // The shared arrival-construction path.
 //
-// Every arrival — live Poisson (source.h), live scenario generation
-// (scenario.h), or trace replay (trace_source.h) — goes through the same
-// two steps so that the three paths are behaviourally interchangeable:
+// Every arrival — live generation (scenario.h) or trace replay
+// (trace_source.h) — goes through the same two steps so that the two
+// paths are behaviourally interchangeable:
 //
 //   1. DrawBlueprint consumes the class's selection Rng (slack ratio
 //      first, then the operand relation picks — the draw order the
-//      original Source used, which the golden-trajectory tests pin) and
-//      produces a QueryBlueprint: the fully-resolved, randomness-free
-//      description of one arrival.
+//      golden-trajectory tests pin) and produces a QueryBlueprint: the
+//      fully-resolved, randomness-free description of one arrival.
 //   2. BuildQuery turns a blueprint into the (QueryDescriptor, Operator)
 //      pair the engine consumes, recomputing the stand-alone estimate
 //      from the operand relations unless the blueprint carries one.

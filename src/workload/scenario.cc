@@ -105,6 +105,18 @@ Status ScenarioSpec::Validate(const WorkloadSpec& workload) const {
   return Status::Ok();
 }
 
+ScenarioSpec PoissonScenario(const WorkloadSpec& workload) {
+  ScenarioSpec spec;
+  spec.name = "poisson";
+  for (const QueryClassSpec& cls : workload.classes) {
+    ScenarioClassSpec c;
+    c.shape.kind = ShapeKind::kConstant;
+    c.shape.rate = cls.arrival_rate;
+    spec.classes.push_back(c);
+  }
+  return spec;
+}
+
 // ---------------------------------------------------------------------------
 // ArrivalProcess
 // ---------------------------------------------------------------------------
@@ -216,9 +228,9 @@ void ArrivalProcess::AppendDigest(std::string* out) const {
 // ---------------------------------------------------------------------------
 // Shared per-class stream construction: fork order is the contract that
 // makes ScenarioSource (live) and RenderTrace (offline) bit-identical.
-// The first loop mirrors Source's ctor (arrivals, then selection, per
-// class in index order); Markov chain streams fork afterwards so plain
-// shapes keep Source-compatible streams.
+// The first loop forks arrivals, then selection, per class in index
+// order; Markov chain streams fork afterwards. The golden-trajectory and
+// smoke references pin this order, so it must not change.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -251,17 +263,12 @@ ClassStreams BuildStreams(const ScenarioSpec& scenario, Rng* rng) {
 ScenarioSource::ScenarioSource(sim::Simulator* sim,
                                const storage::Database* db,
                                const WorkloadSpec& workload,
-                               const ScenarioSpec& scenario,
-                               const exec::ExecParams& exec_params,
-                               const model::DiskParams& disk_params,
-                               double mips, Rng rng, Sink sink)
+                               const ScenarioSpec& scenario, Rng rng,
+                               Sink sink)
     : sim_(sim),
       db_(db),
       workload_(workload),
       scenario_(scenario),
-      exec_params_(exec_params),
-      disk_params_(disk_params),
-      mips_(mips),
       sink_(std::move(sink)) {
   RTQ_CHECK(sim != nullptr && db != nullptr);
   RTQ_CHECK_MSG(workload_.Validate(*db).ok(), "invalid workload spec");

@@ -8,7 +8,9 @@
 // workload citizen.
 //
 // Shapes:
-//   kConstant  rate r (rate 0 = class silent) — plain Poisson.
+//   kConstant  rate r (rate 0 = class silent) — plain Poisson. The
+//              paper's Source (Figure 2, Section 4.1) is one kConstant
+//              class per workload class: PoissonScenario.
 //   kDiurnal   rate(t) = r * (1 + amp * sin(2*pi*t/period)).
 //   kFlash     base rate, stepped to base*mult over [at, at+dur], then
 //              exponentially decaying back with time constant `decay`
@@ -110,6 +112,11 @@ struct ScenarioSpec {
 inline constexpr char kScenarioNoun[] = "scenario";
 using ScenarioRegistry = Registry<ScenarioSpec, kScenarioNoun>;
 
+/// The paper's workload as a scenario: one kConstant class per workload
+/// class at that class's arrival_rate, with uniform operand selection.
+/// The engine generates from it whenever the config sets no scenario.
+ScenarioSpec PoissonScenario(const WorkloadSpec& workload);
+
 /// One class's arrival-time stream: successive calls return the
 /// non-decreasing arrival times of the shape, consuming the arrivals /
 /// chain Rngs deterministically. Returns nullopt once the shape can
@@ -153,9 +160,7 @@ class ScenarioSource : public ArrivalSource {
  public:
   ScenarioSource(sim::Simulator* sim, const storage::Database* db,
                  const WorkloadSpec& workload, const ScenarioSpec& scenario,
-                 const exec::ExecParams& exec_params,
-                 const model::DiskParams& disk_params, double mips, Rng rng,
-                 Sink sink);
+                 Rng rng, Sink sink);
 
   void Start() override;
   void Stop() override;
@@ -175,9 +180,6 @@ class ScenarioSource : public ArrivalSource {
   const storage::Database* db_;
   WorkloadSpec workload_;
   ScenarioSpec scenario_;
-  exec::ExecParams exec_params_;
-  model::DiskParams disk_params_;
-  double mips_;
   Sink sink_;
 
   struct ClassState {

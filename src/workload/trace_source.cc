@@ -111,21 +111,12 @@ StatusOr<std::unique_ptr<TraceSource>> TraceSource::Create(
   }
 
   return std::unique_ptr<TraceSource>(
-      new TraceSource(sim, db, exec_params, disk_params, mips,
-                      std::move(trace), std::move(sink)));
+      new TraceSource(sim, std::move(trace), std::move(sink)));
 }
 
-TraceSource::TraceSource(sim::Simulator* sim, const storage::Database* db,
-                         const exec::ExecParams& exec_params,
-                         const model::DiskParams& disk_params, double mips,
+TraceSource::TraceSource(sim::Simulator* sim,
                          std::shared_ptr<const Trace> trace, Sink sink)
-    : sim_(sim),
-      db_(db),
-      exec_params_(exec_params),
-      disk_params_(disk_params),
-      mips_(mips),
-      trace_(std::move(trace)),
-      sink_(std::move(sink)) {}
+    : sim_(sim), trace_(std::move(trace)), sink_(std::move(sink)) {}
 
 void TraceSource::Start() {
   RTQ_CHECK_MSG(!started_, "TraceSource started twice");

@@ -47,18 +47,12 @@ class TraceSource : public ArrivalSource {
   const Trace& trace() const { return *trace_; }
 
  private:
-  TraceSource(sim::Simulator* sim, const storage::Database* db,
-              const exec::ExecParams& exec_params,
-              const model::DiskParams& disk_params, double mips,
-              std::shared_ptr<const Trace> trace, Sink sink);
+  TraceSource(sim::Simulator* sim, std::shared_ptr<const Trace> trace,
+              Sink sink);
 
   void ScheduleNext();
 
   sim::Simulator* sim_;
-  const storage::Database* db_;
-  exec::ExecParams exec_params_;
-  model::DiskParams disk_params_;
-  double mips_;
   std::shared_ptr<const Trace> trace_;
   Sink sink_;
 

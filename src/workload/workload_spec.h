@@ -9,8 +9,8 @@
 // Section 5.3 (Figures 12-14), are scenario shapes (workload/scenario.h)
 // layered over these classes. Validate() checks a spec against the
 // database layout (sorts name one relation group, joins two, groups
-// exist, rates positive) before the Source will accept it — a config
-// error fails fast at Rtdbs::Create rather than mid-simulation.
+// exist, rates positive) before an arrival source will accept it — a
+// config error fails fast at Rtdbs::Create rather than mid-simulation.
 
 #ifndef RTQ_WORKLOAD_WORKLOAD_SPEC_H_
 #define RTQ_WORKLOAD_WORKLOAD_SPEC_H_

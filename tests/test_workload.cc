@@ -1,4 +1,4 @@
-#include "workload/source.h"
+#include "workload/scenario.h"
 
 #include <gtest/gtest.h>
 
@@ -42,7 +42,7 @@ struct Collected {
   std::vector<exec::QueryDescriptor> descs;
   std::vector<std::unique_ptr<exec::Operator>> ops;
 
-  Source::Sink SinkFor(const storage::Database& db) {
+  ArrivalSource::Sink SinkFor(const storage::Database& db) {
     return [this, &db](const QueryBlueprint& bp, QueryId id) {
       BuiltQuery built = BuildQuery(bp, id, db, exec::ExecParams(),
                                     model::DiskParams(), 40.0);
@@ -87,8 +87,9 @@ TEST(Source, PoissonArrivalCountIsPlausible) {
   sim::Simulator sim;
   storage::Database db = MakeDb(&rng);
   Collected got;
-  Source source(&sim, &db, JoinWorkload(0.05), exec::ExecParams(),
-                model::DiskParams(), 40.0, Rng(3), got.SinkFor(db));
+  WorkloadSpec w = JoinWorkload(0.05);
+  ScenarioSource source(&sim, &db, w, PoissonScenario(w), Rng(3),
+                        got.SinkFor(db));
   source.Start();
   sim.RunUntil(20000.0);
   // Expect ~1000 arrivals; allow +-15%.
@@ -100,8 +101,9 @@ TEST(Source, DeadlineFollowsPaperFormula) {
   sim::Simulator sim;
   storage::Database db = MakeDb(&rng);
   Collected got;
-  Source source(&sim, &db, JoinWorkload(0.05), exec::ExecParams(),
-                model::DiskParams(), 40.0, Rng(5), got.SinkFor(db));
+  WorkloadSpec w = JoinWorkload(0.05);
+  ScenarioSource source(&sim, &db, w, PoissonScenario(w), Rng(5),
+                        got.SinkFor(db));
   source.Start();
   sim.RunUntil(5000.0);
   ASSERT_GT(got.descs.size(), 20u);
@@ -120,8 +122,9 @@ TEST(Source, InnerRelationIsTheSmaller) {
   sim::Simulator sim;
   storage::Database db = MakeDb(&rng);
   Collected got;
-  Source source(&sim, &db, JoinWorkload(0.1), exec::ExecParams(),
-                model::DiskParams(), 40.0, Rng(7), got.SinkFor(db));
+  WorkloadSpec w = JoinWorkload(0.1);
+  ScenarioSource source(&sim, &db, w, PoissonScenario(w), Rng(7),
+                        got.SinkFor(db));
   source.Start();
   sim.RunUntil(3000.0);
   ASSERT_GT(got.descs.size(), 10u);
@@ -138,11 +141,10 @@ TEST(Source, IdsAreSequential) {
   sim::Simulator sim;
   storage::Database db = MakeDb(&rng);
   std::vector<QueryId> ids;
-  Source source(&sim, &db, JoinWorkload(0.1), exec::ExecParams(),
-                model::DiskParams(), 40.0, Rng(9),
-                [&](const QueryBlueprint&, QueryId id) {
-                  ids.push_back(id);
-                });
+  WorkloadSpec w = JoinWorkload(0.1);
+  ScenarioSource source(
+      &sim, &db, w, PoissonScenario(w), Rng(9),
+      [&](const QueryBlueprint&, QueryId id) { ids.push_back(id); });
   source.Start();
   sim.RunUntil(2000.0);
   for (size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], i);
@@ -155,9 +157,9 @@ TEST(Source, DeactivationStopsArrivals) {
   sim::Simulator sim;
   storage::Database db = MakeDb(&rng);
   int count = 0;
-  Source source(&sim, &db, JoinWorkload(0.1), exec::ExecParams(),
-                model::DiskParams(), 40.0, Rng(11),
-                [&](const QueryBlueprint&, QueryId) { ++count; });
+  WorkloadSpec w = JoinWorkload(0.1);
+  ScenarioSource source(&sim, &db, w, PoissonScenario(w), Rng(11),
+                        [&](const QueryBlueprint&, QueryId) { ++count; });
   source.Start();
   sim.RunUntil(2000.0);
   int before = count;
@@ -178,8 +180,8 @@ TEST(Source, SortClassesBuildSortOperators) {
   spec.classes[0].type = exec::QueryType::kExternalSort;
   spec.classes[0].rel_groups = {0};
   Collected got;
-  Source source(&sim, &db, spec, exec::ExecParams(), model::DiskParams(),
-                40.0, Rng(13), got.SinkFor(db));
+  ScenarioSource source(&sim, &db, spec, PoissonScenario(spec), Rng(13),
+                        got.SinkFor(db));
   source.Start();
   sim.RunUntil(2000.0);
   ASSERT_GT(got.descs.size(), 5u);
@@ -198,14 +200,14 @@ TEST(Source, DeterministicAcrossRuns) {
     sim::Simulator sim;
     storage::Database db = MakeDb(&rng);
     std::vector<double> deadlines;
-    Source source(&sim, &db, JoinWorkload(0.1), exec::ExecParams(),
-                  model::DiskParams(), 40.0, Rng(seed),
-                  [&](const QueryBlueprint& bp, QueryId id) {
-                    BuiltQuery built =
-                        BuildQuery(bp, id, db, exec::ExecParams(),
-                                   model::DiskParams(), 40.0);
-                    deadlines.push_back(built.desc.deadline);
-                  });
+    WorkloadSpec w = JoinWorkload(0.1);
+    ScenarioSource source(&sim, &db, w, PoissonScenario(w), Rng(seed),
+                          [&](const QueryBlueprint& bp, QueryId id) {
+                            BuiltQuery built =
+                                BuildQuery(bp, id, db, exec::ExecParams(),
+                                           model::DiskParams(), 40.0);
+                            deadlines.push_back(built.desc.deadline);
+                          });
     source.Start();
     sim.RunUntil(2000.0);
     return deadlines;
