@@ -14,8 +14,9 @@ FairOrderingStrategy::FairOrderingStrategy(
   RTQ_CHECK(inner_ != nullptr);
 }
 
-AllocationVector FairOrderingStrategy::Allocate(
-    const std::vector<MemRequest>& ed_sorted, PageCount total) const {
+void FairOrderingStrategy::AllocateInto(
+    const std::vector<MemRequest>& ed_sorted, PageCount total,
+    AllocationVector* out, StableTailHint* /*hint*/) const {
   // Compute virtual deadlines and a permutation sorted by them.
   std::vector<size_t> order(ed_sorted.size());
   std::iota(order.begin(), order.end(), 0);
@@ -39,9 +40,8 @@ AllocationVector FairOrderingStrategy::Allocate(
   for (size_t idx : order) reordered.push_back(ed_sorted[idx]);
 
   AllocationVector inner_out = inner_->Allocate(reordered, total);
-  AllocationVector out(ed_sorted.size(), 0);
-  for (size_t i = 0; i < order.size(); ++i) out[order[i]] = inner_out[i];
-  return out;
+  out->assign(ed_sorted.size(), 0);
+  for (size_t i = 0; i < order.size(); ++i) (*out)[order[i]] = inner_out[i];
 }
 
 std::string FairOrderingStrategy::name() const {

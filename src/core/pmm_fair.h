@@ -38,8 +38,9 @@ class FairOrderingStrategy : public AllocationStrategy {
   FairOrderingStrategy(std::unique_ptr<AllocationStrategy> inner,
                        std::vector<double> class_urgency);
 
-  AllocationVector Allocate(const std::vector<MemRequest>& ed_sorted,
-                            PageCount total) const override;
+  void AllocateInto(const std::vector<MemRequest>& ed_sorted, PageCount total,
+                    AllocationVector* out,
+                    StableTailHint* hint) const override;
   std::string name() const override;
 
  private:

@@ -6,10 +6,11 @@
 
 namespace rtq::core {
 
-AllocationVector AllocateThroughFilter(
-    const AllocationStrategy& inner, const std::vector<MemRequest>& ed_sorted,
-    PageCount total, const std::function<bool(const MemRequest&)>& keep,
-    StableTailHint* hint) {
+void AllocateThroughFilter(const AllocationStrategy& inner,
+                           const std::vector<MemRequest>& ed_sorted,
+                           PageCount total,
+                           const std::function<bool(const MemRequest&)>& keep,
+                           AllocationVector* out, StableTailHint* hint) {
   // Record rejects only: `keep` may be stateful, so it runs exactly once
   // per request, and the common everything-kept reallocation pays no
   // copy of the request vector.
@@ -18,9 +19,9 @@ AllocationVector AllocateThroughFilter(
     if (!keep(ed_sorted[i])) rejected.push_back(i);
   }
   if (rejected.empty()) {
-    return inner.AllocateWithHint(ed_sorted, total, hint);
+    inner.AllocateInto(ed_sorted, total, out, hint);
+    return;
   }
-  *hint = StableTailHint{};
   std::vector<MemRequest> kept;
   std::vector<size_t> position;  // kept index -> ed_sorted index
   kept.reserve(ed_sorted.size() - rejected.size());
@@ -35,25 +36,10 @@ AllocationVector AllocateThroughFilter(
     position.push_back(i);
   }
   AllocationVector inner_out = inner.Allocate(kept, total);
-  AllocationVector out(ed_sorted.size(), 0);
+  out->assign(ed_sorted.size(), 0);
   for (size_t i = 0; i < position.size(); ++i) {
-    out[position[i]] = inner_out[i];
+    (*out)[position[i]] = inner_out[i];
   }
-  return out;
-}
-
-AllocationVector MaxStrategy::Allocate(
-    const std::vector<MemRequest>& ed_sorted, PageCount total) const {
-  StableTailHint hint;
-  return AllocateWithHint(ed_sorted, total, &hint);
-}
-
-AllocationVector MaxStrategy::AllocateWithHint(
-    const std::vector<MemRequest>& ed_sorted, PageCount total,
-    StableTailHint* hint) const {
-  AllocationVector result;
-  AllocateInto(ed_sorted, total, &result, hint);
-  return result;
 }
 
 void MaxStrategy::AllocateInto(const std::vector<MemRequest>& ed_sorted,
@@ -88,20 +74,6 @@ void MaxStrategy::AllocateInto(const std::vector<MemRequest>& ed_sorted,
 
 std::string MaxStrategy::name() const {
   return bypass_blocked_ ? "Max" : "Max(strict)";
-}
-
-AllocationVector MinMaxStrategy::Allocate(
-    const std::vector<MemRequest>& ed_sorted, PageCount total) const {
-  StableTailHint hint;
-  return AllocateWithHint(ed_sorted, total, &hint);
-}
-
-AllocationVector MinMaxStrategy::AllocateWithHint(
-    const std::vector<MemRequest>& ed_sorted, PageCount total,
-    StableTailHint* hint) const {
-  AllocationVector result;
-  AllocateInto(ed_sorted, total, &result, hint);
-  return result;
 }
 
 void MinMaxStrategy::AllocateInto(const std::vector<MemRequest>& ed_sorted,
@@ -150,20 +122,6 @@ void MinMaxStrategy::AllocateInto(const std::vector<MemRequest>& ed_sorted,
 std::string MinMaxStrategy::name() const {
   if (mpl_limit_ < 0) return "MinMax";
   return "MinMax-" + std::to_string(mpl_limit_);
-}
-
-AllocationVector ProportionalStrategy::Allocate(
-    const std::vector<MemRequest>& ed_sorted, PageCount total) const {
-  StableTailHint hint;
-  return AllocateWithHint(ed_sorted, total, &hint);
-}
-
-AllocationVector ProportionalStrategy::AllocateWithHint(
-    const std::vector<MemRequest>& ed_sorted, PageCount total,
-    StableTailHint* hint) const {
-  AllocationVector result;
-  AllocateInto(ed_sorted, total, &result, hint);
-  return result;
 }
 
 void ProportionalStrategy::AllocateInto(

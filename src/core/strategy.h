@@ -55,29 +55,23 @@ class AllocationStrategy {
   virtual ~AllocationStrategy() = default;
 
   /// Computes allocations for `ed_sorted` (Earliest-Deadline order) from a
-  /// pool of `total` pages. Returns one entry per input, 0 = not admitted.
-  virtual AllocationVector Allocate(const std::vector<MemRequest>& ed_sorted,
-                                    PageCount total) const = 0;
-
-  /// Like Allocate(), but also fills `hint` (never null) with the
-  /// strategy's stable-tail proof. The default emits an invalid hint, so
-  /// third-party strategies stay correct without opting in.
-  virtual AllocationVector AllocateWithHint(
-      const std::vector<MemRequest>& ed_sorted, PageCount total,
-      StableTailHint* hint) const {
-    *hint = StableTailHint{};
-    return Allocate(ed_sorted, total);
-  }
-
-  /// Like AllocateWithHint(), but writes the result into `*out` (sized to
-  /// the input), letting the caller reuse one scratch vector across
-  /// recomputes so steady-state reallocation allocates nothing. The
-  /// built-in strategies implement this as their core; the default
-  /// delegates, so third-party strategies stay correct without opting in.
+  /// pool of `total` pages into `*out`, which is resized to one entry per
+  /// input (0 = not admitted) whatever it held before, so the caller can
+  /// reuse one scratch vector across recomputes and steady-state
+  /// reallocation allocates nothing. `*hint` (never null) arrives invalid;
+  /// a strategy with a stable-tail proof fills it.
   virtual void AllocateInto(const std::vector<MemRequest>& ed_sorted,
                             PageCount total, AllocationVector* out,
-                            StableTailHint* hint) const {
-    *out = AllocateWithHint(ed_sorted, total, hint);
+                            StableTailHint* hint) const = 0;
+
+  /// The allocation alone, into a fresh vector (tests, benchmarks and
+  /// wrapper strategies delegating to an inner one).
+  AllocationVector Allocate(const std::vector<MemRequest>& ed_sorted,
+                            PageCount total) const {
+    AllocationVector out;
+    StableTailHint hint;
+    AllocateInto(ed_sorted, total, &out, &hint);
+    return out;
   }
 
   virtual std::string name() const = 0;
@@ -87,16 +81,17 @@ class AllocationStrategy {
 /// (per-class quotas, feasibility shedding): requests `keep` rejects
 /// (called once per request, in ED order — may be stateful) receive 0;
 /// the survivors are allocated by `inner` and the grants scattered back
-/// to their original positions. When every request is kept the wrapper
-/// is a no-op, so this delegates to `inner.AllocateWithHint` and the
+/// to their original positions in `*out`. When every request is kept the
+/// wrapper is a no-op, so this delegates to `inner.AllocateInto` and the
 /// inner stable-tail proof lands in `*hint` verbatim — each wrapper
 /// decides whether exposing it is sound (quotas: yes; time-dependent
-/// filters: no, discard it). When anything is filtered, `*hint` is
+/// filters: no, discard it). When anything is filtered, `*hint` stays
 /// invalid.
-AllocationVector AllocateThroughFilter(
-    const AllocationStrategy& inner, const std::vector<MemRequest>& ed_sorted,
-    PageCount total, const std::function<bool(const MemRequest&)>& keep,
-    StableTailHint* hint);
+void AllocateThroughFilter(const AllocationStrategy& inner,
+                           const std::vector<MemRequest>& ed_sorted,
+                           PageCount total,
+                           const std::function<bool(const MemRequest&)>& keep,
+                           AllocationVector* out, StableTailHint* hint);
 
 class MaxStrategy : public AllocationStrategy {
  public:
@@ -110,11 +105,6 @@ class MaxStrategy : public AllocationStrategy {
   explicit MaxStrategy(bool bypass_blocked = true)
       : bypass_blocked_(bypass_blocked) {}
 
-  AllocationVector Allocate(const std::vector<MemRequest>& ed_sorted,
-                            PageCount total) const override;
-  AllocationVector AllocateWithHint(const std::vector<MemRequest>& ed_sorted,
-                                    PageCount total,
-                                    StableTailHint* hint) const override;
   void AllocateInto(const std::vector<MemRequest>& ed_sorted, PageCount total,
                     AllocationVector* out,
                     StableTailHint* hint) const override;
@@ -129,11 +119,6 @@ class MinMaxStrategy : public AllocationStrategy {
   /// `mpl_limit` = N; negative means unlimited (MinMax-infinity).
   explicit MinMaxStrategy(int64_t mpl_limit = -1) : mpl_limit_(mpl_limit) {}
 
-  AllocationVector Allocate(const std::vector<MemRequest>& ed_sorted,
-                            PageCount total) const override;
-  AllocationVector AllocateWithHint(const std::vector<MemRequest>& ed_sorted,
-                                    PageCount total,
-                                    StableTailHint* hint) const override;
   void AllocateInto(const std::vector<MemRequest>& ed_sorted, PageCount total,
                     AllocationVector* out,
                     StableTailHint* hint) const override;
@@ -151,11 +136,6 @@ class ProportionalStrategy : public AllocationStrategy {
   explicit ProportionalStrategy(int64_t mpl_limit = -1)
       : mpl_limit_(mpl_limit) {}
 
-  AllocationVector Allocate(const std::vector<MemRequest>& ed_sorted,
-                            PageCount total) const override;
-  AllocationVector AllocateWithHint(const std::vector<MemRequest>& ed_sorted,
-                                    PageCount total,
-                                    StableTailHint* hint) const override;
   void AllocateInto(const std::vector<MemRequest>& ed_sorted, PageCount total,
                     AllocationVector* out,
                     StableTailHint* hint) const override;

@@ -56,33 +56,27 @@ class EdfShedStrategy : public AllocationStrategy {
         margin_(margin),
         inner_(/*mpl_limit=*/-1) {}
 
-  AllocationVector Allocate(const std::vector<MemRequest>& ed_sorted,
-                            PageCount total) const override {
-    StableTailHint ignored;
-    return AllocateWithHint(ed_sorted, total, &ignored);
-  }
-
   // When nothing was shed this round the wrapper was a no-op, so the
   // inner MinMax-infinity stable-tail proof holds for this input and is
-  // exposed (AllocateThroughFilter invalidates it whenever anything was
-  // filtered). A request absorbed by that proof receives nothing — the
+  // exposed (AllocateThroughFilter leaves it invalid whenever anything
+  // was filtered). A request absorbed by that proof receives nothing — the
   // same outcome whether the next true reallocation finds it feasible
   // (denied tail) or sheds it — so the fast path only defers *when* the
   // clock-dependent filter is next consulted, never what anyone holds.
   // See the header comment for why that laziness is the policy's
   // defined semantics.
-  AllocationVector AllocateWithHint(const std::vector<MemRequest>& ed_sorted,
-                                    PageCount total,
-                                    StableTailHint* hint) const override {
+  void AllocateInto(const std::vector<MemRequest>& ed_sorted, PageCount total,
+                    AllocationVector* out,
+                    StableTailHint* hint) const override {
     SimTime now = now_();
-    return AllocateThroughFilter(
+    AllocateThroughFilter(
         inner_, ed_sorted, total,
         [this, now](const MemRequest& q) {
           // Shed queries infeasible even at max allocation, crediting
           // the work they already completed.
           return q.deadline - now >= margin_ * RemainingEstimate(q);
         },
-        hint);
+        out, hint);
   }
 
   std::string name() const override { return "EdfShed"; }

@@ -29,8 +29,8 @@ namespace {
 
 class FcfsMaxStrategy : public AllocationStrategy {
  public:
-  AllocationVector Allocate(const std::vector<MemRequest>& ed_sorted,
-                            PageCount total) const override {
+  void AllocateInto(const std::vector<MemRequest>& ed_sorted, PageCount total,
+                    AllocationVector* out, StableTailHint*) const override {
     // Re-derive arrival order: QueryIds are assigned in arrival order,
     // so sorting by id undoes the Earliest-Deadline presentation.
     std::vector<size_t> order(ed_sorted.size());
@@ -39,16 +39,15 @@ class FcfsMaxStrategy : public AllocationStrategy {
       return ed_sorted[a].id < ed_sorted[b].id;
     });
 
-    AllocationVector out(ed_sorted.size(), 0);
+    out->assign(ed_sorted.size(), 0);
     PageCount remaining = total;
     for (size_t idx : order) {
       const MemRequest& q = ed_sorted[idx];
       PageCount grant = std::min(q.max_memory, remaining);
       if (grant < q.min_memory) continue;  // below the operator minimum
-      out[idx] = grant;
+      (*out)[idx] = grant;
       remaining -= grant;
     }
-    return out;
   }
 
   std::string name() const override { return "None(FCFS)"; }

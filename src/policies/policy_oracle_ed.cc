@@ -39,10 +39,10 @@ class OracleEdStrategy : public AllocationStrategy {
   OracleEdStrategy(std::function<SimTime()> now, double margin)
       : now_(std::move(now)), margin_(margin) {}
 
-  AllocationVector Allocate(const std::vector<MemRequest>& ed_sorted,
-                            PageCount total) const override {
+  void AllocateInto(const std::vector<MemRequest>& ed_sorted, PageCount total,
+                    AllocationVector* out, StableTailHint*) const override {
     SimTime now = now_();
-    AllocationVector out(ed_sorted.size(), 0);
+    out->assign(ed_sorted.size(), 0);
     PageCount remaining = total;
     for (size_t i = 0; i < ed_sorted.size(); ++i) {
       const MemRequest& q = ed_sorted[i];
@@ -50,11 +50,10 @@ class OracleEdStrategy : public AllocationStrategy {
         continue;  // cannot finish its residual work: spend nothing
       }
       if (q.max_memory <= remaining) {
-        out[i] = q.max_memory;
+        (*out)[i] = q.max_memory;
         remaining -= q.max_memory;
       }
     }
-    return out;
   }
 
   std::string name() const override { return "OracleED"; }

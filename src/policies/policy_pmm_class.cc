@@ -43,15 +43,9 @@ class ClassQuotaStrategy : public AllocationStrategy {
                      std::vector<int64_t> caps)
       : inner_(std::move(inner)), caps_(std::move(caps)) {}
 
-  AllocationVector Allocate(const std::vector<MemRequest>& ed_sorted,
-                            PageCount total) const override {
-    StableTailHint ignored;
-    return AllocateWithHint(ed_sorted, total, &ignored);
-  }
-
-  AllocationVector AllocateWithHint(const std::vector<MemRequest>& ed_sorted,
-                                    PageCount total,
-                                    StableTailHint* hint) const override {
+  void AllocateInto(const std::vector<MemRequest>& ed_sorted, PageCount total,
+                    AllocationVector* out,
+                    StableTailHint* hint) const override {
     std::vector<int64_t> used(caps_.size(), 0);
     // Exposing the forwarded hint when no quota binds is sound — it
     // keeps PR 4's incremental reallocation path alive for the
@@ -60,7 +54,7 @@ class ClassQuotaStrategy : public AllocationStrategy {
     // (receives nothing and leaves the inner input unchanged), and
     // removing an eligible zero-allocation tail query cannot unfilter
     // anyone because nobody is filtered.
-    return AllocateThroughFilter(
+    AllocateThroughFilter(
         *inner_, ed_sorted, total,
         [this, &used](const MemRequest& q) {
           int32_t c = q.query_class;
@@ -69,7 +63,7 @@ class ClassQuotaStrategy : public AllocationStrategy {
           ++used[c];
           return true;
         },
-        hint);
+        out, hint);
   }
 
   std::string name() const override {

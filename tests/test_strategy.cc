@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/rng.h"
+#include "core/pmm_fair.h"
 
 namespace rtq::core {
 namespace {
@@ -161,7 +162,10 @@ class StrategyInvariants
       case 2: return std::make_shared<MinMaxStrategy>(-1);
       case 3: return std::make_shared<MinMaxStrategy>(4);
       case 4: return std::make_shared<ProportionalStrategy>(-1);
-      default: return std::make_shared<ProportionalStrategy>(4);
+      case 5: return std::make_shared<ProportionalStrategy>(4);
+      default:
+        return std::make_shared<FairOrderingStrategy>(
+            std::make_unique<MinMaxStrategy>(4), std::vector<double>{1.0, 2.5});
     }
   }
 };
@@ -222,8 +226,37 @@ TEST_P(StrategyInvariants, EdPriorityIsRespected) {
   }
 }
 
+TEST_P(StrategyInvariants, AllocateIntoReusedScratchMatchesAllocate) {
+  auto [which, seed] = GetParam();
+  auto strategy = Make(which);
+  Rng rng(static_cast<uint64_t>(seed) * 53 + 29);
+
+  int n = static_cast<int>(rng.UniformInt(1, 25));
+  std::vector<MemRequest> queries;
+  for (int i = 0; i < n; ++i) {
+    PageCount min = rng.UniformInt(1, 80);
+    PageCount max = min + rng.UniformInt(0, 1900);
+    queries.push_back(
+        Q(static_cast<QueryId>(i), rng.Uniform(0.0, 1000.0), min, max));
+    queries.back().query_class = i % 2;
+  }
+  std::sort(queries.begin(), queries.end(),
+            [](const MemRequest& a, const MemRequest& b) {
+              return a.deadline < b.deadline;
+            });
+  PageCount total = rng.UniformInt(100, 4000);
+
+  // The memory manager hands every recompute the previous one's vector:
+  // a stale size (longer or shorter) and stale grants must not leak.
+  size_t stale_size = seed % 2 == 0 ? queries.size() + 7 : queries.size() / 2;
+  AllocationVector scratch(stale_size, 12345);
+  StableTailHint hint;
+  strategy->AllocateInto(queries, total, &scratch, &hint);
+  EXPECT_EQ(scratch, strategy->Allocate(queries, total));
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, StrategyInvariants,
-                         ::testing::Combine(::testing::Range(0, 6),
+                         ::testing::Combine(::testing::Range(0, 7),
                                             ::testing::Range(0, 8)));
 
 }  // namespace
