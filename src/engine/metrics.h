@@ -58,41 +58,6 @@ struct TimeSample {
   double value = 0.0;
 };
 
-/// Per-disk busy-integral windowing behind the engine's SystemProbe:
-/// turns cumulative busy_seconds readings into per-window utilizations.
-/// The baseline re-seed discipline is explicit: Rebind re-seeds every
-/// baseline whenever the stream count changes — the engine seeds zeros at
-/// boot (so the first window spans [0, t) and reports the true boot-time
-/// utilization) and seeds live cumulative integrals after a disk-farm
-/// rebuild (so the rebuild window reports only in-window busy time
-/// instead of spiking to the lifetime integral divided by one window).
-class DiskUtilWindows {
- public:
-  /// Prepares the window for `n` streams; `seed(i)` supplies stream i's
-  /// baseline when (and only when) n differs from the current stream
-  /// count. Returns true when it re-seeded.
-  template <typename SeedFn>
-  bool Rebind(size_t n, SeedFn seed) {
-    if (last_.size() == n) return false;
-    last_.resize(n);
-    for (size_t i = 0; i < n; ++i) last_[i] = seed(i);
-    return true;
-  }
-
-  /// Advances stream i to cumulative integral `busy` over a window of
-  /// `dt` seconds, returning its utilization in that window.
-  double Advance(size_t i, double busy, double dt) {
-    double util = (busy - last_[i]) / dt;
-    last_[i] = busy;
-    return util;
-  }
-
-  size_t size() const { return last_.size(); }
-
- private:
-  std::vector<double> last_;
-};
-
 class MetricsCollector {
  public:
   explicit MetricsCollector(int64_t miss_ci_batch);

@@ -132,12 +132,11 @@ class Rtdbs::QueryContext : public exec::ExecContext {
 // ---------------------------------------------------------------------------
 class Rtdbs::ProbeImpl : public core::SystemProbe {
  public:
-  explicit ProbeImpl(Rtdbs* sys) : sys_(sys) {
-    // Explicit boot-time baselines: the disk farm exists before the probe
-    // (Init builds disks_ first), and seeding zeros makes the first
-    // window span [0, first reading) with the true boot utilization.
-    disk_windows_.Rebind(sys_->disks_.size(), [](size_t) { return 0.0; });
-  }
+  // Init builds the disk farm once, before the probe, so zero baselines
+  // make the first window span [0, first reading) with the true boot
+  // utilization.
+  explicit ProbeImpl(Rtdbs* sys)
+      : sys_(sys), last_disk_busy_(sys->disks_.size(), 0.0) {}
 
   Readings TakeReadings() override {
     SimTime now = sys_->sim_.Now();
@@ -156,16 +155,10 @@ class Rtdbs::ProbeImpl : public core::SystemProbe {
 
     double max_disk = 0.0;
     double sum_disk = 0.0;
-    // A changed disk count means the farm was rebuilt mid-run; re-seed
-    // the baselines from the new disks' *current* integrals so this
-    // window reports only in-window busy time (a zero baseline would
-    // spike utilization by the disks' entire lifetime integral).
-    disk_windows_.Rebind(sys_->disks_.size(), [&](size_t d) {
-      return sys_->disks_[d]->busy_seconds(now);
-    });
     for (size_t d = 0; d < sys_->disks_.size(); ++d) {
-      double util =
-          disk_windows_.Advance(d, sys_->disks_[d]->busy_seconds(now), dt);
+      double disk_busy = sys_->disks_[d]->busy_seconds(now);
+      double util = (disk_busy - last_disk_busy_[d]) / dt;
+      last_disk_busy_[d] = disk_busy;
       max_disk = std::max(max_disk, util);
       sum_disk += util;
     }
@@ -187,7 +180,7 @@ class Rtdbs::ProbeImpl : public core::SystemProbe {
   Rtdbs* sys_;
   SimTime last_time_ = 0.0;
   double last_cpu_busy_ = 0.0;
-  DiskUtilWindows disk_windows_;
+  std::vector<double> last_disk_busy_;
   double last_mpl_integral_ = 0.0;
 };
 

@@ -409,42 +409,5 @@ TEST(ShardedRtdbs, EveryRegisteredPolicyRunsUnderFourShards) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// DiskUtilWindows (the probe re-init bugfix)
-// ---------------------------------------------------------------------------
-
-TEST(DiskUtilWindows, BootWindowMeasuresFromZeroBaselines) {
-  DiskUtilWindows w;
-  EXPECT_TRUE(w.Rebind(2, [](size_t) { return 0.0; }));
-  // First window [0, 10): disk 0 busy 5s, disk 1 busy 10s.
-  EXPECT_DOUBLE_EQ(w.Advance(0, 5.0, 10.0), 0.5);
-  EXPECT_DOUBLE_EQ(w.Advance(1, 10.0, 10.0), 1.0);
-  // Second window: integrals advance, utilizations are in-window only.
-  EXPECT_DOUBLE_EQ(w.Advance(0, 6.0, 10.0), 0.1);
-  EXPECT_DOUBLE_EQ(w.Advance(1, 10.0, 10.0), 0.0);
-}
-
-TEST(DiskUtilWindows, SameSizeRebindKeepsBaselines) {
-  DiskUtilWindows w;
-  w.Rebind(1, [](size_t) { return 0.0; });
-  w.Advance(0, 4.0, 10.0);
-  // A no-op rebind (same stream count) must not touch the baseline.
-  EXPECT_FALSE(w.Rebind(1, [](size_t) { return 0.0; }));
-  EXPECT_DOUBLE_EQ(w.Advance(0, 5.0, 10.0), 0.1);
-}
-
-TEST(DiskUtilWindows, ResizeReseedsFromLiveIntegralsWithoutSpiking) {
-  DiskUtilWindows w;
-  w.Rebind(1, [](size_t) { return 0.0; });
-  w.Advance(0, 100.0, 10.0);
-  // The farm grows mid-run to disks with large lifetime integrals. The
-  // old incidental re-init to 0.0 would report util 100000/10 = 10000x;
-  // re-seeding from the live integrals reports only in-window busy time.
-  EXPECT_TRUE(w.Rebind(3, [](size_t d) { return 1.0e5 + 10.0 * d; }));
-  EXPECT_DOUBLE_EQ(w.Advance(0, 1.0e5 + 5.0, 10.0), 0.5);
-  EXPECT_DOUBLE_EQ(w.Advance(1, 1.0e5 + 10.0, 10.0), 0.0);
-  EXPECT_DOUBLE_EQ(w.Advance(2, 1.0e5 + 28.0, 10.0), 0.8);
-}
-
 }  // namespace
 }  // namespace rtq::engine
