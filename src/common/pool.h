@@ -38,7 +38,9 @@ class NodePool {
     }
     const std::size_t size = (cls + 1) * kGranularity;
     if (slab_remaining_ < size) {
-      slabs_.push_back(std::make_unique<unsigned char[]>(kSlabBytes));
+      // Default-initialised: every node is constructed before it is read,
+      // so zero-filling 64KB per slab would only cost setup time and RSS.
+      slabs_.emplace_back(new unsigned char[kSlabBytes]);
       slab_ptr_ = slabs_.back().get();
       slab_remaining_ = kSlabBytes;
     }
