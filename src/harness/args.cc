@@ -71,12 +71,19 @@ std::string ArgParser::String(const std::string& flag,
   return value == nullptr ? fallback : *value;
 }
 
-double ArgParser::Double(const std::string& flag, double fallback) {
+double ArgParser::Double(const std::string& flag, double fallback,
+                         double min, double max) {
   const std::string* value = Value(flag);
   if (value == nullptr) return fallback;
   StatusOr<double> parsed = SpecArgs::ToDouble(*value);
-  if (parsed.ok()) return parsed.value();
-  errors_.push_back("--" + flag + ": " + parsed.status().message());
+  if (!parsed.ok()) {
+    errors_.push_back("--" + flag + ": " + parsed.status().message());
+  } else if (parsed.value() < min || parsed.value() > max) {
+    errors_.push_back("--" + flag + ": " + *value + " is outside [" +
+                      FormatSpecDoubleList({min, max}) + "]");
+  } else {
+    return parsed.value();
+  }
   return fallback;
 }
 

@@ -59,8 +59,11 @@ class ArgParser {
   /// Value of --<flag>=... , else `fallback`.
   std::string String(const std::string& flag, const std::string& fallback);
 
-  /// Value of --<flag>=... parsed as a finite double, else `fallback`.
-  double Double(const std::string& flag, double fallback);
+  /// Value of --<flag>=... parsed as a finite double, else `fallback`. A
+  /// value outside [min, max] is an error.
+  double Double(const std::string& flag, double fallback,
+                double min = std::numeric_limits<double>::lowest(),
+                double max = std::numeric_limits<double>::max());
 
   /// Value of --<flag>=... parsed as an integer, else `fallback`. A
   /// value outside [min, max] is an error.

@@ -16,8 +16,9 @@
 //                                         genesis flags above are refused
 //             [--cmds=PATH]               scripted mode: execute commands,
 //                                         then exit (errors exit 2)
-//             [--pace=R]                  R simulated seconds per wall
-//                                         second; 0 = max speed (default)
+//             [--pace=R]                  R >= 0 simulated seconds per
+//                                         wall second; 0 = max speed
+//                                         (default)
 //             [--metrics-every=N]         metrics line every N events
 //                                         (default 20000; 0 = off)
 //             [--max-events=N]            stop after N events (0 = no cap)
@@ -316,7 +317,7 @@ int main(int argc, char** argv) {
     spec.admission = args.String("admission", spec.admission);
   }
   std::string cmds_path = args.String("cmds", "");
-  double pace = args.Double("pace", 0.0);
+  double pace = args.Double("pace", 0.0, 0.0);
   ServeState state;
   state.metrics_every = args.Int("metrics-every", 20000, 0, kMax);
   state.max_events = static_cast<uint64_t>(args.Int("max-events", 0, 0, kMax));
