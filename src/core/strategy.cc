@@ -6,11 +6,10 @@
 
 namespace rtq::core {
 
-void AllocateThroughFilter(const AllocationStrategy& inner,
-                           const std::vector<MemRequest>& ed_sorted,
-                           PageCount total,
-                           const std::function<bool(const MemRequest&)>& keep,
-                           AllocationVector* out, StableTailHint* hint) {
+void AllocateThroughFilter(
+    const AllocationStrategy& inner, const std::vector<MemRequest>& ed_sorted,
+    PageCount total, const std::function<bool(const MemRequest&)>& keep,
+    AllocationVector* out, StableTailHint* hint) {
   // Record rejects only: `keep` may be stateful, so it runs exactly once
   // per request, and the common everything-kept reallocation pays no
   // copy of the request vector.

@@ -87,11 +87,10 @@ class AllocationStrategy {
 /// decides whether exposing it is sound (quotas: yes; time-dependent
 /// filters: no, discard it). When anything is filtered, `*hint` stays
 /// invalid.
-void AllocateThroughFilter(const AllocationStrategy& inner,
-                           const std::vector<MemRequest>& ed_sorted,
-                           PageCount total,
-                           const std::function<bool(const MemRequest&)>& keep,
-                           AllocationVector* out, StableTailHint* hint);
+void AllocateThroughFilter(
+    const AllocationStrategy& inner, const std::vector<MemRequest>& ed_sorted,
+    PageCount total, const std::function<bool(const MemRequest&)>& keep,
+    AllocationVector* out, StableTailHint* hint);
 
 class MaxStrategy : public AllocationStrategy {
  public:

@@ -142,9 +142,8 @@ TEST(Source, IdsAreSequential) {
   storage::Database db = MakeDb(&rng);
   std::vector<QueryId> ids;
   WorkloadSpec w = JoinWorkload(0.1);
-  ScenarioSource source(
-      &sim, &db, w, PoissonScenario(w), Rng(9),
-      [&](const QueryBlueprint&, QueryId id) { ids.push_back(id); });
+  auto sink = [&](const QueryBlueprint&, QueryId id) { ids.push_back(id); };
+  ScenarioSource source(&sim, &db, w, PoissonScenario(w), Rng(9), sink);
   source.Start();
   sim.RunUntil(2000.0);
   for (size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], i);
