@@ -24,15 +24,4 @@ std::string Rng::StateString() const {
   return out.str();
 }
 
-Status Rng::SetStateString(const std::string& state) {
-  std::mt19937_64 candidate;
-  std::istringstream in(state);
-  in >> candidate;
-  if (in.fail()) {
-    return Status::InvalidArgument("malformed mt19937_64 state string");
-  }
-  engine_ = candidate;
-  return Status::Ok();
-}
-
 }  // namespace rtq

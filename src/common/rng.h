@@ -14,7 +14,6 @@
 #include <string>
 
 #include "common/check.h"
-#include "common/status.h"
 
 namespace rtq {
 
@@ -50,10 +49,6 @@ class Rng {
   /// identical draw sequences forever — snapshot digests compare these
   /// strings to prove arrival streams were restored exactly.
   std::string StateString() const;
-
-  /// Restores the engine from a StateString(). Malformed input returns
-  /// InvalidArgument and leaves the engine untouched.
-  Status SetStateString(const std::string& state);
 
  private:
   std::mt19937_64 engine_;

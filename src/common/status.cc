@@ -17,8 +17,6 @@ const char* CodeName(StatusCode code) {
       return "NotFound";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kUnimplemented:
-      return "Unimplemented";
   }
   return "Unknown";
 }

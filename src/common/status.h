@@ -22,7 +22,6 @@ enum class StatusCode {
   kFailedPrecondition,
   kNotFound,
   kInternal,
-  kUnimplemented,
 };
 
 /// Value-semantic error carrier. Cheap to copy when OK.
@@ -47,9 +46,6 @@ class Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

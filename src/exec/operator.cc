@@ -36,12 +36,7 @@ void OperatorBase::Continue() {
     OnAllocationApplied();
     if (!CanRun()) return;  // OnAllocationApplied may complete/abort
   }
-  if (allocation_ == 0) {
-    // Suspended: the subclass has queued its spool I/O via state changes;
-    // let Step() drain any pending spool writes, then idle. Subclasses
-    // check for suspension and refrain from starting fresh work.
-    // We still call Step() so queued spool writes proceed.
-  }
+  // Suspended (allocation 0) still steps, so queued spool writes drain.
   in_flight_ = true;
   Step();
   // Step() either issued async work (callbacks re-enter Continue()) or

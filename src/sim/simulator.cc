@@ -4,9 +4,8 @@ namespace rtq::sim {
 
 uint64_t Simulator::RunUntil(SimTime until) {
   uint64_t count = 0;
-  stop_requested_ = false;
   EventQueue::Callback cb;
-  while (!events_.Empty() && !stop_requested_) {
+  while (!events_.Empty()) {
     if (events_.PeekTime() > until) break;
     SimTime when = events_.PopInto(&cb);
     RTQ_DCHECK(when >= now_);
@@ -22,9 +21,8 @@ uint64_t Simulator::RunUntil(SimTime until) {
 
 uint64_t Simulator::RunToCompletion() {
   uint64_t count = 0;
-  stop_requested_ = false;
   EventQueue::Callback cb;
-  while (!events_.Empty() && !stop_requested_) {
+  while (!events_.Empty()) {
     SimTime when = events_.PopInto(&cb);
     RTQ_DCHECK(when >= now_);
     now_ = when;

@@ -55,9 +55,6 @@ class Simulator {
   /// Dispatches a single event if one exists. Returns false when empty.
   bool Step();
 
-  /// Requests that the current Run* call return after the in-flight event.
-  void RequestStop() { stop_requested_ = true; }
-
   /// Total events dispatched over the simulator's lifetime.
   uint64_t events_dispatched() const { return dispatched_; }
 
@@ -72,7 +69,6 @@ class Simulator {
   EventQueue events_;
   SimTime now_ = 0.0;
   uint64_t dispatched_ = 0;
-  bool stop_requested_ = false;
 };
 
 }  // namespace rtq::sim

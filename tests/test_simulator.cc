@@ -80,18 +80,6 @@ TEST(Simulator, StepDispatchesOneEvent) {
   EXPECT_FALSE(sim.Step());
 }
 
-TEST(Simulator, RequestStopEndsRunEarly) {
-  Simulator sim;
-  int fired = 0;
-  sim.ScheduleAfter(1.0, [&] {
-    ++fired;
-    sim.RequestStop();
-  });
-  sim.ScheduleAfter(2.0, [&] { ++fired; });
-  sim.RunUntil(10.0);
-  EXPECT_EQ(fired, 1);
-}
-
 TEST(Simulator, DispatchCountAccumulates) {
   Simulator sim;
   for (int i = 0; i < 7; ++i) sim.ScheduleAfter(i, [] {});
