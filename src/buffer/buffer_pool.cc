@@ -11,39 +11,18 @@ BufferPool::BufferPool(PageCount total_pages)
   RTQ_CHECK_MSG(total_pages > 0, "buffer pool must have > 0 pages");
 }
 
-Status BufferPool::SetReservation(QueryId query, PageCount pages) {
-  if (pages < 0)
+Status BufferPool::Resize(PageCount from, PageCount to) {
+  if (from < 0 || to < 0)
     return Status::InvalidArgument("reservation must be >= 0 pages");
-  PageCount current = reservation_of(query);
-  PageCount delta = pages - current;
-  if (reserved_ + delta > total_) {
+  if (reserved_ + to - from > total_) {
     return Status::OutOfRange(
-        "reservation of " + std::to_string(pages) + " pages exceeds pool (" +
-        std::to_string(total_ - reserved_ + current) + " available)");
+        "reservation of " + std::to_string(to) + " pages exceeds pool (" +
+        std::to_string(total_ - reserved_ + from) + " available)");
   }
-  if (pages == 0) {
-    reservations_.erase(query);
-  } else {
-    reservations_[query] = pages;
-  }
-  reserved_ += delta;
+  reserved_ += to - from;
   RTQ_DCHECK(reserved_ >= 0 && reserved_ <= total_);
   cache_.SetCapacity(unreserved());
   return Status::Ok();
-}
-
-void BufferPool::ReleaseAll(QueryId query) {
-  auto it = reservations_.find(query);
-  if (it == reservations_.end()) return;
-  reserved_ -= it->second;
-  reservations_.erase(it);
-  RTQ_DCHECK(reserved_ >= 0);
-  cache_.SetCapacity(unreserved());
-}
-
-PageCount BufferPool::reservation_of(QueryId query) const {
-  auto it = reservations_.find(query);
-  return it == reservations_.end() ? 0 : it->second;
 }
 
 }  // namespace rtq::buffer

@@ -13,11 +13,7 @@
 #ifndef RTQ_BUFFER_BUFFER_POOL_H_
 #define RTQ_BUFFER_BUFFER_POOL_H_
 
-#include <unordered_map>
-#include <utility>
-
 #include "buffer/lru_cache.h"
-#include "common/pool.h"
 #include "common/status.h"
 #include "common/types.h"
 
@@ -27,24 +23,16 @@ class BufferPool {
  public:
   explicit BufferPool(PageCount total_pages);
 
-  /// Sets query's reservation to `pages` (absolute, not a delta). Fails
-  /// with OutOfRange if the pool cannot cover the increase. Setting 0
-  /// removes the reservation.
-  Status SetReservation(QueryId query, PageCount pages);
-
-  /// Drops a query's reservation entirely (abort/completion path).
-  void ReleaseAll(QueryId query);
-
-  PageCount reservation_of(QueryId query) const;
+  /// Moves one query's reservation from `from` to `to` pages (absolute
+  /// values: the engine holds each query's current one). Fails with
+  /// InvalidArgument on a negative value, and with OutOfRange when the
+  /// pool cannot cover the increase; a failed call changes nothing.
+  Status Resize(PageCount from, PageCount to);
 
   PageCount total() const { return total_; }
   PageCount reserved() const { return reserved_; }
   /// Pages not reserved by anyone (the LRU area size).
   PageCount unreserved() const { return total_ - reserved_; }
-  /// Number of queries holding a non-zero reservation.
-  int64_t reservation_count() const {
-    return static_cast<int64_t>(reservations_.size());
-  }
 
   /// Page cache over the unreserved area. The pool keeps the cache's
   /// capacity in sync with unreserved().
@@ -60,16 +48,6 @@ class BufferPool {
  private:
   PageCount total_;
   PageCount reserved_ = 0;
-  // Reservation nodes recycle through a pool (declared before the map it
-  // feeds): reservation churn allocates nothing in steady state.
-  NodePool pool_;
-  using ReservationMap =
-      std::unordered_map<QueryId, PageCount, std::hash<QueryId>,
-                         std::equal_to<QueryId>,
-                         PoolAllocator<std::pair<const QueryId, PageCount>>>;
-  ReservationMap reservations_{
-      8, std::hash<QueryId>(), std::equal_to<QueryId>(),
-      PoolAllocator<std::pair<const QueryId, PageCount>>(&pool_)};
   LruCache cache_;
 };
 

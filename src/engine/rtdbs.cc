@@ -507,7 +507,7 @@ void Rtdbs::ApplyAllocation(QueryId id, PageCount pages) {
   if (rt.finished) return;
   if (pages == rt.allocation) return;
 
-  Status st = pool_->SetReservation(id, pages);
+  Status st = pool_->Resize(rt.allocation, pages);
   RTQ_CHECK_MSG(st.ok(), st.ToString().c_str());
 
   if (rt.op->started()) ++rt.fluctuations;
@@ -551,7 +551,8 @@ void Rtdbs::FinishQuery(QueryId id, bool missed) {
   rt->finished = true;
 
   if (!missed) sim_.Cancel(rt->deadline_event);
-  pool_->ReleaseAll(id);
+  Status released = pool_->Resize(rt->allocation, 0);
+  RTQ_CHECK_MSG(released.ok(), released.ToString().c_str());
 
   SimTime now = sim_.Now();
   CompletionRecord rec;

@@ -15,49 +15,50 @@ TEST(BufferPool, StartsFullyUnreserved) {
 
 TEST(BufferPool, SetReservationTracksAbsolute) {
   BufferPool pool(1000);
-  EXPECT_TRUE(pool.SetReservation(1, 300).ok());
-  EXPECT_EQ(pool.reservation_of(1), 300);
+  EXPECT_TRUE(pool.Resize(0, 300).ok());
   EXPECT_EQ(pool.reserved(), 300);
-  EXPECT_TRUE(pool.SetReservation(1, 500).ok());  // absolute, not delta
+  EXPECT_TRUE(pool.Resize(300, 500).ok());  // absolute, not delta
   EXPECT_EQ(pool.reserved(), 500);
-  EXPECT_TRUE(pool.SetReservation(1, 100).ok());
+  EXPECT_TRUE(pool.Resize(500, 100).ok());
   EXPECT_EQ(pool.reserved(), 100);
 }
 
 TEST(BufferPool, RejectsOversubscription) {
   BufferPool pool(1000);
-  EXPECT_TRUE(pool.SetReservation(1, 700).ok());
-  Status s = pool.SetReservation(2, 400);
+  EXPECT_TRUE(pool.Resize(0, 700).ok());
+  Status s = pool.Resize(0, 400);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kOutOfRange);
   // The failed call must not corrupt state.
   EXPECT_EQ(pool.reserved(), 700);
-  EXPECT_EQ(pool.reservation_of(2), 0);
-  // Growing an existing reservation within the pool is fine.
-  EXPECT_TRUE(pool.SetReservation(2, 300).ok());
+  EXPECT_EQ(pool.page_cache().capacity(), 300);
+  // Growing another reservation within the pool is fine.
+  EXPECT_TRUE(pool.Resize(0, 300).ok());
 }
 
 TEST(BufferPool, RejectsNegative) {
   BufferPool pool(100);
-  EXPECT_FALSE(pool.SetReservation(1, -5).ok());
+  EXPECT_EQ(pool.Resize(0, -5).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(pool.Resize(-5, 0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(pool.reserved(), 0);
 }
 
 TEST(BufferPool, ZeroReservationRemoves) {
   BufferPool pool(100);
-  EXPECT_TRUE(pool.SetReservation(1, 40).ok());
-  EXPECT_EQ(pool.reservation_count(), 1);
-  EXPECT_TRUE(pool.SetReservation(1, 0).ok());
-  EXPECT_EQ(pool.reservation_count(), 0);
+  EXPECT_TRUE(pool.Resize(0, 40).ok());
+  EXPECT_EQ(pool.reserved(), 40);
+  EXPECT_TRUE(pool.Resize(40, 0).ok());
   EXPECT_EQ(pool.reserved(), 0);
+  EXPECT_EQ(pool.page_cache().capacity(), 100);
 }
 
 TEST(BufferPool, ReleaseAllDropsReservation) {
   BufferPool pool(100);
-  EXPECT_TRUE(pool.SetReservation(1, 40).ok());
-  EXPECT_TRUE(pool.SetReservation(2, 30).ok());
-  pool.ReleaseAll(1);
+  EXPECT_TRUE(pool.Resize(0, 40).ok());
+  EXPECT_TRUE(pool.Resize(0, 30).ok());
+  EXPECT_TRUE(pool.Resize(40, 0).ok());
   EXPECT_EQ(pool.reserved(), 30);
-  pool.ReleaseAll(99);  // unknown query: no-op
+  EXPECT_TRUE(pool.Resize(0, 0).ok());  // a query that held nothing
   EXPECT_EQ(pool.reserved(), 30);
 }
 
@@ -65,11 +66,11 @@ TEST(BufferPool, LruCapacityTracksUnreserved) {
   BufferPool pool(100);
   for (uint64_t k = 0; k < 100; ++k) pool.page_cache().Insert(k);
   EXPECT_EQ(pool.page_cache().size(), 100);
-  EXPECT_TRUE(pool.SetReservation(1, 60).ok());
+  EXPECT_TRUE(pool.Resize(0, 60).ok());
   // Reservation shrinks the cache area; LRU pages were evicted.
   EXPECT_EQ(pool.page_cache().capacity(), 40);
   EXPECT_EQ(pool.page_cache().size(), 40);
-  pool.ReleaseAll(1);
+  EXPECT_TRUE(pool.Resize(60, 0).ok());
   EXPECT_EQ(pool.page_cache().capacity(), 100);
 }
 
@@ -84,10 +85,10 @@ TEST(BufferPool, PageKeyIsInjectiveAcrossDisks) {
 
 TEST(BufferPool, FullPoolReservation) {
   BufferPool pool(500);
-  EXPECT_TRUE(pool.SetReservation(1, 500).ok());
+  EXPECT_TRUE(pool.Resize(0, 500).ok());
   EXPECT_EQ(pool.unreserved(), 0);
   EXPECT_EQ(pool.page_cache().capacity(), 0);
-  EXPECT_FALSE(pool.SetReservation(2, 1).ok());
+  EXPECT_FALSE(pool.Resize(0, 1).ok());
 }
 
 }  // namespace
