@@ -20,7 +20,6 @@
 #include "core/policy_registry.h"
 #include "engine/rtdbs.h"
 #include "harness/bench_json.h"
-#include "harness/csv.h"
 #include "harness/paper_experiments.h"
 #include "harness/runner.h"
 #include "harness/table_printer.h"
@@ -180,7 +179,7 @@ struct Sweep {
   /// Writes results/<name>.csv and results/BENCH_<name>.json.
   void Write() const {
     const std::string path = "results/" + name + ".csv";
-    if (Ok(csv.WriteFile(path))) {
+    if (Ok(csv.WriteCsv(path))) {
       std::printf("\nseries written to %s\n", path.c_str());
     }
     if (Ok(json.WriteFile(wall))) {
@@ -190,7 +189,7 @@ struct Sweep {
   }
 
   std::string name;
-  harness::CsvWriter csv;
+  harness::TablePrinter csv;
   harness::BenchJsonEmitter json;
   double wall = 0.0;
 };

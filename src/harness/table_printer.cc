@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/file.h"
+
 namespace rtq::harness {
 
 TablePrinter::TablePrinter(std::vector<std::string> headers)
@@ -60,6 +62,33 @@ std::string TablePrinter::ToString() const {
 
 void TablePrinter::Print(FILE* out) const {
   std::fputs(ToString().c_str(), out);
+}
+
+std::string TablePrinter::ToCsv() const {
+  auto escape = [](const std::string& cell) {
+    if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
+    std::string out = "\"";
+    for (char ch : cell) {
+      if (ch == '"') out += '"';
+      out += ch;
+    }
+    return out + '"';
+  };
+  auto line = [&](const std::vector<std::string>& cells) {
+    std::string out;
+    for (size_t c = 0; c < cells.size(); ++c) {
+      if (c > 0) out += ',';
+      out += escape(cells[c]);
+    }
+    return out + '\n';
+  };
+  std::string out = line(headers_);
+  for (const auto& row : rows_) out += line(row);
+  return out;
+}
+
+Status TablePrinter::WriteCsv(const std::string& path) const {
+  return WriteStringToFile(path, ToCsv());
 }
 
 }  // namespace rtq::harness

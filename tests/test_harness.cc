@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "harness/csv.h"
 #include "harness/paper_experiments.h"
 #include "harness/table_printer.h"
 
@@ -32,19 +31,20 @@ TEST(TablePrinter, Formatters) {
 }
 
 TEST(Csv, EscapesSpecials) {
-  CsvWriter csv({"a", "b"});
+  TablePrinter csv({"a", "b"});
   csv.AddRow({"plain", "with,comma"});
   csv.AddRow({"with\"quote", "with\nnewline"});
-  std::string out = csv.ToString();
-  EXPECT_NE(out.find("\"with,comma\""), std::string::npos);
-  EXPECT_NE(out.find("\"with\"\"quote\""), std::string::npos);
+  EXPECT_EQ(csv.ToCsv(),
+            "a,b\n"
+            "plain,\"with,comma\"\n"
+            "\"with\"\"quote\",\"with\nnewline\"\n");
 }
 
 TEST(Csv, WritesFile) {
-  CsvWriter csv({"x", "y"});
+  TablePrinter csv({"x", "y"});
   csv.AddRow({"1", "2"});
   std::string path = "results/test_csv_writer.csv";
-  ASSERT_TRUE(csv.WriteFile(path).ok());
+  ASSERT_TRUE(csv.WriteCsv(path).ok());
   EXPECT_TRUE(std::filesystem::exists(path));
   std::filesystem::remove(path);
 }
