@@ -151,13 +151,11 @@ struct Sweep {
                 .count();
     grid->ForEach([&](size_t x, size_t l, const SystemSummary& s) {
       const RunResult& r = grid->Result(x, l);
-      json.AddResult(r, grid->lanes[l], grid->xs[x],
-                     s.overall.miss_ratio - grid->OracleMiss(x));
+      json.AddPoint(r.label, grid->lanes[l], grid->xs[x], s, r.wall_seconds,
+                    s.overall.miss_ratio - grid->OracleMiss(x));
       for (size_t i = 0; i < r.shard_summaries.size(); ++i) {
-        RunResult shard;
-        shard.label = r.label + " #" + std::to_string(i);
-        shard.summary = r.shard_summaries[i];
-        json.AddResult(shard, grid->lanes[l], grid->xs[x]);
+        json.AddPoint(r.label + " #" + std::to_string(i), grid->lanes[l],
+                      grid->xs[x], r.shard_summaries[i], /*wall_seconds=*/0.0);
       }
     });
   }

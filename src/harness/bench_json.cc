@@ -9,6 +9,7 @@
 #include "common/file.h"
 #include "harness/args.h"
 #include "harness/paper_experiments.h"
+#include "harness/runner.h"
 
 #ifndef RTQ_GIT_DESCRIBE
 #define RTQ_GIT_DESCRIBE "unknown"
@@ -142,30 +143,12 @@ std::string GitDescribe() {
 BenchJsonEmitter::BenchJsonEmitter(std::string driver)
     : driver_(std::move(driver)) {}
 
-void BenchJsonEmitter::AddResult(const RunResult& result,
-                                 const std::string& policy, double lambda) {
-  Point point;
-  point.label = result.label;
-  point.policy = policy;
-  point.lambda = lambda;
-  point.miss_ratio = result.summary.overall.miss_ratio;
-  point.disk_util = result.summary.avg_disk_utilization;
-  point.avg_mpl = result.summary.avg_mpl;
-  point.avg_wait_s = result.summary.overall.avg_wait;
-  point.avg_exec_s = result.summary.overall.avg_exec;
-  point.avg_response_s = result.summary.overall.avg_response;
-  point.completions = result.summary.overall.completions;
-  point.misses = result.summary.overall.misses;
-  point.events = static_cast<int64_t>(result.summary.events_dispatched);
-  point.wall_seconds = result.wall_seconds;
-  points_.push_back(std::move(point));
-}
-
-void BenchJsonEmitter::AddResult(const RunResult& result,
-                                 const std::string& policy, double lambda,
-                                 double gap_to_oracle) {
-  AddResult(result, policy, lambda);
-  points_.back().gap_to_oracle = gap_to_oracle;
+void BenchJsonEmitter::AddPoint(std::string label, std::string policy,
+                                double lambda,
+                                const engine::SystemSummary& summary,
+                                double wall_seconds, double gap_to_oracle) {
+  points_.push_back(Point{std::move(label), std::move(policy), lambda, summary,
+                          wall_seconds, gap_to_oracle});
 }
 
 void BenchJsonEmitter::AddConfig(const std::string& key,
@@ -175,7 +158,9 @@ void BenchJsonEmitter::AddConfig(const std::string& key,
 
 std::string BenchJsonEmitter::ToJson(double total_wall_seconds) const {
   int64_t total_events = 0;
-  for (const Point& p : points_) total_events += p.events;
+  for (const Point& p : points_) {
+    total_events += static_cast<int64_t>(p.summary.events_dispatched);
+  }
 
   JsonWriter w;
   w.BeginObject();
@@ -193,19 +178,20 @@ std::string BenchJsonEmitter::ToJson(double total_wall_seconds) const {
 
   w.Key("points").BeginArray();
   for (const Point& p : points_) {
+    const engine::SystemSummary& s = p.summary;
     w.BeginObject();
     w.Key("label").String(p.label);
     w.Key("policy").String(p.policy);
     w.Key("lambda").Number(p.lambda);
-    w.Key("miss_ratio").Number(p.miss_ratio);
-    w.Key("disk_util").Number(p.disk_util);
-    w.Key("avg_mpl").Number(p.avg_mpl);
-    w.Key("avg_wait_s").Number(p.avg_wait_s);
-    w.Key("avg_exec_s").Number(p.avg_exec_s);
-    w.Key("avg_response_s").Number(p.avg_response_s);
-    w.Key("completions").Int(p.completions);
-    w.Key("misses").Int(p.misses);
-    w.Key("events").Int(p.events);
+    w.Key("miss_ratio").Number(s.overall.miss_ratio);
+    w.Key("disk_util").Number(s.avg_disk_utilization);
+    w.Key("avg_mpl").Number(s.avg_mpl);
+    w.Key("avg_wait_s").Number(s.overall.avg_wait);
+    w.Key("avg_exec_s").Number(s.overall.avg_exec);
+    w.Key("avg_response_s").Number(s.overall.avg_response);
+    w.Key("completions").Int(s.overall.completions);
+    w.Key("misses").Int(s.overall.misses);
+    w.Key("events").Int(static_cast<int64_t>(s.events_dispatched));
     w.Key("wall_seconds").Number(p.wall_seconds);
     if (std::isfinite(p.gap_to_oracle)) {
       w.Key("gap_to_oracle").Number(p.gap_to_oracle);

@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "harness/runner.h"
+#include "engine/metrics.h"
 
 namespace rtq::harness {
 
@@ -80,17 +80,15 @@ class BenchJsonEmitter {
  public:
   explicit BenchJsonEmitter(std::string driver);
 
-  /// Adds a per-point record from a pool result. `policy` is the short
-  /// policy label; `lambda` the sweep coordinate (see schema note).
-  void AddResult(const RunResult& result, const std::string& policy,
-                 double lambda);
-
-  /// AddResult plus an optional "gap_to_oracle" field: this point's miss
-  /// ratio minus the clairvoyant oracle-ed bound's at the same workload
-  /// point (the headroom study's metric, recorded by any sweep with an
-  /// oracle-ed lane). Pass NaN to omit the field.
-  void AddResult(const RunResult& result, const std::string& policy,
-                 double lambda, double gap_to_oracle);
+  /// Adds one point. `policy` is the short policy label; `lambda` the
+  /// sweep coordinate (see schema note). A finite `gap_to_oracle` adds
+  /// that field: this point's miss ratio minus the clairvoyant oracle-ed
+  /// bound's at the same workload point (the headroom study's metric,
+  /// recorded by any sweep with an oracle-ed lane).
+  void AddPoint(
+      std::string label, std::string policy, double lambda,
+      const engine::SystemSummary& summary, double wall_seconds,
+      double gap_to_oracle = std::numeric_limits<double>::quiet_NaN());
 
   /// Adds an experiment-specific key under "config" (e.g. "scale": "10").
   void AddConfig(const std::string& key, const std::string& value);
@@ -111,17 +109,9 @@ class BenchJsonEmitter {
     std::string label;
     std::string policy;
     double lambda = 0.0;
-    double miss_ratio = 0.0;
-    double disk_util = 0.0;
-    double avg_mpl = 0.0;
-    double avg_wait_s = 0.0;
-    double avg_exec_s = 0.0;
-    double avg_response_s = 0.0;
-    int64_t completions = 0;
-    int64_t misses = 0;
-    int64_t events = 0;
+    engine::SystemSummary summary;
     double wall_seconds = 0.0;
-    /// Emitted only when finite (see the AddResult overload).
+    /// Emitted only when finite.
     double gap_to_oracle = std::numeric_limits<double>::quiet_NaN();
   };
 

@@ -62,7 +62,6 @@ void RunCluster(const RunSpec& spec, SimTime until, RunResult* result) {
 RunResult RunJob(const RunSpec& spec) {
   RunResult result;
   result.label = spec.label;
-  result.config = spec.config;
   auto start = std::chrono::steady_clock::now();
   SimTime until = spec.duration > 0.0 ? spec.duration : ExperimentDuration();
   if (spec.shards.has_value()) {

@@ -58,7 +58,6 @@ struct RunSpec {
 /// One completed simulation point, in submission order.
 struct RunResult {
   std::string label;
-  engine::SystemConfig config;  ///< echo of the spec's config
   engine::SystemSummary summary;
   /// The PMM adaptation trace, copied out before the system is torn
   /// down; empty for non-PMM policies and sharded specs.

@@ -48,7 +48,6 @@
 #include "harness/args.h"
 #include "harness/bench_json.h"
 #include "harness/metrics_streamer.h"
-#include "harness/runner.h"
 #include "serve/control.h"
 #include "serve/serve_session.h"
 
@@ -363,13 +362,9 @@ int main(int argc, char** argv) {
   if (rc == 0 && !bench_json.empty()) {
     rtq::harness::BenchJsonEmitter emitter(bench_json);
     rtq::engine::ShardedRtdbs& cluster = state.session->cluster();
-    rtq::harness::RunResult result;
-    result.label = state.session->session_spec().workload;
-    result.config = cluster.shard(0).config();
-    result.summary = cluster.Summarize();
-    result.wall_seconds = WallNow();
-    emitter.AddResult(result, cluster.shard(0).policy().Describe(),
-                      /*lambda=*/0.0);
+    emitter.AddPoint(state.session->session_spec().workload,
+                     cluster.shard(0).policy().Describe(), /*lambda=*/0.0,
+                     cluster.Summarize(), WallNow());
     Status st = emitter.WriteFile(WallNow());
     if (!st.ok()) {
       std::fprintf(stderr, "rtq_serve: %s\n", st.ToString().c_str());

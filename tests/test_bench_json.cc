@@ -122,20 +122,18 @@ class JsonChecker {
   size_t pos_ = 0;
 };
 
-RunResult MakeResult(const std::string& label, int64_t completions) {
-  RunResult result;
-  result.label = label;
-  result.summary.overall.completions = completions;
-  result.summary.overall.misses = completions / 10;
-  result.summary.overall.miss_ratio = 0.1;
-  result.summary.overall.avg_wait = 12.5;
-  result.summary.overall.avg_exec = 30.25;
-  result.summary.overall.avg_response = 42.75;
-  result.summary.avg_mpl = 9.5;
-  result.summary.avg_disk_utilization = 0.55;
-  result.summary.events_dispatched = 123456;
-  result.wall_seconds = 1.5;
-  return result;
+engine::SystemSummary MakeSummary(int64_t completions) {
+  engine::SystemSummary s;
+  s.overall.completions = completions;
+  s.overall.misses = completions / 10;
+  s.overall.miss_ratio = 0.1;
+  s.overall.avg_wait = 12.5;
+  s.overall.avg_exec = 30.25;
+  s.overall.avg_response = 42.75;
+  s.avg_mpl = 9.5;
+  s.avg_disk_utilization = 0.55;
+  s.events_dispatched = 123456;
+  return s;
 }
 
 TEST(JsonWriter, EscapesSpecials) {
@@ -178,15 +176,15 @@ TEST(JsonWriter, NonFiniteNumbersBecomeNull) {
 TEST(BenchJsonEmitter, EmitsWellFormedJson) {
   BenchJsonEmitter emitter("test_driver");
   emitter.AddConfig("note", "quote \" and, comma");
-  emitter.AddResult(MakeResult("PMM @ 0.04\nnewline", 400), "PMM", 0.04);
-  emitter.AddResult(MakeResult("Max @ 0.05", 500), "Max", 0.05);
+  emitter.AddPoint("PMM @ 0.04\nnewline", "PMM", 0.04, MakeSummary(400), 1.5);
+  emitter.AddPoint("Max @ 0.05", "Max", 0.05, MakeSummary(500), 1.5);
   std::string json = emitter.ToJson(3.25);
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
 }
 
 TEST(BenchJsonEmitter, EmitsTheStableFieldSet) {
   BenchJsonEmitter emitter("test_driver");
-  emitter.AddResult(MakeResult("p", 400), "PMM", 0.04);
+  emitter.AddPoint("p", "PMM", 0.04, MakeSummary(400), 1.5);
   std::string json = emitter.ToJson(1.0);
 
   for (const char* key :
@@ -218,7 +216,7 @@ TEST(BenchJsonEmitter, GitDescribeEnvOverrideWins) {
 
 TEST(BenchJsonEmitter, WritesBenchFileUnderResults) {
   BenchJsonEmitter emitter("test_emitter");
-  emitter.AddResult(MakeResult("point", 10), "PMM", 0.07);
+  emitter.AddPoint("point", "PMM", 0.07, MakeSummary(10), 1.5);
   EXPECT_EQ(emitter.path(), "results/BENCH_test_emitter.json");
   ASSERT_TRUE(emitter.WriteFile(0.5).ok());
   ASSERT_TRUE(std::filesystem::exists(emitter.path()));

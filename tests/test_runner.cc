@@ -169,9 +169,6 @@ TEST(RunPool, DefaultJobFillsResultFields) {
   std::vector<RunResult> results = RunPool(specs, 2);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].label, "spec-0");
-  // The config echo survives the pool round-trip.
-  EXPECT_EQ(results[0].config.policy.ResolvedSpec(), "pmm");
-  EXPECT_EQ(results[0].config.seed, 100u);
   EXPECT_GT(results[0].summary.simulated_time, 0.0);
   EXPECT_GT(results[0].summary.events_dispatched, 0u);
   EXPECT_GT(results[0].wall_seconds, 0.0);
