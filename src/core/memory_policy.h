@@ -19,9 +19,9 @@
 //   3. OnQueryEvent(event) is fed every query lifecycle event (arrivals
 //      and completions, including deadline misses). Adaptive policies
 //      revise their strategy from here.
-//   4. OnTick(now) fires periodically (at the engine's MPL-sampler
-//      cadence) for policies that adapt on wall-clock schedules rather
-//      than completion counts.
+//   4. OnTick(now) fires periodically (every
+//      SystemConfig::mpl_sample_interval) for policies that adapt on
+//      wall-clock schedules rather than completion counts.
 //   5. Describe() returns the canonical, registry-round-trippable spec
 //      string ("pmm", "minmax:5", ...); DisplayName() the short human
 //      label used in tables ("PMM", "MinMax-5").
@@ -53,7 +53,7 @@ struct PolicyHost {
   PmmParams pmm;
   /// Number of workload classes (for per-class policies).
   int32_t num_classes = 0;
-  /// Cadence of OnTick (the engine's MPL-sampler interval, simulated
+  /// Cadence of OnTick (the engine's tick interval, simulated
   /// seconds); <= 0 means the engine never ticks. Time-driven policies
   /// should reject hosts that cannot feed them from Attach().
   SimTime tick_interval = 0.0;
@@ -92,7 +92,7 @@ class MemoryPolicy {
   /// Query lifecycle notifications (see QueryEvent). Default: ignore.
   virtual void OnQueryEvent(const QueryEvent& event) { (void)event; }
 
-  /// Periodic hook at the engine's sampler cadence. Default: ignore.
+  /// Periodic hook at the engine's tick cadence. Default: ignore.
   virtual void OnTick(SimTime now) { (void)now; }
 
   /// Canonical spec string; PolicyRegistry::Create(Describe()) rebuilds

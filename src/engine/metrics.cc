@@ -1,15 +1,48 @@
 #include "engine/metrics.h"
 
-#include "common/check.h"
-
 namespace rtq::engine {
 
-MetricsCollector::MetricsCollector(int64_t miss_ci_batch)
-    : miss_batches_(miss_ci_batch) {}
+void MetricsCollector::Fold::Add(const CompletionRecord& r) {
+  ++counts_.completions;
+  if (r.info.missed) ++counts_.misses;
+  wait_.Add(r.info.admission_wait);
+  exec_.Add(r.info.execution_time);
+  resp_.Add(r.info.admission_wait + r.info.execution_time);
+  fluct_.Add(static_cast<double>(r.mem_fluctuations));
+}
+
+ClassSummary MetricsCollector::Fold::Summary() const {
+  ClassSummary s = counts_;
+  if (s.completions > 0) {
+    s.miss_ratio =
+        static_cast<double>(s.misses) / static_cast<double>(s.completions);
+  }
+  s.avg_wait = wait_.mean();
+  s.avg_exec = exec_.mean();
+  s.avg_response = resp_.mean();
+  s.avg_fluctuations = fluct_.mean();
+  return s;
+}
+
+MetricsCollector::MetricsCollector(int32_t num_classes, int64_t miss_ci_batch)
+    : per_class_(static_cast<size_t>(num_classes)),
+      miss_batches_(miss_ci_batch) {}
 
 void MetricsCollector::Record(const CompletionRecord& record) {
   records_.push_back(record);
+  overall_.Add(record);
+  const int32_t c = record.info.query_class;
+  if (c >= 0 && static_cast<size_t>(c) < per_class_.size()) {
+    per_class_[static_cast<size_t>(c)].Add(record);
+  }
   miss_batches_.Add(record.info.missed ? 1.0 : 0.0);
+}
+
+std::vector<ClassSummary> MetricsCollector::PerClass() const {
+  std::vector<ClassSummary> out;
+  out.reserve(per_class_.size());
+  for (const Fold& f : per_class_) out.push_back(f.Summary());
+  return out;
 }
 
 void MetricsCollector::UpdateMpl(SimTime now, int64_t mpl) {
@@ -19,10 +52,6 @@ void MetricsCollector::UpdateMpl(SimTime now, int64_t mpl) {
     return;
   }
   mpl_.Update(now, static_cast<double>(mpl));
-}
-
-void MetricsCollector::SampleMpl(SimTime now, int64_t mpl) {
-  mpl_samples_.push_back(TimeSample{now, static_cast<double>(mpl)});
 }
 
 double MetricsCollector::AverageMpl(SimTime now) const {
@@ -39,76 +68,16 @@ stats::ConfidenceInterval MetricsCollector::MissRatioCi() const {
   return miss_batches_.Interval(0.90);
 }
 
-void MetricsCollector::Fold(const CompletionRecord& r, ClassSummary* s,
-                            stats::RunningStats* wait,
-                            stats::RunningStats* exec,
-                            stats::RunningStats* resp,
-                            stats::RunningStats* fluct) {
-  ++s->completions;
-  if (r.info.missed) ++s->misses;
-  wait->Add(r.info.admission_wait);
-  exec->Add(r.info.execution_time);
-  resp->Add(r.info.admission_wait + r.info.execution_time);
-  fluct->Add(static_cast<double>(r.mem_fluctuations));
-}
-
-void MetricsCollector::Summarize(int32_t num_classes, ClassSummary* overall,
-                                 std::vector<ClassSummary>* per_class) const {
-  RTQ_CHECK(overall != nullptr && per_class != nullptr);
-  *overall = ClassSummary{};
-  per_class->assign(static_cast<size_t>(num_classes), ClassSummary{});
-
-  stats::RunningStats o_wait, o_exec, o_resp, o_fluct;
-  std::vector<stats::RunningStats> c_wait(num_classes), c_exec(num_classes),
-      c_resp(num_classes), c_fluct(num_classes);
-
-  for (const CompletionRecord& r : records_) {
-    Fold(r, overall, &o_wait, &o_exec, &o_resp, &o_fluct);
-    int32_t c = r.info.query_class;
-    if (c >= 0 && c < num_classes) {
-      Fold(r, &(*per_class)[c], &c_wait[c], &c_exec[c], &c_resp[c],
-           &c_fluct[c]);
-    }
-  }
-
-  auto finish = [](ClassSummary* s, const stats::RunningStats& wait,
-                   const stats::RunningStats& exec,
-                   const stats::RunningStats& resp,
-                   const stats::RunningStats& fluct) {
-    if (s->completions > 0) {
-      s->miss_ratio = static_cast<double>(s->misses) /
-                      static_cast<double>(s->completions);
-    }
-    s->avg_wait = wait.mean();
-    s->avg_exec = exec.mean();
-    s->avg_response = resp.mean();
-    s->avg_fluctuations = fluct.mean();
-  };
-  finish(overall, o_wait, o_exec, o_resp, o_fluct);
-  for (int32_t c = 0; c < num_classes; ++c) {
-    finish(&(*per_class)[c], c_wait[c], c_exec[c], c_resp[c], c_fluct[c]);
-  }
-}
-
 ClassSummary MetricsCollector::WindowSummary(
     const std::vector<CompletionRecord>& records, SimTime from, SimTime to,
     int32_t query_class) {
-  ClassSummary s;
-  stats::RunningStats wait, exec, resp, fluct;
+  Fold fold;
   for (const CompletionRecord& r : records) {
     if (r.info.finish < from || r.info.finish >= to) continue;
     if (query_class >= 0 && r.info.query_class != query_class) continue;
-    Fold(r, &s, &wait, &exec, &resp, &fluct);
+    fold.Add(r);
   }
-  if (s.completions > 0) {
-    s.miss_ratio =
-        static_cast<double>(s.misses) / static_cast<double>(s.completions);
-  }
-  s.avg_wait = wait.mean();
-  s.avg_exec = exec.mean();
-  s.avg_response = resp.mean();
-  s.avg_fluctuations = fluct.mean();
-  return s;
+  return fold.Summary();
 }
 
 }  // namespace rtq::engine

@@ -1,11 +1,12 @@
 // Metrics collection: everything Section 5's tables and figures need.
 //
 // The collector stores one record per finished query (completed or
-// missed), a time-weighted MPL signal, periodic realized-MPL samples, and
-// a batch-means accumulator for the miss-ratio confidence interval
-// [Sarg76]. Aggregation into the paper's reported quantities (per-class
-// miss ratios, Table 7's timing breakdown, windowed miss-ratio series for
-// Figures 12-14) happens on demand.
+// missed) and folds each into running overall and per-class summaries
+// as it is recorded (per-class miss ratios, Table 7's timing breakdown),
+// so reading a summary scans nothing. It also keeps a time-weighted MPL
+// signal and a batch-means accumulator for the miss-ratio confidence
+// interval [Sarg76]. The stored records back the windowed miss-ratio
+// series of Figures 12-14 and the engine's state digest.
 
 #ifndef RTQ_ENGINE_METRICS_H_
 #define RTQ_ENGINE_METRICS_H_
@@ -52,30 +53,26 @@ struct SystemSummary {
   SimTime simulated_time = 0.0;
 };
 
-/// (time, value) series sample.
-struct TimeSample {
-  SimTime time = 0.0;
-  double value = 0.0;
-};
-
 class MetricsCollector {
  public:
-  explicit MetricsCollector(int64_t miss_ci_batch);
+  /// `num_classes` sizes PerClass(); records of a class beyond it count
+  /// in Overall() only.
+  MetricsCollector(int32_t num_classes, int64_t miss_ci_batch);
 
   void Record(const CompletionRecord& record);
   void UpdateMpl(SimTime now, int64_t mpl);
-  void SampleMpl(SimTime now, int64_t mpl);
 
-  /// Pre-grows the record and MPL-sample buffers so that recording up to
-  /// `completions` / `samples` entries performs no reallocation (the
-  /// steady-state zero-allocation gate measures across Record calls).
-  void Reserve(size_t completions, size_t samples) {
-    records_.reserve(completions);
-    mpl_samples_.reserve(samples);
-  }
+  /// Pre-grows the record buffer so that recording up to `completions`
+  /// entries performs no reallocation (the steady-state zero-allocation
+  /// gate measures across Record calls).
+  void Reserve(size_t completions) { records_.reserve(completions); }
 
   const std::vector<CompletionRecord>& records() const { return records_; }
-  const std::vector<TimeSample>& mpl_samples() const { return mpl_samples_; }
+
+  /// Summary of every record so far.
+  ClassSummary Overall() const { return overall_.Summary(); }
+  /// One summary per class, in class order.
+  std::vector<ClassSummary> PerClass() const;
 
   /// Time-averaged MPL over [window_start, now].
   double AverageMpl(SimTime now) const;
@@ -84,24 +81,26 @@ class MetricsCollector {
   /// 90% batch-means CI over the miss indicator stream.
   stats::ConfidenceInterval MissRatioCi() const;
 
-  /// Aggregates per-class + overall summaries from the stored records.
-  /// `num_classes` sizes the per-class vector (records with classes
-  /// beyond it are folded into overall only).
-  void Summarize(int32_t num_classes, ClassSummary* overall,
-                 std::vector<ClassSummary>* per_class) const;
-
   /// Miss ratio over records finishing in [from, to) — Figures 12-14.
   static ClassSummary WindowSummary(
       const std::vector<CompletionRecord>& records, SimTime from, SimTime to,
       int32_t query_class /* -1 = all */);
 
  private:
-  static void Fold(const CompletionRecord& r, ClassSummary* s,
-                   stats::RunningStats* wait, stats::RunningStats* exec,
-                   stats::RunningStats* resp, stats::RunningStats* fluct);
+  /// Running aggregate of a set of records, in the order they are added.
+  class Fold {
+   public:
+    void Add(const CompletionRecord& r);
+    ClassSummary Summary() const;
+
+   private:
+    ClassSummary counts_;  ///< completions and misses only
+    stats::RunningStats wait_, exec_, resp_, fluct_;
+  };
 
   std::vector<CompletionRecord> records_;
-  std::vector<TimeSample> mpl_samples_;
+  Fold overall_;
+  std::vector<Fold> per_class_;
   stats::TimeWeightedAverage mpl_;
   stats::BatchMeans miss_batches_;
   bool mpl_started_ = false;

@@ -189,7 +189,9 @@ class Rtdbs::ProbeImpl : public core::SystemProbe {
 // ---------------------------------------------------------------------------
 
 Rtdbs::Rtdbs(const SystemConfig& config)
-    : config_(config), metrics_(config.miss_ci_batch) {}
+    : config_(config),
+      metrics_(static_cast<int32_t>(config.workload.classes.size()),
+               config.miss_ci_batch) {}
 
 Rtdbs::~Rtdbs() = default;
 
@@ -324,7 +326,7 @@ void Rtdbs::Start() {
   if (started_) return;
   started_ = true;
   source_->Start();
-  ScheduleMplSampler();
+  ScheduleTick();
 }
 
 bool Rtdbs::StepEvent() {
@@ -391,13 +393,12 @@ StatusOr<std::string> Rtdbs::SwapScenario(const std::string& spec) {
   return scenario.name;
 }
 
-void Rtdbs::ScheduleMplSampler() {
+void Rtdbs::ScheduleTick() {
   if (config_.mpl_sample_interval <= 0.0) return;
   sim_.ScheduleAfter(config_.mpl_sample_interval, [this] {
-    metrics_.SampleMpl(sim_.Now(),
-                       static_cast<int64_t>(mm_->admitted_count()));
+    ++ticks_;
     policy_->OnTick(sim_.Now());
-    ScheduleMplSampler();
+    ScheduleTick();
   });
 }
 
@@ -705,20 +706,18 @@ void Rtdbs::AppendStateDigest(std::vector<std::string>* out) const {
   source_->AppendStateDigest(out);
 
   {
-    const auto& records = metrics_.records();
-    int64_t misses = 0;
     Fnv1a64 h;
-    for (const CompletionRecord& r : records) {
-      if (r.info.missed) ++misses;
+    for (const CompletionRecord& r : metrics_.records()) {
       h.Update64(static_cast<uint64_t>(r.info.id));
       h.Update64(r.info.missed ? 1 : 0);
       h.UpdateDouble(r.info.finish);
       h.Update64(static_cast<uint64_t>(r.mem_fluctuations));
     }
-    out->push_back("metrics " + std::to_string(records.size()) + " " +
-                   std::to_string(misses) + " " +
+    const ClassSummary overall = metrics_.Overall();
+    out->push_back("metrics " + std::to_string(overall.completions) + " " +
+                   std::to_string(overall.misses) + " " +
                    std::to_string(h.digest()) + " " +
-                   std::to_string(metrics_.mpl_samples().size()) + " " +
+                   std::to_string(ticks_) + " " +
                    workload::FormatDouble(metrics_.MplIntegral(now)));
   }
 
@@ -729,8 +728,8 @@ void Rtdbs::AppendStateDigest(std::vector<std::string>* out) const {
 SystemSummary Rtdbs::Summarize() const {
   SimTime now = sim_.Now();
   SystemSummary s;
-  metrics_.Summarize(static_cast<int32_t>(config_.workload.classes.size()),
-                     &s.overall, &s.per_class);
+  s.overall = metrics_.Overall();
+  s.per_class = metrics_.PerClass();
   s.avg_mpl = metrics_.AverageMpl(now);
   s.cpu_utilization = now > 0.0 ? cpu_->busy_seconds(now) / now : 0.0;
   double sum = 0.0, mx = 0.0;

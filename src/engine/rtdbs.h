@@ -71,7 +71,7 @@ class Rtdbs {
   /// called repeatedly with increasing horizons.
   void RunUntil(SimTime until);
 
-  /// Starts the arrival stream and periodic samplers without advancing
+  /// Starts the arrival stream and the policy ticks without advancing
   /// the clock. Idempotent; RunUntil and StepEvent call it implicitly.
   void Start();
 
@@ -115,8 +115,8 @@ class Rtdbs {
   core::MemoryManager& memory_manager() { return *mm_; }
   const storage::Database& database() const { return *db_; }
   const MetricsCollector& metrics() const { return metrics_; }
-  /// Mutable access for hosts that pre-size the metrics buffers (e.g.
-  /// the zero-allocation gate calls Reserve before measuring).
+  /// Mutable access for hosts that pre-size the record buffer (e.g. the
+  /// zero-allocation gate calls Reserve before measuring).
   MetricsCollector& mutable_metrics() { return metrics_; }
   buffer::BufferPool& buffer_pool() { return *pool_; }
   /// The active memory policy (resolved from the config's spec string).
@@ -191,7 +191,8 @@ class Rtdbs {
   /// Shared tail of completion/abort: cancel resources, record, notify.
   void FinishQuery(QueryId id, bool missed);
   void UpdateMplSignal();
-  void ScheduleMplSampler();
+  /// Schedules the next policy OnTick, every `mpl_sample_interval`.
+  void ScheduleTick();
 
   // Page-cache helpers (LRU over unreserved pool pages).
   bool CacheCovers(DiskId disk, PageCount start, PageCount pages);
@@ -220,6 +221,8 @@ class Rtdbs {
   std::vector<QueryRuntime*> free_runtimes_;
   int64_t runtimes_recycled_ = 0;
   int64_t routed_elsewhere_ = 0;
+  /// Policy ticks fired so far (a state-digest field).
+  int64_t ticks_ = 0;
 
   using RuntimePair = std::pair<const QueryId, QueryRuntime*>;
   using RuntimeMap =

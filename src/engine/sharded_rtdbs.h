@@ -75,7 +75,7 @@ class ShardedRtdbs {
   /// admission the caller steps the merged clock.
   void RunUntil(SimTime until);
 
-  /// Starts every shard's arrival stream and samplers. Idempotent.
+  /// Starts every shard's arrival stream and policy ticks. Idempotent.
   void Start();
 
   /// Dispatches up to `n` events on the merged clock — each the earliest

@@ -102,7 +102,8 @@ struct SystemConfig {
   core::PmmParams pmm;
   PolicyConfig policy;
   uint64_t seed = 42;
-  /// Interval of the realized-MPL trace sampler; <= 0 disables it.
+  /// Cadence of the policy's OnTick, in simulated seconds; <= 0 never
+  /// ticks.
   SimTime mpl_sample_interval = 60.0;
   /// Batch size for the miss-ratio batch-means confidence interval.
   int64_t miss_ci_batch = 200;

@@ -7,15 +7,11 @@
 namespace rtq::harness {
 
 void MetricsStreamer::Emit(engine::Rtdbs& sys, double wall_seconds) {
-  const auto& records = sys.metrics().records();
-  int64_t d_completed = 0;
-  int64_t d_missed = 0;
-  for (; record_cursor_ < records.size(); ++record_cursor_) {
-    ++d_completed;
-    if (records[record_cursor_].info.missed) ++d_missed;
-  }
-  cum_missed_ += d_missed;
-  auto completed = static_cast<int64_t>(records.size());
+  const engine::ClassSummary overall = sys.metrics().Overall();
+  const int64_t d_completed = overall.completions - last_completed_;
+  const int64_t d_missed = overall.misses - last_missed_;
+  last_completed_ = overall.completions;
+  last_missed_ = overall.misses;
 
   uint64_t events = sys.simulator().events_dispatched();
   double d_wall = wall_seconds - last_wall_;
@@ -42,12 +38,9 @@ void MetricsStreamer::Emit(engine::Rtdbs& sys, double wall_seconds) {
   w.Key("admitted").Int(mm.admitted_count());
   w.Key("waiting").Int(mm.waiting_count());
   w.Key("generated").Int(sys.arrivals().generated());
-  w.Key("completed").Int(completed);
-  w.Key("missed").Int(cum_missed_);
-  w.Key("miss_ratio")
-      .Number(completed > 0
-                  ? static_cast<double>(cum_missed_) / completed
-                  : 0.0);
+  w.Key("completed").Int(overall.completions);
+  w.Key("missed").Int(overall.misses);
+  w.Key("miss_ratio").Number(overall.miss_ratio);
   w.Key("d_completed").Int(d_completed);
   w.Key("d_missed").Int(d_missed);
   if (shard_ >= 0) w.Key("routed_elsewhere").Int(sys.routed_elsewhere());

@@ -5,8 +5,8 @@
 // emission, appended to a stream, parseable with nothing smarter than
 // line-splitting (`jq`, `grep`, a dashboard tailer). Each line carries
 // cumulative counters plus deltas over the window since the previous
-// line, computed incrementally — emission cost does not grow with run
-// length, so a soak test can stream for hours.
+// line, read from the engine's running metrics summary — emission cost
+// does not grow with run length, so a soak test can stream for hours.
 //
 // Line schema (field order fixed; schema bumps on any change):
 //   {"schema":"rtq-serve-metrics-3",["shard":<i>,]"t":<sim seconds>,
@@ -41,7 +41,7 @@ class MetricsStreamer {
  public:
   /// Streams to `out` (not owned; typically stdout or a log file).
   /// `shard` >= 0 tags every line with that shard index (one streamer
-  /// per shard keeps the incremental cursors independent); -1 omits the
+  /// per shard keeps the delta baselines independent); -1 omits the
   /// sharding fields.
   explicit MetricsStreamer(std::FILE* out, int32_t shard = -1)
       : out_(out), shard_(shard) {}
@@ -55,9 +55,9 @@ class MetricsStreamer {
  private:
   std::FILE* out_;
   int32_t shard_ = -1;
-  /// Incremental cursor into MetricsCollector::records().
-  size_t record_cursor_ = 0;
-  int64_t cum_missed_ = 0;
+  /// Totals at the previous line, the baselines of its deltas.
+  int64_t last_completed_ = 0;
+  int64_t last_missed_ = 0;
   uint64_t last_events_ = 0;
   double last_wall_ = 0.0;
   int64_t lines_ = 0;

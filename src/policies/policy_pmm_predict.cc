@@ -48,7 +48,7 @@
 //                                    conf=0.5)
 //         "pmm-predict:window=8,lead=3,band=0.2,conf=0.6"
 //
-// Ticks arrive at the engine's MPL-sampler cadence
+// Ticks arrive at the engine's tick cadence
 // (SystemConfig::mpl_sample_interval); a host that never ticks is
 // rejected at Attach, like pmm-tick. Registers from its own translation
 // unit: no edits under src/engine/.

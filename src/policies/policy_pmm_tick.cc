@@ -14,11 +14,11 @@
 // batching ("pmm-tick") with every other mechanism held fixed.
 //
 //   spec: "pmm-tick"            (period = 60000 ms, one default engine
-//                                sampler interval)
+//                                tick interval)
 //         "pmm-tick:ms=120000"  (flush every 2 simulated minutes)
 //         "pmm-tick:ms=0"       (no buffering: bit-identical to "pmm")
 //
-// Ticks arrive at the engine's MPL-sampler cadence
+// Ticks arrive at the engine's tick cadence
 // (SystemConfig::mpl_sample_interval), so the effective flush period is
 // `ms` rounded up to the next tick. A period of 0 bypasses the buffer
 // entirely, which pins the degenerate case to plain PMM by test.
@@ -45,7 +45,7 @@ class PmmTickPolicy : public MemoryPolicy {
   Status Attach(const PolicyHost& host) override {
     RTQ_RETURN_IF_ERROR(host.pmm.Validate());
     if (period_ms_ > 0 && host.tick_interval <= 0.0) {
-      // With the sampler disabled OnTick never fires: completions would
+      // With ticks disabled OnTick never fires: completions would
       // buffer forever and the controller would never adapt. Fail loud
       // instead of silently running as never-adapting Max.
       return Status::FailedPrecondition(

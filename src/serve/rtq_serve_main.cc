@@ -71,8 +71,8 @@ double WallNow() {
 
 struct ServeState {
   std::unique_ptr<ServeSession> session;
-  /// One streamer per shard, so each shard's incremental record cursor
-  /// advances independently.
+  /// One streamer per shard, so each shard's delta baselines advance
+  /// independently.
   std::vector<rtq::harness::MetricsStreamer> streamers;
   int64_t metrics_every = 20000;
   uint64_t next_metrics = 0;
@@ -80,8 +80,8 @@ struct ServeState {
   bool quit = false;
 
   void ResetStreamer() {
-    // A restored session replays history from event zero, so the
-    // incremental record cursors must restart too.
+    // A restored session replays history from event zero, so the delta
+    // baselines must restart too.
     streamers.clear();
     const int32_t shards = session->cluster().num_shards();
     for (int32_t s = 0; s < shards; ++s) {

@@ -110,10 +110,10 @@ bool Verdict(const std::string& label, uint64_t delta_calls,
   return true;
 }
 
-/// Completion records to pre-size per engine. The metrics buffers grow
-/// with completions for the whole run; they are the one unbounded
-/// recorder, so the host pre-sizes them (exactly what a production
-/// harness with a known horizon does).
+/// Completion records to pre-size per engine. The record buffer grows
+/// with completions for the whole run; it is the one unbounded recorder,
+/// so the host pre-sizes it (exactly what a production harness with a
+/// known horizon does).
 size_t ReservedCompletions() {
   double total_horizon =
       kWarmupSimSeconds + static_cast<double>(kMeasuredEvents);  // generous
@@ -129,8 +129,7 @@ bool RunGate(const std::string& spec) {
     return false;
   }
   auto& sys = *sys_or.value();
-  const size_t completions = ReservedCompletions();
-  sys.mutable_metrics().Reserve(completions, completions);
+  sys.mutable_metrics().Reserve(ReservedCompletions());
 
   sys.RunUntil(kWarmupSimSeconds);
   for (int64_t i = 0; i < kWarmupEvents; ++i) {
@@ -168,10 +167,8 @@ std::unique_ptr<rtq::engine::ShardedRtdbs> MakeCluster(
                  sys_or.status().message().c_str());
     return nullptr;
   }
-  const size_t completions = ReservedCompletions();
   for (int32_t s = 0; s < kShards; ++s) {
-    sys_or.value()->shard(s).mutable_metrics().Reserve(completions,
-                                                       completions);
+    sys_or.value()->shard(s).mutable_metrics().Reserve(ReservedCompletions());
   }
   return std::move(sys_or).value();
 }

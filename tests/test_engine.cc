@@ -143,16 +143,6 @@ TEST(Engine, PmmAdaptsDuringRun) {
   EXPECT_EQ(pmm->mode(), core::PmmController::Mode::kMinMax);
 }
 
-TEST(Engine, MplSamplerCollectsTrace) {
-  SystemConfig config = SmallConfig("minmax");
-  config.mpl_sample_interval = 30.0;
-  auto sys = Rtdbs::Create(config);
-  ASSERT_TRUE(sys.ok());
-  sys.value()->RunUntil(1500.0);
-  EXPECT_NEAR(static_cast<double>(sys.value()->metrics().mpl_samples().size()),
-              50.0, 2.0);
-}
-
 TEST(Engine, MaxFluctuatesFarLessThanMinMax) {
   // Under Max a started query only ever toggles between its maximum and
   // zero (suspension by a more urgent arrival), so fluctuation counts

@@ -19,14 +19,13 @@ CompletionRecord Rec(QueryId id, int32_t cls, bool missed, SimTime finish,
 }
 
 TEST(Metrics, SummarizeAggregates) {
-  MetricsCollector m(10);
+  MetricsCollector m(2, 10);
   m.Record(Rec(1, 0, false, 10.0, 2.0, 8.0, 1));
   m.Record(Rec(2, 0, true, 20.0, 4.0, 10.0, 3));
   m.Record(Rec(3, 1, false, 30.0, 6.0, 12.0, 5));
 
-  ClassSummary overall;
-  std::vector<ClassSummary> per_class;
-  m.Summarize(2, &overall, &per_class);
+  ClassSummary overall = m.Overall();
+  std::vector<ClassSummary> per_class = m.PerClass();
 
   EXPECT_EQ(overall.completions, 3);
   EXPECT_EQ(overall.misses, 1);
@@ -44,16 +43,16 @@ TEST(Metrics, SummarizeAggregates) {
 }
 
 TEST(Metrics, EmptySummarize) {
-  MetricsCollector m(10);
-  ClassSummary overall;
-  std::vector<ClassSummary> per_class;
-  m.Summarize(1, &overall, &per_class);
+  MetricsCollector m(1, 10);
+  ClassSummary overall = m.Overall();
   EXPECT_EQ(overall.completions, 0);
   EXPECT_DOUBLE_EQ(overall.miss_ratio, 0.0);
+  ASSERT_EQ(m.PerClass().size(), 1u);
+  EXPECT_EQ(m.PerClass()[0].completions, 0);
 }
 
 TEST(Metrics, WindowSummaryFiltersByTimeAndClass) {
-  MetricsCollector m(10);
+  MetricsCollector m(1, 10);
   m.Record(Rec(1, 0, true, 5.0, 0, 1));
   m.Record(Rec(2, 0, false, 15.0, 0, 1));
   m.Record(Rec(3, 1, true, 16.0, 0, 1));
@@ -71,7 +70,7 @@ TEST(Metrics, WindowSummaryFiltersByTimeAndClass) {
 }
 
 TEST(Metrics, MplTimeAverage) {
-  MetricsCollector m(10);
+  MetricsCollector m(1, 10);
   m.UpdateMpl(0.0, 0);
   m.UpdateMpl(10.0, 4);   // 0 for [0,10)
   m.UpdateMpl(30.0, 2);   // 4 for [10,30)
@@ -80,7 +79,7 @@ TEST(Metrics, MplTimeAverage) {
 }
 
 TEST(Metrics, MissCiReflectsStream) {
-  MetricsCollector m(5);
+  MetricsCollector m(1, 5);
   for (int i = 0; i < 100; ++i) {
     m.Record(Rec(static_cast<QueryId>(i), 0, i % 4 == 0, i, 0, 1));
   }
@@ -90,22 +89,12 @@ TEST(Metrics, MissCiReflectsStream) {
   EXPECT_GT(ci.half_width, 0.0);
 }
 
-TEST(Metrics, MplSamplesAccumulate) {
-  MetricsCollector m(10);
-  m.SampleMpl(60.0, 3);
-  m.SampleMpl(120.0, 5);
-  ASSERT_EQ(m.mpl_samples().size(), 2u);
-  EXPECT_DOUBLE_EQ(m.mpl_samples()[1].time, 120.0);
-  EXPECT_DOUBLE_EQ(m.mpl_samples()[1].value, 5.0);
-}
-
 TEST(Metrics, RecordsOutsideClassRangeFoldIntoOverallOnly) {
-  MetricsCollector m(10);
+  MetricsCollector m(2, 10);
   m.Record(Rec(1, 5, false, 1.0, 0, 1));  // class 5 but only 2 tracked
-  ClassSummary overall;
-  std::vector<ClassSummary> per_class;
-  m.Summarize(2, &overall, &per_class);
-  EXPECT_EQ(overall.completions, 1);
+  std::vector<ClassSummary> per_class = m.PerClass();
+  EXPECT_EQ(m.Overall().completions, 1);
+  ASSERT_EQ(per_class.size(), 2u);
   EXPECT_EQ(per_class[0].completions, 0);
   EXPECT_EQ(per_class[1].completions, 0);
 }

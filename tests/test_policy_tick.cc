@@ -1,7 +1,7 @@
 // OnTick contract tests: the time-triggered half of the MemoryPolicy
 // lifecycle, unexercised until pmm-tick.
 //
-//  * Ticks reach the policy at the engine's configured MPL-sampler
+//  * Ticks reach the policy at the engine's configured tick
 //    cadence (SystemConfig::mpl_sample_interval), on the exact grid.
 //  * "pmm-tick:ms=0" bypasses the completion buffer and is bit-identical
 //    to plain "pmm".
@@ -119,7 +119,7 @@ TEST(OnTickContract, DisabledSamplerMeansNoTicks) {
 }
 
 TEST(OnTickContract, PmmTickRejectsHostsThatNeverTick) {
-  // A positive batching period on a host with the sampler disabled
+  // A positive batching period on a host with ticks disabled
   // would buffer completions forever; Attach must fail loud.
   engine::SystemConfig config =
       harness::BaselineConfig(0.06, {"pmm-tick:ms=60000"}, 42);
