@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <tuple>
 
 #include "core/memory_manager.h"
 #include "core/memory_policy.h"
@@ -14,9 +13,12 @@
 #include "core/strategy.h"
 #include "engine/rtdbs.h"
 #include "harness/paper_experiments.h"
+#include "run_fingerprint.h"
 
 namespace rtq::core {
 namespace {
+
+using test_util::Fingerprint;
 
 // ---------------------------------------------------------------------------
 // RemainingEstimate: the progress credit behind edf-shed and oracle-ed.
@@ -85,17 +87,6 @@ TEST(PredictivePolicies, SelectNeedsTicksOnlyWithMultipleCandidates) {
 // ---------------------------------------------------------------------------
 // Degenerate identities: select with a single candidate is the candidate.
 // ---------------------------------------------------------------------------
-
-/// Fingerprint of a short run, for trajectory-identity checks.
-std::tuple<uint64_t, int64_t, int64_t, double> Fingerprint(
-    const engine::SystemConfig& config, SimTime horizon) {
-  auto sys = engine::Rtdbs::Create(config);
-  RTQ_CHECK(sys.ok());
-  sys.value()->RunUntil(horizon);
-  engine::SystemSummary s = sys.value()->Summarize();
-  return {s.events_dispatched, s.overall.completions, s.overall.misses,
-          s.overall.avg_exec};
-}
 
 TEST(PredictivePolicies, SingleCandidateSelectIsTheCandidateBare) {
   // With one arm the bandit never runs: same events, same completions,

@@ -16,14 +16,16 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <tuple>
 
 #include "core/policy_registry.h"
 #include "engine/rtdbs.h"
 #include "harness/paper_experiments.h"
+#include "run_fingerprint.h"
 
 namespace rtq::core {
 namespace {
+
+using test_util::Fingerprint;
 
 /// Two workload classes so the per-class policies (pmm-fair, pmm-class)
 /// exercise their real code paths.
@@ -31,15 +33,8 @@ engine::SystemConfig PropertyConfig(const std::string& spec) {
   return harness::MulticlassConfig(0.4, {spec}, /*seed=*/42);
 }
 
-std::tuple<uint64_t, int64_t, int64_t, double> Fingerprint(
-    const std::string& spec) {
-  auto sys = engine::Rtdbs::Create(PropertyConfig(spec));
-  RTQ_CHECK(sys.ok());
-  sys.value()->RunUntil(900.0);
-  engine::SystemSummary s = sys.value()->Summarize();
-  return {s.events_dispatched, s.overall.completions, s.overall.misses,
-          s.overall.avg_exec};
-}
+/// Simulated seconds each spec's trajectory is fingerprinted over.
+constexpr SimTime kHorizon = 900.0;
 
 TEST(PolicyProperty, EveryRegisteredPolicyIsCreatableBare) {
   for (const std::string& name : PolicyRegistry::Global().Names()) {
@@ -68,14 +63,14 @@ TEST(PolicyProperty, CanonicalSpecReproducesTheOriginalTrajectory) {
     auto policy = PolicyRegistry::Global().Create(name);
     ASSERT_TRUE(policy.ok());
     std::string canonical = policy.value()->Describe();
-    auto original = Fingerprint(name);
+    auto original = Fingerprint(PropertyConfig(name), kHorizon);
     if (canonical != name) {
-      EXPECT_EQ(original, Fingerprint(canonical)) << name << " vs "
-                                                  << canonical;
+      EXPECT_EQ(original, Fingerprint(PropertyConfig(canonical), kHorizon))
+          << name << " vs " << canonical;
     }
     // Determinism backstop: the same spec reruns identically, so the
     // comparison above cannot pass by accident.
-    EXPECT_EQ(original, Fingerprint(name));
+    EXPECT_EQ(original, Fingerprint(PropertyConfig(name), kHorizon));
   }
 }
 

@@ -9,9 +9,12 @@
 
 #include "engine/rtdbs.h"
 #include "harness/paper_experiments.h"
+#include "run_fingerprint.h"
 
 namespace rtq::core {
 namespace {
+
+using test_util::Fingerprint;
 
 TEST(PolicySpec, ParsesNameAndArgs) {
   auto plain = Spec::Parse("pmm");
@@ -186,16 +189,8 @@ engine::SystemConfig ShimConfig(engine::PolicyConfig policy) {
   return harness::BaselineConfig(0.06, policy, /*seed=*/42);
 }
 
-/// Runs a short baseline simulation and fingerprints its trajectory.
-std::tuple<uint64_t, int64_t, int64_t, double> Fingerprint(
-    const engine::SystemConfig& config) {
-  auto sys = engine::Rtdbs::Create(config);
-  RTQ_CHECK(sys.ok());
-  sys.value()->RunUntil(1200.0);
-  engine::SystemSummary s = sys.value()->Summarize();
-  return {s.events_dispatched, s.overall.completions, s.overall.misses,
-          s.overall.avg_exec};
-}
+/// Simulated seconds of the runs whose trajectories are fingerprinted.
+constexpr SimTime kHorizon = 1200.0;
 
 TEST(PolicyKindShim, EnumAndSpecConfigsProduceIdenticalRuns) {
   struct Case {
@@ -217,8 +212,8 @@ TEST(PolicyKindShim, EnumAndSpecConfigsProduceIdenticalRuns) {
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.spec);
-    const auto [events, completions, misses, avg_exec] =
-        Fingerprint(ShimConfig({c.spec}));
+    const auto [events, completions, misses, avg_exec, avg_wait] =
+        Fingerprint(ShimConfig({c.spec}), kHorizon);
     EXPECT_EQ(events, c.events);
     EXPECT_EQ(completions, c.completions);
     EXPECT_EQ(misses, c.misses);
@@ -271,7 +266,8 @@ TEST(PluginPolicies, PmmClassWithoutTargetsDegeneratesToPmm) {
   // the trajectory is bit-identical to plain PMM.
   auto config_pmm = harness::MulticlassConfig(0.8, {"pmm"}, 42);
   auto config_class = harness::MulticlassConfig(0.8, {"pmm-class"}, 42);
-  EXPECT_EQ(Fingerprint(config_pmm), Fingerprint(config_class));
+  EXPECT_EQ(Fingerprint(config_pmm, kHorizon),
+            Fingerprint(config_class, kHorizon));
 }
 
 TEST(PluginPolicies, PmmClassQuotaBoundsTheRealizedMpl) {
@@ -309,8 +305,9 @@ TEST(PluginPolicies, EdfShedNeverSpendsOnInfeasibleQueries) {
 TEST(PluginPolicies, OracleBeatsMaxUnderOverload) {
   // Under heavy overload the clairvoyant filter should waste no memory
   // on doomed queries, so it cannot do worse than plain Max.
-  auto oracle = Fingerprint(harness::BaselineConfig(0.12, {"oracle-ed"}));
-  auto max = Fingerprint(harness::BaselineConfig(0.12, {"max"}));
+  auto oracle =
+      Fingerprint(harness::BaselineConfig(0.12, {"oracle-ed"}), kHorizon);
+  auto max = Fingerprint(harness::BaselineConfig(0.12, {"max"}), kHorizon);
   EXPECT_LE(std::get<2>(oracle), std::get<2>(max));
 }
 

@@ -28,9 +28,12 @@
 #include "core/strategy.h"
 #include "engine/rtdbs.h"
 #include "harness/paper_experiments.h"
+#include "run_fingerprint.h"
 
 namespace rtq::core {
 namespace {
+
+using test_util::Fingerprint;
 
 /// Tick times recorded by every TickProbePolicy in this process. A
 /// local-admission cluster runs its shards' probe instances on different
@@ -131,17 +134,6 @@ TEST(OnTickContract, PmmTickRejectsHostsThatNeverTick) {
   // ms=0 never uses the buffer, so it works on a tickless host.
   config.policy = {"pmm-tick:ms=0"};
   EXPECT_TRUE(engine::Rtdbs::Create(config).ok());
-}
-
-/// Fingerprint of a short run, for trajectory-identity checks.
-std::tuple<uint64_t, int64_t, int64_t, double> Fingerprint(
-    const engine::SystemConfig& config, SimTime horizon) {
-  auto sys = engine::Rtdbs::Create(config);
-  RTQ_CHECK(sys.ok());
-  sys.value()->RunUntil(horizon);
-  engine::SystemSummary s = sys.value()->Summarize();
-  return {s.events_dispatched, s.overall.completions, s.overall.misses,
-          s.overall.avg_exec};
 }
 
 TEST(OnTickContract, ZeroPeriodPmmTickDegeneratesToPmm) {

@@ -20,16 +20,18 @@
 
 #include <memory>
 #include <string>
-#include <tuple>
 
 #include "engine/rtdbs.h"
 #include "harness/paper_experiments.h"
 #include "harness/runner.h"
+#include "run_fingerprint.h"
 #include "workload/scenario.h"
 #include "workload/trace.h"
 
 namespace rtq::workload {
 namespace {
+
+using test_util::Fingerprint;
 
 constexpr SimTime kHorizon = 900.0;
 
@@ -41,18 +43,6 @@ std::string ShortSpec(const std::string& name) {
   if (name == "burst") return "burst:tlo=300,thi=100";
   if (name == "mixshift") return "mixshift:interval=300,intervals=3";
   return name;
-}
-
-using EngineFingerprint = std::tuple<uint64_t, int64_t, int64_t, double,
-                                     double>;
-
-EngineFingerprint Fingerprint(const engine::SystemConfig& config) {
-  auto sys = engine::Rtdbs::Create(config);
-  RTQ_CHECK_MSG(sys.ok(), sys.status().ToString().c_str());
-  sys.value()->RunUntil(kHorizon);
-  engine::SystemSummary s = sys.value()->Summarize();
-  return {s.events_dispatched, s.overall.completions, s.overall.misses,
-          s.overall.avg_exec, s.overall.avg_wait};
 }
 
 TEST(ScenarioRegistry, EveryRegisteredScenarioIsCreatableBare) {
@@ -149,7 +139,7 @@ TEST(ScenarioProperty, TraceReplayReproducesLiveGenerationBitIdentically) {
 
     // Bit-identical trajectory, including the exact event count: the
     // replay schedules the same arrivals at the same instants.
-    EXPECT_EQ(Fingerprint(live), Fingerprint(replay));
+    EXPECT_EQ(Fingerprint(live, kHorizon), Fingerprint(replay, kHorizon));
   }
 }
 
