@@ -15,65 +15,43 @@ bool EventQueue::Cancel(EventId id) {
   Slot& s = slots_[slot];
   if (s.gen != gen) return false;  // already fired, cancelled, or recycled
   s.cb = nullptr;
-  ++s.gen;  // odd -> even: slot is free; the heap entry is now stale
+  ++s.gen;  // odd -> even: slot is free; its entry is now stale
   free_slots_.push_back(slot);
   --live_count_;
   return true;
 }
 
-void EventQueue::SiftUp(size_t i) const {
-  HeapEntry e = heap_[i];
-  while (i > 0) {
-    size_t parent = (i - 1) / kArity;
-    if (!Before(e, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
+void EventQueue::Insert(const Entry& e) {
+  // Walk back over the entries due at or before e.time; if the walk
+  // runs out, binary-search the rest. The run is sorted latest-first, so
+  // the entries due after e form a prefix.
+  auto pos = run_.end();
+  const auto walk_end = run_.size() > kWalk ? pos - kWalk : run_.begin();
+  while (pos != walk_end && (pos - 1)->time <= e.time) --pos;
+  if (pos == walk_end && pos != run_.begin()) {
+    auto due_after = [&e](const Entry& x) { return x.time > e.time; };
+    pos = std::partition_point(run_.begin(), pos, due_after);
   }
-  heap_[i] = e;
-}
-
-void EventQueue::SiftDown(size_t i) const {
-  HeapEntry e = heap_[i];
-  const size_t n = heap_size_;
-  for (;;) {
-    size_t first_child = i * kArity + 1;
-    if (first_child >= n) break;
-    size_t last_child = first_child + kArity;
-    if (last_child > n) last_child = n;
-    size_t best = first_child;
-    for (size_t c = first_child + 1; c < last_child; ++c) {
-      if (Before(heap_[c], heap_[best])) best = c;
-    }
-    if (!Before(heap_[best], e)) break;
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = e;
-}
-
-void EventQueue::PopRoot() const {
-  heap_[0] = heap_[--heap_size_];
-  if (heap_size_ != 0) SiftDown(0);
+  run_.insert(pos, e);
 }
 
 void EventQueue::SkimCancelled() const {
-  while (heap_size_ != 0 && Stale(heap_[0])) PopRoot();
+  while (!run_.empty() && Stale(run_.back())) run_.pop_back();
 }
 
 std::vector<std::pair<SimTime, uint64_t>> EventQueue::ExportPending() const {
   std::vector<std::pair<SimTime, uint64_t>> pending;
   pending.reserve(live_count_);
-  for (size_t i = 0; i < heap_size_; ++i) {
-    if (!Stale(heap_[i])) pending.emplace_back(heap_[i].time, heap_[i].seq);
+  for (auto it = run_.rbegin(); it != run_.rend(); ++it) {
+    if (!Stale(*it)) pending.emplace_back(it->time, it->seq);
   }
-  std::sort(pending.begin(), pending.end());
   return pending;
 }
 
 SimTime EventQueue::PeekTime() const {
   SkimCancelled();
-  RTQ_CHECK_MSG(heap_size_ != 0, "PeekTime on empty queue");
-  return heap_[0].time;
+  RTQ_CHECK_MSG(!run_.empty(), "PeekTime on empty queue");
+  return run_.back().time;
 }
 
 std::pair<SimTime, EventQueue::Callback> EventQueue::Pop() {
@@ -84,16 +62,16 @@ std::pair<SimTime, EventQueue::Callback> EventQueue::Pop() {
 
 SimTime EventQueue::PopInto(Callback* cb) {
   SkimCancelled();
-  RTQ_CHECK_MSG(heap_size_ != 0, "Pop on empty queue");
-  const HeapEntry top = heap_[0];
-  Slot& s = slots_[top.slot];
-  RTQ_DCHECK(s.gen == top.gen);
+  RTQ_CHECK_MSG(!run_.empty(), "Pop on empty queue");
+  const Entry next = run_.back();
+  run_.pop_back();
+  Slot& s = slots_[next.slot];
+  RTQ_DCHECK(s.gen == next.gen);
   *cb = std::move(s.cb);  // leaves the slot's callback empty
   ++s.gen;  // odd -> even: recycle the slot
-  free_slots_.push_back(top.slot);
+  free_slots_.push_back(next.slot);
   --live_count_;
-  PopRoot();
-  return top.time;
+  return next.time;
 }
 
 }  // namespace rtq::sim
