@@ -88,6 +88,45 @@ BENCHMARK(BM_EventQueueChurn)
     ->Args({1024, 50})
     ->Args({16384, 5});
 
+// The engine's calendar traffic (sim/event_queue.h): a few query
+// streams alternate a CPU burst, due almost at once, with a page I/O due
+// within 50 ms, so most inserts land at or near the back of the
+// calendar. Every 256 events a query arrives with a deadline 10-100 s
+// out, and the deadline set one lap of the ring earlier is cancelled (a
+// no-op if it already fired). Arg: events at the start, the streams plus
+// the ring of deadlines.
+void BM_EventQueueEngineTraffic(benchmark::State& state) {
+  constexpr size_t kStreams = 4;
+  constexpr uint64_t kEventsPerArrival = 256;
+  enum Kind { kDeadline, kCpu, kIo };
+  rtq::Rng rng(12);
+  rtq::sim::EventQueue q;
+  Kind fired = kDeadline;
+  auto schedule = [&](double when, Kind kind) {
+    return q.Schedule(when, [&fired, kind] { fired = kind; });
+  };
+  std::vector<rtq::sim::EventId> deadlines(
+      static_cast<size_t>(state.range(0)) - kStreams);
+  for (auto& id : deadlines) id = schedule(rng.Uniform(10.0, 100.0), kDeadline);
+  for (size_t i = 0; i < kStreams; ++i) schedule(rng.Uniform(0.0, 0.05), kIo);
+  rtq::sim::EventQueue::Callback cb;
+  size_t oldest = 0;
+  uint64_t events = 0;
+  for (auto _ : state) {
+    double now = q.PopInto(&cb);
+    cb();
+    if (fired == kIo) schedule(now + rng.Uniform(0.0, 0.001), kCpu);
+    if (fired == kCpu) schedule(now + rng.Uniform(0.0, 0.05), kIo);
+    if (++events % kEventsPerArrival == 0) {
+      q.Cancel(deadlines[oldest]);
+      deadlines[oldest] = schedule(now + rng.Uniform(10.0, 100.0), kDeadline);
+      oldest = (oldest + 1) % deadlines.size();
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueEngineTraffic)->Arg(32)->Arg(80);
+
 void BM_QuadraticFit(benchmark::State& state) {
   rtq::Rng rng(3);
   std::vector<std::pair<double, double>> points;
