@@ -33,7 +33,9 @@ class Fnv1a64 {
   /// digest does not depend on host endianness.
   void Update64(uint64_t v) {
     unsigned char bytes[8];
-    for (int i = 0; i < 8; ++i) bytes[i] = static_cast<unsigned char>(v >> (8 * i));
+    for (int i = 0; i < 8; ++i) {
+      bytes[i] = static_cast<unsigned char>(v >> (8 * i));
+    }
     Update(bytes, 8);
   }
 

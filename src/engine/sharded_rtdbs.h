@@ -91,7 +91,9 @@ class ShardedRtdbs {
 
   int32_t num_shards() const { return static_cast<int32_t>(shards_.size()); }
   Rtdbs& shard(int32_t s) { return *shards_[static_cast<size_t>(s)]; }
-  const Rtdbs& shard(int32_t s) const { return *shards_[static_cast<size_t>(s)]; }
+  const Rtdbs& shard(int32_t s) const {
+    return *shards_[static_cast<size_t>(s)];
+  }
   const ShardConfig& shard_config() const { return shard_config_; }
   const workload::ShardPlacement& placement() const { return *placement_; }
   /// Null under local admission.

@@ -325,7 +325,9 @@ void HashJoin::Step() {
                      (cleanup_r_cursor_ % r_temp_->pages);
       cleanup_r_cursor_ += cur_block_;
       phase_ = Phase::kCleanupCpuR;
-      StepRead(r_temp_->disk, at, std::min(cur_block_, r_temp_->pages - (at - r_temp_->start_page)));
+      StepRead(
+          r_temp_->disk, at,
+          std::min(cur_block_, r_temp_->pages - (at - r_temp_->start_page)));
       return;
     }
 
@@ -351,7 +353,9 @@ void HashJoin::Step() {
                      (cleanup_s_cursor_ % s_temp_->pages);
       cleanup_s_cursor_ += cur_block_;
       phase_ = Phase::kCleanupCpuS;
-      StepRead(s_temp_->disk, at, std::min(cur_block_, s_temp_->pages - (at - s_temp_->start_page)));
+      StepRead(
+          s_temp_->disk, at,
+          std::min(cur_block_, s_temp_->pages - (at - s_temp_->start_page)));
       return;
     }
 

@@ -100,7 +100,8 @@ std::string PolicyLabel(const engine::PolicyConfig& policy);
 /// Table header row for a policy sweep: `first` followed by one
 /// PolicyLabel column per policy.
 std::vector<std::string> PolicyColumns(
-    const std::string& first, const std::vector<engine::PolicyConfig>& policies);
+    const std::string& first,
+    const std::vector<engine::PolicyConfig>& policies);
 
 }  // namespace rtq::harness
 
