@@ -1,5 +1,6 @@
 #include "core/memory_manager.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -32,11 +33,18 @@ void MemoryManager::SetAdmissionGate(AdmissionGate* gate) {
   cache_valid_ = false;
 }
 
-void MemoryManager::SetAllocation(Entry& entry, PageCount pages) {
-  allocated_sum_ += pages - entry.allocation;
-  admitted_count_ += (pages > 0) - (entry.allocation > 0);
-  entry.allocation = pages;
-  apply_(entry.request.id, pages);
+size_t MemoryManager::IndexOf(QueryId id) const {
+  size_t i = 0;
+  while (i < queries_.size() && queries_[i].id != id) ++i;
+  return i;
+}
+
+void MemoryManager::SetAllocation(size_t index, PageCount pages) {
+  PageCount& held = allocations_[index];
+  allocated_sum_ += pages - held;
+  admitted_count_ += (pages > 0) - (held > 0);
+  held = pages;
+  apply_(queries_[index].id, pages);
 }
 
 bool MemoryManager::InsertIsStable(const EdKey& key,
@@ -47,7 +55,7 @@ bool MemoryManager::InsertIsStable(const EdKey& key,
     return false;  // the strategy might grant it something
   }
   if (frontier_is_end_) {
-    return !queries_.empty() && queries_.rbegin()->first < key;
+    return !queries_.empty() && KeyOf(queries_.back()) < key;
   }
   return frontier_key_ < key;
 }
@@ -58,15 +66,15 @@ void MemoryManager::AddQuery(const MemRequest& request) {
                 "invalid memory demands");
   RTQ_CHECK_MSG(request.max_memory <= total_,
                 "query demands more memory than the machine has");
-  EdKey key{request.deadline, request.id};
+  RTQ_CHECK_MSG(IndexOf(request.id) == queries_.size(), "duplicate query id");
+  const EdKey key = KeyOf(request);
   // Decide the fast path before the insert mutates the ED order.
   bool stable = InsertIsStable(key, request);
-  auto [id_it, id_inserted] = by_id_.emplace(request.id, key);
-  RTQ_CHECK_MSG(id_inserted, "duplicate query id");
-  (void)id_it;
-  auto [it, inserted] = queries_.emplace(key, Entry{request, 0});
-  RTQ_CHECK(inserted);
-  (void)it;
+  auto at = std::upper_bound(
+      queries_.begin(), queries_.end(), key,
+      [](const EdKey& k, const MemRequest& r) { return k < KeyOf(r); });
+  allocations_.insert(allocations_.begin() + (at - queries_.begin()), 0);
+  queries_.insert(at, request);
   // Fast path: the request parks in the denied tail with no allocation
   // and nobody else moves; the cached hint stays valid (the admission
   // frontier is untouched). No apply callbacks would have fired.
@@ -75,21 +83,19 @@ void MemoryManager::AddQuery(const MemRequest& request) {
 }
 
 void MemoryManager::RemoveQuery(QueryId id) {
-  auto id_it = by_id_.find(id);
-  RTQ_CHECK_MSG(id_it != by_id_.end(), "RemoveQuery: unknown query");
-  auto it = queries_.find(id_it->second);
-  RTQ_DCHECK(it != queries_.end());
-  PageCount held = it->second.allocation;
+  const size_t at = IndexOf(id);
+  RTQ_CHECK_MSG(at < queries_.size(), "RemoveQuery: unknown query");
+  PageCount held = allocations_[at];
   // Fast path: dropping a zero-allocation query from strictly behind the
   // admission frontier cannot move the frontier or free memory, so every
   // other allocation is provably unchanged.
   bool stable = !reallocating_ && cache_valid_ && held == 0 &&
-                !frontier_is_end_ && frontier_key_ < it->first;
+                !frontier_is_end_ && frontier_key_ < KeyOf(queries_[at]);
   if (gate_ != nullptr && held > 0) gate_->Release();
   allocated_sum_ -= held;
   admitted_count_ -= held > 0;
-  queries_.erase(it);
-  by_id_.erase(id_it);
+  queries_.erase(queries_.begin() + at);
+  allocations_.erase(allocations_.begin() + at);
   // Tell the receiver the query's pages are gone before anyone else
   // is granted them (keeps external accounting conservative).
   if (held > 0) apply_(id, 0);
@@ -110,28 +116,18 @@ void MemoryManager::Reallocate() {
     cache_valid_ = false;
     ++recomputes_;
 
-    ed_scratch_.clear();
-    key_scratch_.clear();
-    ed_scratch_.reserve(queries_.size());
-    key_scratch_.reserve(queries_.size());
-    for (const auto& [key, entry] : queries_) {
-      ed_scratch_.push_back(entry.request);
-      key_scratch_.push_back(key);
-    }
-
     StableTailHint hint;
-    strategy_->AllocateInto(ed_scratch_, total_, &alloc_scratch_, &hint);
-    const AllocationVector& alloc = alloc_scratch_;
-    RTQ_CHECK(alloc.size() == ed_scratch_.size());
+    strategy_->AllocateInto(queries_, total_, &alloc_scratch_, &hint);
+    AllocationVector& alloc = alloc_scratch_;
+    const size_t n = queries_.size();
+    RTQ_CHECK(alloc.size() == n);
 
-    size_t i = 0;
     PageCount sum = 0;
-    for (auto& [key, entry] : queries_) {
+    for (size_t i = 0; i < n; ++i) {
       RTQ_CHECK_MSG(alloc[i] >= 0, "negative allocation from strategy");
-      RTQ_CHECK_MSG(alloc[i] <= entry.request.max_memory,
+      RTQ_CHECK_MSG(alloc[i] <= queries_[i].max_memory,
                     "strategy exceeded a query's maximum");
       sum += alloc[i];
-      ++i;
     }
     RTQ_CHECK_MSG(sum <= total_, "strategy oversubscribed the pool");
 
@@ -140,30 +136,25 @@ void MemoryManager::Reallocate() {
     // refused queries are vetoed back to zero (the strategy's pages for
     // them simply go unused this round; they retry on every recompute).
     if (gate_ != nullptr) {
-      size_t i = 0;
-      for (auto& [key, entry] : queries_) {
-        if (alloc[i] == 0 && entry.allocation > 0) gate_->Release();
-        ++i;
+      for (size_t i = 0; i < n; ++i) {
+        if (alloc[i] == 0 && allocations_[i] > 0) gate_->Release();
       }
-      i = 0;
-      for (auto& [key, entry] : queries_) {
-        if (alloc[i] > 0 && entry.allocation == 0 && !gate_->TryAcquire()) {
-          alloc_scratch_[i] = 0;
+      for (size_t i = 0; i < n; ++i) {
+        if (alloc[i] > 0 && allocations_[i] == 0 && !gate_->TryAcquire()) {
+          alloc[i] = 0;
         }
-        ++i;
       }
     }
 
-    // Apply shrinks before grows so the pool never oversubscribes.
-    i = 0;
-    for (auto& [key, entry] : queries_) {
-      if (alloc[i] < entry.allocation) SetAllocation(entry, alloc[i]);
-      ++i;
+    // Apply shrinks before grows so the pool never oversubscribes. A
+    // change requested from inside an apply callback (a query added or
+    // removed, a new strategy) leaves this pass stale: it stops there
+    // and the loop recomputes.
+    for (size_t i = 0; i < n && !realloc_again_; ++i) {
+      if (alloc[i] < allocations_[i]) SetAllocation(i, alloc[i]);
     }
-    i = 0;
-    for (auto& [key, entry] : queries_) {
-      if (alloc[i] > entry.allocation) SetAllocation(entry, alloc[i]);
-      ++i;
+    for (size_t i = 0; i < n && !realloc_again_; ++i) {
+      if (alloc[i] > allocations_[i]) SetAllocation(i, alloc[i]);
     }
 
     // Cache the strategy's stable-tail proof for the fast paths; only
@@ -171,8 +162,8 @@ void MemoryManager::Reallocate() {
     // already moved under us).
     if (!realloc_again_ && hint.valid && gate_ == nullptr) {
       hint_ = hint;
-      frontier_is_end_ = hint.from >= key_scratch_.size();
-      if (!frontier_is_end_) frontier_key_ = key_scratch_[hint.from];
+      frontier_is_end_ = hint.from >= n;
+      if (!frontier_is_end_) frontier_key_ = KeyOf(queries_[hint.from]);
       cache_valid_ = true;
     }
   } while (realloc_again_);
@@ -180,11 +171,8 @@ void MemoryManager::Reallocate() {
 }
 
 PageCount MemoryManager::allocation_of(QueryId id) const {
-  auto id_it = by_id_.find(id);
-  if (id_it == by_id_.end()) return 0;
-  auto it = queries_.find(id_it->second);
-  RTQ_DCHECK(it != queries_.end());
-  return it->second.allocation;
+  const size_t at = IndexOf(id);
+  return at < queries_.size() ? allocations_[at] : 0;
 }
 
 }  // namespace rtq::core

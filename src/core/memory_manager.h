@@ -19,13 +19,9 @@
 #define RTQ_CORE_MEMORY_MANAGER_H_
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "common/pool.h"
 #include "common/types.h"
 #include "core/strategy.h"
 
@@ -94,11 +90,6 @@ class MemoryManager {
   PageCount allocation_of(QueryId id) const;
 
  private:
-  struct Entry {
-    MemRequest request;
-    PageCount allocation = 0;
-  };
-
   /// Key giving Earliest-Deadline order with deterministic tie-break.
   struct EdKey {
     SimTime deadline = kNoDeadline;
@@ -108,9 +99,14 @@ class MemoryManager {
       return id < o.id;
     }
   };
+  static EdKey KeyOf(const MemRequest& r) { return {r.deadline, r.id}; }
+
+  /// Position of `id` in queries_ (a linear scan: live queries number in
+  /// the tens), or queries_.size() when it is not live.
+  size_t IndexOf(QueryId id) const;
 
   /// Records an allocation change and forwards it to the apply callback.
-  void SetAllocation(Entry& entry, PageCount pages);
+  void SetAllocation(size_t index, PageCount pages);
 
   /// True when the cached hint proves that inserting `key`/`request`
   /// changes no existing allocation and grants nothing.
@@ -120,25 +116,14 @@ class MemoryManager {
   std::unique_ptr<AllocationStrategy> strategy_;
   ApplyFn apply_;
   AdmissionGate* gate_ = nullptr;
-  // Both membership maps recycle their nodes through a pool, so
-  // steady-state arrival/retire churn costs no heap allocation. The pool
-  // outlives (is declared before) the containers that use it.
-  NodePool node_pool_;
-  using QueryMap =
-      std::map<EdKey, Entry, std::less<EdKey>,
-               PoolAllocator<std::pair<const EdKey, Entry>>>;
-  using ByIdMap =
-      std::unordered_map<QueryId, EdKey, std::hash<QueryId>,
-                         std::equal_to<QueryId>,
-                         PoolAllocator<std::pair<const QueryId, EdKey>>>;
-  QueryMap queries_{std::less<EdKey>(),
-                    PoolAllocator<std::pair<const EdKey, Entry>>(
-                        &node_pool_)};  // ED-ordered
-  ByIdMap by_id_{8, std::hash<QueryId>(), std::equal_to<QueryId>(),
-                 PoolAllocator<std::pair<const QueryId, EdKey>>(
-                     &node_pool_)};  // O(1) id -> ED position
-  PageCount allocated_sum_ = 0;   // invariant: sum of entry.allocation
-  int64_t admitted_count_ = 0;    // invariant: #entries with allocation > 0
+  /// Live queries in ED order, handed to the strategy as they are;
+  /// allocations_[i] is what queries_[i] holds. Both grow to the live
+  /// high-water mark, after which arrivals and retirements allocate
+  /// nothing.
+  std::vector<MemRequest> queries_;
+  std::vector<PageCount> allocations_;
+  PageCount allocated_sum_ = 0;   // invariant: sum of allocations_
+  int64_t admitted_count_ = 0;    // invariant: #allocations_ > 0
   int64_t recomputes_ = 0;
   bool reallocating_ = false;     // guards against re-entrant reallocation
   bool realloc_again_ = false;
@@ -152,9 +137,7 @@ class MemoryManager {
   /// (only inserts sorting after *every* live query qualify).
   EdKey frontier_key_;
   bool frontier_is_end_ = false;
-  // Scratch buffers reused across recomputes to avoid allocation churn.
-  std::vector<MemRequest> ed_scratch_;
-  std::vector<EdKey> key_scratch_;
+  /// The strategy's output, reused across recomputes.
   AllocationVector alloc_scratch_;
 };
 

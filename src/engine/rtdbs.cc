@@ -1,7 +1,6 @@
 #include "engine/rtdbs.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "common/check.h"
@@ -466,9 +465,11 @@ void Rtdbs::OnArrival(const workload::QueryBlueprint& bp, QueryId id) {
   rt->deadline_event =
       sim_.ScheduleAt(desc.deadline, [this, id] { OnDeadline(id); });
 
-  auto [it, inserted] = runtimes_.emplace(id, rt);
-  RTQ_CHECK_MSG(inserted, "duplicate query id at arrival");
-  (void)it;
+  // Sources number arrivals in order, and a swapped-in source continues
+  // its predecessor's id space, so appending keeps runtimes_ sorted.
+  RTQ_CHECK_MSG(runtimes_.empty() || runtimes_.back().first < id,
+                "query ids must arrive in increasing order");
+  runtimes_.emplace_back(id, rt);
 
   core::MemRequest req;
   req.id = id;
@@ -501,8 +502,17 @@ void Rtdbs::OnArrival(const workload::QueryBlueprint& bp, QueryId id) {
   policy_->OnQueryEvent(event);
 }
 
+Rtdbs::LiveRuntimes::iterator Rtdbs::FindRuntime(QueryId id) {
+  auto it = std::lower_bound(
+      runtimes_.begin(), runtimes_.end(), id,
+      [](const LiveRuntimes::value_type& e, QueryId v) {
+        return e.first < v;
+      });
+  return it != runtimes_.end() && it->first == id ? it : runtimes_.end();
+}
+
 void Rtdbs::ApplyAllocation(QueryId id, PageCount pages) {
-  auto it = runtimes_.find(id);
+  auto it = FindRuntime(id);
   if (it == runtimes_.end()) return;  // already finished
   QueryRuntime& rt = *it->second;
   if (rt.finished) return;
@@ -532,7 +542,7 @@ void Rtdbs::ApplyAllocation(QueryId id, PageCount pages) {
 void Rtdbs::OnOperatorFinished(QueryId id) { FinishQuery(id, false); }
 
 void Rtdbs::OnDeadline(QueryId id) {
-  auto it = runtimes_.find(id);
+  auto it = FindRuntime(id);
   if (it == runtimes_.end()) return;
   QueryRuntime& rt = *it->second;
   if (rt.finished) return;
@@ -545,7 +555,7 @@ void Rtdbs::OnDeadline(QueryId id) {
 
 void Rtdbs::FinishQuery(QueryId id, bool missed) {
   PurgeRetired();
-  auto it = runtimes_.find(id);
+  auto it = FindRuntime(id);
   RTQ_CHECK_MSG(it != runtimes_.end(), "finishing unknown query");
   QueryRuntime* rt = it->second;
   runtimes_.erase(it);
@@ -646,12 +656,8 @@ void Rtdbs::AppendStateDigest(std::vector<std::string>* out) const {
                    std::to_string(h.digest()));
   }
 
-  // runtimes_ is an unordered map; digest lines must not depend on its
-  // iteration order.
-  std::map<QueryId, const QueryRuntime*> live;
-  for (const auto& [id, rt] : runtimes_) live.emplace(id, rt);
-  out->push_back("queries " + std::to_string(live.size()));
-  for (const auto& [id, rt] : live) {
+  out->push_back("queries " + std::to_string(runtimes_.size()));
+  for (const auto& [id, rt] : runtimes_) {
     out->push_back("query " + std::to_string(id) + " " +
                    std::to_string(rt->desc.query_class) + " " +
                    std::to_string(rt->allocation) + " " +

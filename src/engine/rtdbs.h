@@ -17,13 +17,12 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "buffer/buffer_pool.h"
 #include "common/arena.h"
 #include "common/check.h"
-#include "common/pool.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/memory_manager.h"
@@ -179,6 +178,10 @@ class Rtdbs {
 
   /// Pops a recycled runtime (or heap-allocates the pool's first copy).
   QueryRuntime* AcquireRuntime();
+  /// Live queries' runtimes, sorted by id.
+  using LiveRuntimes = std::vector<std::pair<QueryId, QueryRuntime*>>;
+  /// Position of live query `id` in runtimes_, or runtimes_.end().
+  LiveRuntimes::iterator FindRuntime(QueryId id);
   /// Drains retired_ entries whose dispatch event has unwound: runs the
   /// arena finalizers (operator destructors), resets the arena, and
   /// returns the runtime to the free list.
@@ -212,9 +215,6 @@ class Rtdbs {
   std::unique_ptr<workload::ArrivalSource> source_;
   MetricsCollector metrics_;
 
-  /// Node pool for the engine's hot containers; declared before them so
-  /// they are destroyed first.
-  NodePool node_pool_;
   /// Owns every QueryRuntime ever created; grows to the live+retired
   /// high-water mark, then every query reuses a recycled runtime.
   std::vector<std::unique_ptr<QueryRuntime>> runtime_storage_;
@@ -224,13 +224,9 @@ class Rtdbs {
   /// Policy ticks fired so far (a state-digest field).
   int64_t ticks_ = 0;
 
-  using RuntimePair = std::pair<const QueryId, QueryRuntime*>;
-  using RuntimeMap =
-      std::unordered_map<QueryId, QueryRuntime*, std::hash<QueryId>,
-                         std::equal_to<QueryId>, PoolAllocator<RuntimePair>>;
-  RuntimeMap runtimes_{
-      8, std::hash<QueryId>(), std::equal_to<QueryId>(),
-      PoolAllocator<std::pair<const QueryId, QueryRuntime*>>(&node_pool_)};
+  /// Arrivals number their queries in order, so an arrival appends.
+  /// Grows to the live high-water mark.
+  LiveRuntimes runtimes_;
   /// Finished runtimes are parked here (not destroyed mid-callback) and
   /// recycled by PurgeRetired() once their event has unwound.
   std::vector<QueryRuntime*> retired_;

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
-#include <new>
+#include <memory>
 #include <utility>
 
 #include "common/check.h"
@@ -54,40 +53,6 @@ Disk::Disk(sim::Simulator* sim, const DiskParams& params, DiskId id)
   busy_.Start(sim->Now(), 0.0);
 }
 
-Disk::~Disk() {
-  // Destroy every still-queued request (their callbacks may own
-  // non-trivial captures), then release the group arrays.
-  for (auto& [deadline, group] : groups_) {
-    (void)deadline;
-    for (size_t w = 0; w < bitmap_words_; ++w) {
-      uint64_t word = group->bits[w];
-      while (word != 0) {
-        Cylinder cyl =
-            static_cast<Cylinder>((w << 6) + __builtin_ctzll(word));
-        word &= word - 1;
-        RequestNode* head = group->heads[cyl];
-        RequestNode* n = head;
-        do {
-          RequestNode* next = n->fifo_next;
-          n->~RequestNode();
-          pool_.Deallocate(n, sizeof(RequestNode));
-          n = next;
-        } while (n != head);
-      }
-    }
-    group->next_free = free_groups_;
-    free_groups_ = group;
-  }
-  groups_.clear();
-  while (free_groups_ != nullptr) {
-    DeadlineGroup* g = free_groups_;
-    free_groups_ = g->next_free;
-    delete[] g->bits;
-    delete[] g->heads;
-    delete g;
-  }
-}
-
 Disk::DeadlineGroup* Disk::GroupFor(SimTime deadline) {
   auto it = std::lower_bound(
       groups_.begin(), groups_.end(), deadline,
@@ -99,16 +64,29 @@ Disk::DeadlineGroup* Disk::GroupFor(SimTime deadline) {
   if (g != nullptr) {
     free_groups_ = g->next_free;
   } else {
-    g = new DeadlineGroup;
-    g->bits = new uint64_t[bitmap_words_];
-    g->heads = new RequestNode*[static_cast<size_t>(
-        geometry_.params().num_cylinders)];
+    group_storage_.push_back(std::make_unique<DeadlineGroup>());
+    g = group_storage_.back().get();
+    // Default-initialised, not zeroed: see DeadlineGroup.
+    g->bits.reset(new uint64_t[bitmap_words_]);
+    g->heads.reset(new RequestNode*[static_cast<size_t>(
+        geometry_.params().num_cylinders)]);
   }
-  std::memset(g->bits, 0, bitmap_words_ * sizeof(uint64_t));
+  std::memset(g->bits.get(), 0, bitmap_words_ * sizeof(uint64_t));
   g->count = 0;
   g->next_free = nullptr;
   groups_.insert(it, {deadline, g});
   return g;
+}
+
+Disk::RequestNode* Disk::NewNode() {
+  if (RequestNode* n = free_nodes_) {
+    free_nodes_ = n->fifo_next;
+    return n;
+  }
+  if (node_blocks_.empty() || node_blocks_.back().size() == kNodesPerBlock) {
+    node_blocks_.emplace_back().reserve(kNodesPerBlock);
+  }
+  return &node_blocks_.back().emplace_back();
 }
 
 void Disk::Submit(DiskRequest request) {
@@ -130,10 +108,10 @@ void Disk::Submit(DiskRequest request) {
   }
 
   DeadlineGroup* g = GroupFor(request.deadline);
-  auto* node =
-      static_cast<RequestNode*>(pool_.Allocate(sizeof(RequestNode)));
-  ::new (static_cast<void*>(node)) RequestNode{
-      std::move(request), nullptr, nullptr, g, cyl};
+  RequestNode* node = NewNode();
+  node->req = std::move(request);
+  node->group = g;
+  node->cyl = cyl;
   const size_t w = static_cast<size_t>(cyl) >> 6;
   const uint64_t bit = uint64_t{1} << (cyl & 63);
   if ((g->bits[w] & bit) == 0) {
@@ -165,8 +143,9 @@ void Disk::RemoveFromQueue(RequestNode* node) {
   }
   --g->count;
   --queued_count_;
-  node->~RequestNode();
-  pool_.Deallocate(node, sizeof(RequestNode));
+  node->req.on_complete = nullptr;
+  node->fifo_next = free_nodes_;
+  free_nodes_ = node;
 }
 
 void Disk::RetireGroup(size_t index) {
@@ -216,12 +195,12 @@ Disk::RequestNode* Disk::PickByElevator() {
   // lies ahead: the nearest non-empty cylinder at-or-ahead of the head,
   // FIFO within a cylinder.
   Cylinder cyl = sweep_up_
-                     ? FindSetAtOrAbove(g->bits, bitmap_words_, head_)
-                     : FindSetAtOrBelow(g->bits, head_);
+                     ? FindSetAtOrAbove(g->bits.get(), bitmap_words_, head_)
+                     : FindSetAtOrBelow(g->bits.get(), head_);
   if (cyl < 0) {
     sweep_up_ = !sweep_up_;
-    cyl = sweep_up_ ? FindSetAtOrAbove(g->bits, bitmap_words_, head_)
-                    : FindSetAtOrBelow(g->bits, head_);
+    cyl = sweep_up_ ? FindSetAtOrAbove(g->bits.get(), bitmap_words_, head_)
+                    : FindSetAtOrBelow(g->bits.get(), head_);
   }
   RTQ_DCHECK(cyl >= 0);
   return g->heads[cyl];

@@ -35,11 +35,11 @@
 #define RTQ_MODEL_DISK_H_
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/inline_callback.h"
-#include "common/pool.h"
 #include "common/types.h"
 #include "model/disk_cache.h"
 #include "model/disk_geometry.h"
@@ -69,7 +69,6 @@ struct DiskRequest {
 class Disk {
  public:
   Disk(sim::Simulator* sim, const DiskParams& params, DiskId id);
-  ~Disk();
 
   Disk(const Disk&) = delete;
   Disk& operator=(const Disk&) = delete;
@@ -104,8 +103,8 @@ class Disk {
   struct DeadlineGroup;
 
   /// One queued request, doubly linked into its (group, cylinder) FIFO
-  /// (circular; tail == head->fifo_prev). Nodes come from the pool, so
-  /// the whole queue is allocation-free in steady state.
+  /// (circular; tail == head->fifo_prev). A free node is linked into
+  /// free_nodes_ through fifo_next.
   struct RequestNode {
     DiskRequest req;
     RequestNode* fifo_prev;
@@ -114,16 +113,23 @@ class Disk {
     Cylinder cyl;
   };
 
+  /// Request nodes are built on demand in blocks of this many bytes,
+  /// each reserved whole when it is opened, so the nodes never move and
+  /// a block's untouched tail costs no resident memory.
+  static constexpr size_t kNodeBlockBytes = 64 * 1024;
+  static constexpr size_t kNodesPerBlock =
+      kNodeBlockBytes / sizeof(RequestNode);
+
   /// All queued requests sharing one exact deadline. `bits` marks the
   /// cylinders with a non-empty FIFO; `heads[cyl]` is only meaningful
   /// while the cylinder's bit is set, which is what lets a recycled
   /// group reset with a bitmap memset instead of clearing the 12 KB
   /// heads array.
   struct DeadlineGroup {
-    int64_t count;
-    DeadlineGroup* next_free;
-    uint64_t* bits;       // bitmap_words_ words
-    RequestNode** heads;  // num_cylinders entries
+    int64_t count = 0;
+    DeadlineGroup* next_free = nullptr;
+    std::unique_ptr<uint64_t[]> bits;       // bitmap_words_ words
+    std::unique_ptr<RequestNode*[]> heads;  // num_cylinders entries
   };
 
   /// Picks the next request per ED + elevator and starts service.
@@ -140,8 +146,10 @@ class Disk {
   /// Finds (or creates, via the free list) the group for `deadline`.
   DeadlineGroup* GroupFor(SimTime deadline);
 
-  /// Unlinks `node` from its group's FIFO and destroys it. The caller
-  /// retires the group once its count reaches zero.
+  /// A free node: recycled, else built in the open block.
+  RequestNode* NewNode();
+  /// Unlinks `node` from its group's FIFO, drops its callback and frees
+  /// it. The caller retires the group once its count reaches zero.
   void RemoveFromQueue(RequestNode* node);
   /// Returns the drained group at groups_[index] to the free list.
   void RetireGroup(size_t index);
@@ -151,9 +159,13 @@ class Disk {
   DiskCache cache_;
   DiskId id_;
 
-  /// Request nodes; the destructor returns any still queued.
-  NodePool pool_;
-  /// Deadline groups, sorted ascending by deadline (exact-equality
+  /// Every request node ever built; grows to the queue's high-water
+  /// mark, after which submits recycle free nodes.
+  std::vector<std::vector<RequestNode>> node_blocks_;
+  RequestNode* free_nodes_ = nullptr;
+  /// Every deadline group ever built, live or free.
+  std::vector<std::unique_ptr<DeadlineGroup>> group_storage_;
+  /// Live deadline groups, sorted ascending by deadline (exact-equality
   /// grouping, same as the former (deadline, cylinder, seq) map key).
   /// Distinct live deadlines number in the tens, so the vector stays
   /// small and its front() is the ED pick.

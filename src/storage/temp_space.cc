@@ -1,7 +1,7 @@
 #include "storage/temp_space.h"
 
 #include <algorithm>
-
+#include <iterator>
 #include <string>
 
 #include "common/check.h"
@@ -10,8 +10,7 @@ namespace rtq::storage {
 
 TempSpace::TempSpace(const Database& db,
                      const model::DiskParams& disk_params) {
-  arenas_.reserve(db.num_disks());
-  for (DiskId d = 0; d < db.num_disks(); ++d) arenas_.emplace_back(&pool_);
+  arenas_.resize(db.num_disks());
   band_center_.resize(db.num_disks());
   for (DiskId d = 0; d < db.num_disks(); ++d) {
     band_center_[d] =
@@ -19,13 +18,13 @@ TempSpace::TempSpace(const Database& db,
     DiskArena& arena = arenas_[d];
     PageCount outer_len = db.relation_area_begin(d);
     if (outer_len > 0) {
-      arena.holes.emplace(0, outer_len);
+      arena.holes.push_back({0, outer_len});
       arena.free_pages += outer_len;
     }
     PageCount inner_start = db.relation_area_end(d);
     PageCount inner_len = disk_params.capacity() - inner_start;
     if (inner_len > 0) {
-      arena.holes.emplace(inner_start, inner_len);
+      arena.holes.push_back({inner_start, inner_len});
       arena.free_pages += inner_len;
     }
   }
@@ -38,13 +37,14 @@ StatusOr<TempFile> TempSpace::AllocateOn(DiskId disk, PageCount pages) {
   // Best-fit by proximity: among holes large enough, carve the extent at
   // the position nearest the relation band so temp seeks stay short.
   PageCount center = band_center_[disk];
-  auto best = arena.holes.end();
+  std::vector<Hole>& holes = arena.holes;
+  auto best = holes.end();
   PageCount best_start = 0;
   PageCount best_dist = 0;
-  for (auto it = arena.holes.begin(); it != arena.holes.end(); ++it) {
-    if (it->second < pages) continue;
-    PageCount hole_begin = it->first;
-    PageCount hole_end = it->first + it->second;
+  for (auto it = holes.begin(); it != holes.end(); ++it) {
+    if (it->pages < pages) continue;
+    PageCount hole_begin = it->start;
+    PageCount hole_end = it->start + it->pages;
     // Candidate position inside this hole closest to the band center.
     PageCount start;
     if (hole_end <= center) {
@@ -57,13 +57,13 @@ StatusOr<TempFile> TempSpace::AllocateOn(DiskId disk, PageCount pages) {
     }
     PageCount mid = start + pages / 2;
     PageCount dist = mid > center ? mid - center : center - mid;
-    if (best == arena.holes.end() || dist < best_dist) {
+    if (best == holes.end() || dist < best_dist) {
       best = it;
       best_start = start;
       best_dist = dist;
     }
   }
-  if (best == arena.holes.end())
+  if (best == holes.end())
     return Status::OutOfRange("fragmented: no hole large enough");
 
   TempFile file;
@@ -72,15 +72,16 @@ StatusOr<TempFile> TempSpace::AllocateOn(DiskId disk, PageCount pages) {
   file.pages = pages;
   file.handle = next_handle_++;
 
-  PageCount hole_begin = best->first;
-  PageCount hole_len = best->second;
-  arena.holes.erase(best);
-  if (best_start > hole_begin) {
-    arena.holes.emplace(hole_begin, best_start - hole_begin);
+  // Replace the hole by what is left of it below and above the extent.
+  const Hole hole = *best;
+  const PageCount end = best_start + pages;
+  auto at = holes.erase(best);
+  if (end < hole.start + hole.pages) {
+    at = holes.insert(at, Hole{end, hole.start + hole.pages - end});
   }
-  PageCount tail_start = best_start + pages;
-  PageCount tail_len = hole_begin + hole_len - tail_start;
-  if (tail_len > 0) arena.holes.emplace(tail_start, tail_len);
+  if (best_start > hole.start) {
+    holes.insert(at, Hole{hole.start, best_start - hole.start});
+  }
   arena.free_pages -= pages;
   ++live_allocations_;
   return file;
@@ -110,26 +111,35 @@ void TempSpace::Free(const TempFile& file) {
                 "bad temp file disk");
   RTQ_CHECK_MSG(file.pages > 0, "freeing empty temp file");
   DiskArena& arena = arenas_[file.disk];
+  std::vector<Hole>& holes = arena.holes;
 
-  auto [it, inserted] = arena.holes.emplace(file.start_page, file.pages);
-  RTQ_CHECK_MSG(inserted, "double free of temp extent");
+  // The first hole starting at or after the extent, and the one before.
+  auto next = std::lower_bound(
+      holes.begin(), holes.end(), file.start_page,
+      [](const Hole& h, PageCount start) { return h.start < start; });
+  auto prev = next == holes.begin() ? holes.end() : std::prev(next);
+  const PageCount end = file.start_page + file.pages;
+  RTQ_CHECK_MSG((prev == holes.end() ||
+                 prev->start + prev->pages <= file.start_page) &&
+                    (next == holes.end() || end <= next->start),
+                "double free of temp extent");
   arena.free_pages += file.pages;
   --live_allocations_;
 
-  // Coalesce with successor.
-  auto next = std::next(it);
-  if (next != arena.holes.end() &&
-      it->first + it->second == next->first) {
-    it->second += next->second;
-    arena.holes.erase(next);
-  }
-  // Coalesce with predecessor.
-  if (it != arena.holes.begin()) {
-    auto prev = std::prev(it);
-    if (prev->first + prev->second == it->first) {
-      prev->second += it->second;
-      arena.holes.erase(it);
-    }
+  // Coalesce with the neighbours the extent touches.
+  const bool joins_prev =
+      prev != holes.end() && prev->start + prev->pages == file.start_page;
+  const bool joins_next = next != holes.end() && end == next->start;
+  if (joins_prev && joins_next) {
+    prev->pages += file.pages + next->pages;
+    holes.erase(next);
+  } else if (joins_prev) {
+    prev->pages += file.pages;
+  } else if (joins_next) {
+    next->start = file.start_page;
+    next->pages += file.pages;
+  } else {
+    holes.insert(next, Hole{file.start_page, file.pages});
   }
 }
 

@@ -2,7 +2,7 @@
 //
 // The paper places temporary files on the inner or outer cylinders of each
 // disk (relations occupy the middle band). TempSpace manages those two
-// arenas per disk with a coalescing first-fit free list, and spreads
+// arenas per disk with a coalescing free list, and spreads
 // allocations across disks round-robin so spill traffic does not pile
 // onto one spindle.
 
@@ -10,11 +10,8 @@
 #define RTQ_STORAGE_TEMP_SPACE_H_
 
 #include <cstdint>
-#include <map>
-#include <utility>
 #include <vector>
 
-#include "common/pool.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "storage/database.h"
@@ -49,15 +46,15 @@ class TempSpace {
   int64_t live_allocations() const { return live_allocations_; }
 
  private:
+  struct Hole {
+    PageCount start = 0;
+    PageCount pages = 0;
+  };
   struct DiskArena {
-    using HoleMap =
-        std::map<PageCount, PageCount, std::less<PageCount>,
-                 PoolAllocator<std::pair<const PageCount, PageCount>>>;
-    explicit DiskArena(NodePool* pool)
-        : holes(std::less<PageCount>(),
-                PoolAllocator<std::pair<const PageCount, PageCount>>(pool)) {}
-    // start_page -> length, non-overlapping, coalesced.
-    HoleMap holes;
+    // Sorted by start, non-overlapping, coalesced. A disk holds a handful
+    // of holes, so the vector stays small and its growth stops at the
+    // high-water mark.
+    std::vector<Hole> holes;
     PageCount free_pages = 0;
   };
 
@@ -67,10 +64,6 @@ class TempSpace {
   /// hole position closest to it, so temp traffic seeks as little as
   /// possible from the clustered relations.
   std::vector<PageCount> band_center_;
-  // Hole-map nodes from every arena recycle through one pool (declared
-  // first so it outlives the maps): alloc/free churn in steady state
-  // touches no heap.
-  NodePool pool_;
   std::vector<DiskArena> arenas_;
   int32_t next_disk_ = 0;  // round-robin cursor
   uint64_t next_handle_ = 1;
