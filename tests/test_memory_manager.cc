@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace rtq::core {
 namespace {
@@ -110,6 +115,30 @@ TEST(MemoryManager, ShrinksAppliedBeforeGrows) {
   EXPECT_LE(peak, 1000);
 }
 
+TEST(MemoryManager, ApplyCallbackMayRetireAQuery) {
+  // Query 2 finishes the moment it is admitted: its apply callback
+  // removes it. The pass that admitted it is stale from then on, so
+  // the manager recomputes and ends where a fresh recompute would.
+  MemoryManager* manager = nullptr;
+  std::map<QueryId, PageCount> current;
+  MemoryManager mm(1000, std::make_unique<MaxStrategy>(false),
+                   [&](QueryId id, PageCount pages) {
+                     current[id] = pages;
+                     if (id == 2 && pages > 0) manager->RemoveQuery(2);
+                   });
+  manager = &mm;
+  mm.AddQuery(Q(1, 10.0, 40, 600));
+  mm.AddQuery(Q(2, 20.0, 40, 600));  // waits behind 1
+  mm.AddQuery(Q(3, 30.0, 40, 300));  // waits behind 2 (strict ED)
+  mm.RemoveQuery(1);                 // admits 2, which retires at once
+  EXPECT_EQ(mm.live_count(), 1);
+  EXPECT_EQ(mm.allocation_of(3), 300);
+  EXPECT_EQ(current[3], 300);
+  EXPECT_EQ(current[2], 0);
+  EXPECT_EQ(mm.allocated_pages(), 300);
+  EXPECT_EQ(mm.admitted_count(), 1);
+}
+
 TEST(MemoryManager, RejectsDuplicateIds) {
   Recorder rec;
   MemoryManager mm(1000, std::make_unique<MaxStrategy>(), rec.fn());
@@ -137,6 +166,83 @@ TEST(MemoryManager, DeadlineTiesBreakByQueryId) {
   // Same deadline: the earlier-arriving (lower id) query wins the top-up.
   EXPECT_EQ(rec.allocations[3], 900);
   EXPECT_EQ(rec.allocations[7], 100);
+}
+
+TEST(MemoryManager, FuzzMatchesFullRecomputeReference) {
+  // Random arrivals and retirements, checked after every change against
+  // the strategy run from scratch over a naively sorted copy of the live
+  // set. Deadlines come from ten values, so ties are common; ids are
+  // scrambled so that the id tie-break is not arrival order.
+  struct Case {
+    const char* name;
+    std::function<std::unique_ptr<AllocationStrategy>()> make;
+  };
+  const std::vector<Case> cases = {
+      {"max", [] { return std::make_unique<MaxStrategy>(true); }},
+      {"max-strict", [] { return std::make_unique<MaxStrategy>(false); }},
+      {"minmax-1", [] { return std::make_unique<MinMaxStrategy>(1); }},
+      {"minmax-5", [] { return std::make_unique<MinMaxStrategy>(5); }},
+      {"minmax-inf", [] { return std::make_unique<MinMaxStrategy>(-1); }},
+      {"prop-1", [] { return std::make_unique<ProportionalStrategy>(1); }},
+      {"prop-5", [] { return std::make_unique<ProportionalStrategy>(5); }},
+      {"prop-inf", [] { return std::make_unique<ProportionalStrategy>(-1); }},
+  };
+  constexpr PageCount kTotal = 1000;
+  for (const Case& c : cases) {
+    const std::unique_ptr<AllocationStrategy> reference = c.make();
+    bool fast_path_ran = false;
+    for (uint64_t seed : {1, 2, 3}) {
+      SCOPED_TRACE(std::string(c.name) + " seed " + std::to_string(seed));
+      Rng rng(seed);
+      Recorder rec;
+      MemoryManager mm(kTotal, c.make(), rec.fn());
+      std::vector<MemRequest> live;
+      int64_t arrivals = 0;
+      int64_t changes = 0;
+      for (int step = 0; step < 400; ++step) {
+        const bool add = live.empty() ||
+                         (live.size() < 40 && rng.NextDouble() < 0.55);
+        if (add) {
+          const QueryId id = (++arrivals * 7919) % 100003;
+          const SimTime deadline = 10.0 * rng.UniformInt(1, 10);
+          const PageCount min = rng.UniformInt(1, 60);
+          live.push_back(Q(id, deadline, min, min + rng.UniformInt(0, 700)));
+          mm.AddQuery(live.back());
+        } else {
+          const size_t victim =
+              static_cast<size_t>(rng.UniformInt(0, live.size() - 1));
+          mm.RemoveQuery(live[victim].id);
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+        }
+        ++changes;
+
+        std::vector<MemRequest> sorted = live;
+        std::sort(sorted.begin(), sorted.end(),
+                  [](const MemRequest& a, const MemRequest& b) {
+                    return a.deadline != b.deadline ? a.deadline < b.deadline
+                                                    : a.id < b.id;
+                  });
+        const AllocationVector want = reference->Allocate(sorted, kTotal);
+        int64_t admitted = 0;
+        PageCount pages = 0;
+        for (size_t i = 0; i < sorted.size(); ++i) {
+          ASSERT_EQ(mm.allocation_of(sorted[i].id), want[i])
+              << "step " << step << " query " << sorted[i].id;
+          EXPECT_EQ(rec.allocations[sorted[i].id], want[i]);
+          admitted += want[i] > 0;
+          pages += want[i];
+        }
+        ASSERT_EQ(mm.live_count(), static_cast<int64_t>(live.size()));
+        ASSERT_EQ(mm.admitted_count(), admitted) << "step " << step;
+        ASSERT_EQ(mm.waiting_count(),
+                  static_cast<int64_t>(live.size()) - admitted);
+        ASSERT_EQ(mm.allocated_pages(), pages) << "step " << step;
+      }
+      EXPECT_LE(mm.recomputes(), changes);
+      fast_path_ran = fast_path_ran || mm.recomputes() < changes;
+    }
+    EXPECT_TRUE(fast_path_ran) << c.name << ": no change took a fast path";
+  }
 }
 
 /// Counting admission gate with a fixed slot capacity (the unit-test

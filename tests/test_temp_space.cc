@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "storage/database.h"
 
 namespace rtq::storage {
@@ -141,6 +144,98 @@ TEST(TempSpace, TotalFreeAcrossDisks) {
   auto f = temp.Allocate(1000, 0);
   ASSERT_TRUE(f.ok());
   EXPECT_EQ(temp.total_free_pages(), total - 1000);
+}
+
+TEST(TempSpace, RandomAllocateAndFreeKeepsExtentsAndCountsExact) {
+  model::DiskParams disk;
+  for (uint64_t seed : {11, 12, 13}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    constexpr int32_t kDisks = 2;
+    Database db = MakeDb(kDisks, &rng);
+    TempSpace temp(db, disk);
+    std::vector<PageCount> arena_total(kDisks);
+    for (DiskId d = 0; d < kDisks; ++d) {
+      arena_total[d] = db.relation_area_begin(d) + disk.capacity() -
+                       db.relation_area_end(d);
+      ASSERT_EQ(temp.free_pages(d), arena_total[d]);
+    }
+
+    std::vector<TempFile> live;
+    for (int step = 0; step < 2000; ++step) {
+      if (live.empty() || rng.NextDouble() < 0.55) {
+        // Half the requests are a few pages, so holes left between live
+        // extents get reused with a page or two to spare.
+        const PageCount pages = rng.NextDouble() < 0.5
+                                    ? rng.UniformInt(1, 4)
+                                    : rng.UniformInt(1, 20000);
+        const DiskId preferred = static_cast<DiskId>(rng.UniformInt(-1, 1));
+        auto file = temp.Allocate(pages, preferred);
+        if (!file.ok()) {
+          EXPECT_EQ(file.status().code(), StatusCode::kOutOfRange);
+          continue;
+        }
+        const TempFile& f = file.value();
+        ASSERT_EQ(f.pages, pages);
+        ASSERT_TRUE(f.start_page + f.pages <= db.relation_area_begin(f.disk) ||
+                    f.start_page >= db.relation_area_end(f.disk))
+            << "step " << step << ": extent inside the relation band";
+        ASSERT_LE(f.start_page + f.pages, disk.capacity());
+        for (const TempFile& o : live) {
+          ASSERT_TRUE(o.disk != f.disk ||
+                      o.start_page + o.pages <= f.start_page ||
+                      f.start_page + f.pages <= o.start_page)
+              << "step " << step << ": extent overlaps a live one";
+        }
+        live.push_back(f);
+      } else {
+        const size_t victim =
+            static_cast<size_t>(rng.UniformInt(0, live.size() - 1));
+        temp.Free(live[victim]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      }
+      for (DiskId d = 0; d < kDisks; ++d) {
+        PageCount held = 0;
+        for (const TempFile& f : live) held += f.disk == d ? f.pages : 0;
+        ASSERT_EQ(temp.free_pages(d), arena_total[d] - held)
+            << "step " << step << " disk " << d;
+      }
+      ASSERT_EQ(temp.live_allocations(), static_cast<int64_t>(live.size()));
+    }
+
+    // Freed in random order, the holes coalesce back into the two
+    // initial arenas: each fits in a single allocation again, the
+    // larger one first.
+    while (!live.empty()) {
+      const size_t victim =
+          static_cast<size_t>(rng.UniformInt(0, live.size() - 1));
+      temp.Free(live[victim]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+    for (DiskId d = 0; d < kDisks; ++d) {
+      ASSERT_EQ(temp.free_pages(d), arena_total[d]);
+      const PageCount outer = db.relation_area_begin(d);
+      const PageCount inner = disk.capacity() - db.relation_area_end(d);
+      for (PageCount pages : {std::max(outer, inner), std::min(outer, inner)}) {
+        auto whole = temp.Allocate(pages, d);
+        ASSERT_TRUE(whole.ok()) << "disk " << d << ", " << pages << " pages";
+        EXPECT_EQ(whole.value().disk, d);
+      }
+      EXPECT_EQ(temp.free_pages(d), 0);
+    }
+  }
+}
+
+TEST(TempSpace, DoubleFreeDies) {
+  Rng rng(9);
+  model::DiskParams disk;
+  Database db = MakeDb(1, &rng);
+  TempSpace temp(db, disk);
+  auto a = temp.Allocate(300, 0);
+  ASSERT_TRUE(a.ok());
+  temp.Free(a.value());
+  // The extent has coalesced back into its arena's hole by now.
+  EXPECT_DEATH(temp.Free(a.value()), "double free");
 }
 
 }  // namespace
