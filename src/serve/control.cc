@@ -34,7 +34,10 @@ Status CommandError(const std::string& what) {
 
 }  // namespace
 
-StatusOr<Command> ParseCommand(const std::string& line) {
+StatusOr<Command> ParseCommand(const std::string& raw) {
+  // A script saved with CRLF endings hands every line over with its '\r'.
+  std::string line = raw;
+  if (!line.empty() && line.back() == '\r') line.pop_back();
   Command cmd;
   size_t pos = 0;
   std::string keyword = NextToken(line, &pos);

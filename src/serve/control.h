@@ -14,7 +14,8 @@
 //   restore <path>     replace the running session from a snapshot
 //   quit               exit the serve loop
 //
-// Blank lines and lines starting with '#' are no-ops.
+// Blank lines and lines starting with '#' are no-ops. A line may end in
+// CRLF.
 
 #ifndef RTQ_SERVE_CONTROL_H_
 #define RTQ_SERVE_CONTROL_H_

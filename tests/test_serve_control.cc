@@ -77,6 +77,34 @@ TEST(Control, MalformedLinesAreStatusErrorsNotCrashes) {
   }
 }
 
+/// Parses `line` with and without a trailing '\r': both must agree.
+void ExpectCrlfParsesLikeLf(const std::string& line) {
+  SCOPED_TRACE("'" + line + "'");
+  auto lf = Parse(line);
+  auto crlf = Parse(line + "\r");
+  ASSERT_TRUE(lf.ok());
+  ASSERT_TRUE(crlf.ok()) << crlf.status().message();
+  EXPECT_EQ(crlf.value().kind, lf.value().kind);
+  EXPECT_EQ(crlf.value().count, lf.value().count);
+  EXPECT_EQ(crlf.value().arg, lf.value().arg);
+}
+
+TEST(Control, CrlfLinesParseLikeLfLines) {
+  ExpectCrlfParsesLikeLf("run 1000");
+  ExpectCrlfParsesLikeLf("policy pmm");
+  ExpectCrlfParsesLikeLf("scenario flash:mult=6");
+  ExpectCrlfParsesLikeLf("snapshot out/run.rtqs");
+  ExpectCrlfParsesLikeLf("restore out/run.rtqs");
+  ExpectCrlfParsesLikeLf("stats");
+  ExpectCrlfParsesLikeLf("metrics");
+  ExpectCrlfParsesLikeLf("quit");
+  ExpectCrlfParsesLikeLf("");
+  ExpectCrlfParsesLikeLf("# a comment");
+  // Only the line ending goes: junk before it is still junk.
+  EXPECT_FALSE(Parse("run 10 x\r").ok());
+  EXPECT_FALSE(Parse("stats now\r").ok());
+}
+
 TEST(Control, SpecsKeepInternalSpacesVerbatim) {
   auto parsed = Parse("snapshot  /tmp/with spaces.rtqs ");
   ASSERT_TRUE(parsed.ok());
