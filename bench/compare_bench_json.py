@@ -7,8 +7,7 @@ checks that every deterministic per-point field is unchanged and that the
 headline events/sec figure has not regressed beyond its threshold, and
 exits non-zero otherwise.
 
-    bench/compare_bench_json.py CURRENT BASELINE \
-        [--max-events-regression 0.10] [--report]
+    bench/compare_bench_json.py CURRENT BASELINE [--report]
 
 CURRENT and BASELINE are either two BENCH_*.json files or two
 directories; with directories, files are paired by name and every pair
@@ -23,16 +22,14 @@ is compared. The gate fails when:
   deterministic and machine-independent, so equality is exact: there is
   no tolerance to tune;
 * current totals.events_per_second falls more than
-  --max-events-regression (fraction, default 0.10) below the baseline's.
-  Improvements never fail.
+  MAX_EVENTS_REGRESSION (90%) below the baseline's. Improvements never
+  fail.
 
 --report prints one old-vs-new wall-seconds / events-per-sec row per
 driver instead of the per-point OK lines (failures always print).
 
 CI's bench-smoke job gates the RTQ_SIM_HOURS=0.1 sweep against
-results/smoke/ with --max-events-regression opened wide, since wall
-clock varies across runners; the tight 10% events/sec gate is the
-same-machine full-length run against results/BENCH_baseline.json.
+results/smoke/ with it.
 """
 
 import argparse
@@ -42,6 +39,13 @@ import sys
 
 # Wall clock varies run to run; every other point field is deterministic.
 ADVISORY_FIELDS = {"wall_seconds"}
+
+# The largest tolerated events/sec drop, as a fraction of the baseline's.
+# References are recorded on one host and compared on another, and wall
+# clock varies across hosts, so this only catches catastrophic slowdowns;
+# a performance change is measured with rtqbench's alternating A/B pairs
+# (rtqbench/README.md).
+MAX_EVENTS_REGRESSION = 0.90
 
 
 def load(path):
@@ -84,11 +88,11 @@ def compare_pair(current, baseline, args, failures):
     if base_eps > 0:
         eps_delta = (cur_eps - base_eps) / base_eps
         marker = "OK"
-        if eps_delta < -args.max_events_regression:
+        if eps_delta < -MAX_EVENTS_REGRESSION:
             marker = "FAIL"
             failures.append(
                 f"[{driver}] events/sec regressed {-eps_delta:.1%} "
-                f"(limit {args.max_events_regression:.0%}): "
+                f"(limit {MAX_EVENTS_REGRESSION:.0%}): "
                 f"{cur_eps:,.0f} vs baseline {base_eps:,.0f}")
         if not args.report:
             print(f"[{marker:4}] events/sec: {cur_eps:,.0f} vs "
@@ -183,9 +187,6 @@ def main():
     parser.add_argument("current", help="fresh BENCH_*.json file or directory")
     parser.add_argument("baseline",
                         help="reference BENCH_*.json file or directory")
-    parser.add_argument("--max-events-regression", type=float, default=0.10,
-                        metavar="FRAC",
-                        help="max tolerated drop in events/sec (default 0.10)")
     parser.add_argument("--report", action="store_true",
                         help="print a per-driver old-vs-new summary table "
                              "instead of per-point OK lines")
