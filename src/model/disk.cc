@@ -1,7 +1,7 @@
 #include "model/disk.h"
 
 #include <algorithm>
-#include <cstring>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -49,48 +49,34 @@ Disk::Disk(sim::Simulator* sim, const DiskParams& params, DiskId id)
       bitmap_words_(
           (static_cast<size_t>(params.num_cylinders) + 63) / 64) {
   RTQ_CHECK(sim != nullptr);
-  groups_.reserve(64);
+  RTQ_CHECK_MSG(params.num_cylinders <= std::numeric_limits<uint32_t>::max(),
+                "num_cylinders must fit in 32 bits");
+  // One disk's live groups peak at 3-24 on the rtqbench workloads.
+  // 32 groups (768 B) stay within the 1,032 B blocks that glibc's
+  // per-thread cache serves; a larger reservation misses that cache
+  // and slows building a disk.
+  groups_.reserve(32);
   busy_.Start(sim->Now(), 0.0);
 }
 
-Disk::DeadlineGroup* Disk::GroupFor(SimTime deadline) {
-  auto it = std::lower_bound(
-      groups_.begin(), groups_.end(), deadline,
-      [](const std::pair<SimTime, DeadlineGroup*>& a, SimTime b) {
-        return a.first < b;
-      });
-  if (it != groups_.end() && it->first == deadline) return it->second;
-  DeadlineGroup* g = free_groups_;
-  if (g != nullptr) {
-    free_groups_ = g->next_free;
-  } else {
-    group_storage_.push_back(std::make_unique<DeadlineGroup>());
-    g = group_storage_.back().get();
-    // Default-initialised, not zeroed: see DeadlineGroup.
-    g->bits.reset(new uint64_t[bitmap_words_]);
-    g->heads.reset(new RequestNode*[static_cast<size_t>(
-        geometry_.params().num_cylinders)]);
+template <typename T, int Shift, uint32_t T::*Link>
+uint32_t Disk::Pool<T, Shift, Link>::New() {
+  if (free_ != kNil) {
+    const uint32_t i = free_;
+    free_ = (*this)[i].*Link;
+    return i;
   }
-  std::memset(g->bits.get(), 0, bitmap_words_ * sizeof(uint64_t));
-  g->count = 0;
-  g->next_free = nullptr;
-  groups_.insert(it, {deadline, g});
-  return g;
-}
-
-Disk::RequestNode* Disk::NewNode() {
-  if (RequestNode* n = free_nodes_) {
-    free_nodes_ = n->fifo_next;
-    return n;
+  RTQ_CHECK_MSG(size_ < kNil, "disk queue index space exhausted");
+  if ((size_ & ((uint32_t{1} << Shift) - 1)) == 0) {
+    blocks_.emplace_back(new T[size_t{1} << Shift]);
   }
-  if (node_blocks_.empty() || node_blocks_.back().size() == kNodesPerBlock) {
-    node_blocks_.emplace_back().reserve(kNodesPerBlock);
-  }
-  return &node_blocks_.back().emplace_back();
+  return size_++;
 }
 
 void Disk::Submit(DiskRequest request) {
   RTQ_CHECK_MSG(request.pages > 0, "disk request must transfer >= 1 page");
+  RTQ_CHECK_MSG(request.pages <= std::numeric_limits<uint32_t>::max(),
+                "disk request pages must fit in 32 bits");
   RTQ_CHECK_MSG(
       request.start_page >= 0 &&
           request.start_page + request.pages <= geometry_.params().capacity(),
@@ -98,62 +84,104 @@ void Disk::Submit(DiskRequest request) {
   const Cylinder cyl = geometry_.CylinderOf(request.start_page);
   if (!in_service_) {
     // Every completion starts the next queued request, so an idle disk
-    // has an empty queue and the elevator would pick this request. Replay
-    // its sweep: a request behind the head reverses the direction.
+    // has an empty queue and the elevator would pick this request.
     RTQ_DCHECK(queued_count_ == 0);
-    if (sweep_up_ ? cyl < head_ : cyl > head_) sweep_up_ = !sweep_up_;
+    SweepToward(cyl);
     current_ = std::move(request);
     StartService();
     return;
   }
 
-  DeadlineGroup* g = GroupFor(request.deadline);
-  RequestNode* node = NewNode();
-  node->req = std::move(request);
-  node->group = g;
-  node->cyl = cyl;
-  const size_t w = static_cast<size_t>(cyl) >> 6;
-  const uint64_t bit = uint64_t{1} << (cyl & 63);
-  if ((g->bits[w] & bit) == 0) {
-    g->bits[w] |= bit;
-    g->heads[cyl] = node;
-    node->fifo_prev = node;
-    node->fifo_next = node;
-  } else {
-    RequestNode* head = g->heads[cyl];
-    RequestNode* tail = head->fifo_prev;
-    tail->fifo_next = node;
-    node->fifo_prev = tail;
-    node->fifo_next = head;
-    head->fifo_prev = node;
+  const uint32_t n = nodes_.New();
+  Node& node = nodes_[n];
+  node.query = request.query;
+  node.start_page = request.start_page;
+  node.pages = static_cast<uint32_t>(request.pages);
+  node.cyl = static_cast<uint32_t>(cyl);
+  node.is_write = request.is_write;
+  node.callback = kNil;
+  if (request.on_complete) {
+    node.callback = callbacks_.New();
+    callbacks_[node.callback].fn = std::move(request.on_complete);
   }
-  ++g->count;
+
+  auto it = std::lower_bound(
+      groups_.begin(), groups_.end(), request.deadline,
+      [](const Group& g, SimTime d) { return g.deadline < d; });
+  if (it != groups_.end() && it->deadline == request.deadline) {
+    if (it->arrays == kNil) Spread(*it);
+    Link(arrays_[it->arrays], n);
+    ++it->count;
+  } else {
+    groups_.insert(it, Group{request.deadline, 1, n, kNil});
+  }
   ++queued_count_;
 }
 
-void Disk::RemoveFromQueue(RequestNode* node) {
-  DeadlineGroup* g = node->group;
-  const Cylinder cyl = node->cyl;
-  if (node->fifo_next == node) {
-    g->bits[static_cast<size_t>(cyl) >> 6] &= ~(uint64_t{1} << (cyl & 63));
-  } else {
-    node->fifo_prev->fifo_next = node->fifo_next;
-    node->fifo_next->fifo_prev = node->fifo_prev;
-    if (g->heads[cyl] == node) g->heads[cyl] = node->fifo_next;
+void Disk::Spread(Group& g) {
+  g.arrays = arrays_.New();
+  ElevatorArrays& a = arrays_[g.arrays];
+  if (!a.bits) {
+    // Bits start clear; heads stay unwritten until their bit is set.
+    a.bits.reset(new uint64_t[bitmap_words_]());
+    a.heads.reset(new uint32_t[static_cast<size_t>(
+        geometry_.params().num_cylinders)]);
   }
-  --g->count;
+  Link(a, g.single);
+}
+
+void Disk::Link(ElevatorArrays& a, uint32_t n) {
+  Node& node = nodes_[n];
+  const uint32_t cyl = node.cyl;
+  uint64_t& word = a.bits[cyl >> 6];
+  const uint64_t bit = uint64_t{1} << (cyl & 63);
+  if ((word & bit) == 0) {
+    word |= bit;
+    a.heads[cyl] = n;
+    node.prev = n;
+    node.next = n;
+  } else {
+    const uint32_t head = a.heads[cyl];
+    const uint32_t tail = nodes_[head].prev;
+    nodes_[tail].next = n;
+    node.prev = tail;
+    node.next = head;
+    nodes_[head].prev = n;
+  }
+}
+
+void Disk::Remove(Group& g, uint32_t n) {
+  Node& node = nodes_[n];
+  if (g.arrays != kNil) {
+    ElevatorArrays& a = arrays_[g.arrays];
+    const uint32_t cyl = node.cyl;
+    if (node.next == n) {
+      a.bits[cyl >> 6] &= ~(uint64_t{1} << (cyl & 63));
+    } else {
+      nodes_[node.prev].next = node.next;
+      nodes_[node.next].prev = node.prev;
+      if (a.heads[cyl] == n) a.heads[cyl] = node.next;
+    }
+  }
+  --g.count;
   --queued_count_;
-  node->req.on_complete = nullptr;
-  node->fifo_next = free_nodes_;
-  free_nodes_ = node;
+  if (node.callback != kNil) {
+    callbacks_[node.callback].fn = nullptr;
+    callbacks_.Free(node.callback);
+  }
+  nodes_.Free(n);
 }
 
 void Disk::RetireGroup(size_t index) {
-  DeadlineGroup* g = groups_[index].second;
-  RTQ_DCHECK(g->count == 0);
+  const Group& g = groups_[index];
+  RTQ_DCHECK(g.count == 0);
+  if (g.arrays != kNil) {
+    [[maybe_unused]] const uint64_t* bits = arrays_[g.arrays].bits.get();
+    RTQ_DCHECK(std::all_of(bits, bits + bitmap_words_,
+                           [](uint64_t word) { return word == 0; }));
+    arrays_.Free(g.arrays);
+  }
   groups_.erase(groups_.begin() + static_cast<std::ptrdiff_t>(index));
-  g->next_free = free_groups_;
-  free_groups_ = g;
 }
 
 int64_t Disk::CancelQuery(QueryId query) {
@@ -161,58 +189,79 @@ int64_t Disk::CancelQuery(QueryId query) {
   // Back to front, so retiring a drained group leaves the indices still
   // to visit in place.
   for (size_t gi = groups_.size(); gi-- > 0;) {
-    DeadlineGroup* g = groups_[gi].second;
-    for (size_t w = 0; w < bitmap_words_; ++w) {
-      for (uint64_t word = g->bits[w]; word != 0; word &= word - 1) {
-        const Cylinder cyl =
-            static_cast<Cylinder>((w << 6) + __builtin_ctzll(word));
-        RequestNode* n = g->heads[cyl];
-        RequestNode* const tail = n->fifo_prev;
-        while (true) {
-          RequestNode* next = n->fifo_next;
-          const bool at_tail = n == tail;
-          if (n->req.query == query) {
-            RemoveFromQueue(n);
-            ++removed;
+    Group& g = groups_[gi];
+    if (g.arrays == kNil) {
+      if (nodes_[g.single].query == query) {
+        Remove(g, g.single);
+        ++removed;
+      }
+    } else {
+      const ElevatorArrays& a = arrays_[g.arrays];
+      for (size_t w = 0; w < bitmap_words_; ++w) {
+        for (uint64_t word = a.bits[w]; word != 0; word &= word - 1) {
+          const auto cyl =
+              static_cast<uint32_t>((w << 6) + __builtin_ctzll(word));
+          uint32_t n = a.heads[cyl];
+          const uint32_t tail = nodes_[n].prev;
+          while (true) {
+            const uint32_t next = nodes_[n].next;
+            const bool at_tail = n == tail;
+            if (nodes_[n].query == query) {
+              Remove(g, n);
+              ++removed;
+            }
+            if (at_tail) break;
+            n = next;
           }
-          if (at_tail) break;
-          n = next;
         }
       }
     }
-    if (g->count == 0) RetireGroup(gi);
+    if (g.count == 0) RetireGroup(gi);
   }
   if (in_service_ && current_.query == query) current_cancelled_ = true;
   return removed;
 }
 
-Disk::RequestNode* Disk::PickByElevator() {
-  RTQ_DCHECK(!groups_.empty());
-  // The earliest-deadline group sits at the front of the deadline order.
-  DeadlineGroup* g = groups_.front().second;
+uint32_t Disk::PickByElevator(const ElevatorArrays& a) {
   // Among requests tied at the earliest deadline, continue the current
   // sweep direction from the head position, reversing when no request
   // lies ahead: the nearest non-empty cylinder at-or-ahead of the head,
   // FIFO within a cylinder.
   Cylinder cyl = sweep_up_
-                     ? FindSetAtOrAbove(g->bits.get(), bitmap_words_, head_)
-                     : FindSetAtOrBelow(g->bits.get(), head_);
+                     ? FindSetAtOrAbove(a.bits.get(), bitmap_words_, head_)
+                     : FindSetAtOrBelow(a.bits.get(), head_);
   if (cyl < 0) {
     sweep_up_ = !sweep_up_;
-    cyl = sweep_up_ ? FindSetAtOrAbove(g->bits.get(), bitmap_words_, head_)
-                    : FindSetAtOrBelow(g->bits.get(), head_);
+    cyl = sweep_up_ ? FindSetAtOrAbove(a.bits.get(), bitmap_words_, head_)
+                    : FindSetAtOrBelow(a.bits.get(), head_);
   }
   RTQ_DCHECK(cyl >= 0);
-  return g->heads[cyl];
+  return a.heads[cyl];
 }
 
 void Disk::StartNext() {
   if (queued_count_ == 0) return;
-  RequestNode* node = PickByElevator();
-  current_ = std::move(node->req);
-  RemoveFromQueue(node);
-  // The pick comes from the earliest-deadline group, at the front.
-  if (groups_.front().second->count == 0) RetireGroup(0);
+  // The earliest-deadline group sits at the front of the deadline order.
+  Group& g = groups_.front();
+  uint32_t n = g.single;
+  if (g.arrays == kNil) {
+    SweepToward(nodes_[n].cyl);
+  } else {
+    n = PickByElevator(arrays_[g.arrays]);
+  }
+  const Node& node = nodes_[n];
+  current_.query = node.query;
+  current_.deadline = g.deadline;
+  current_.start_page = node.start_page;
+  current_.pages = node.pages;
+  current_.is_write = node.is_write;
+  if (node.callback != kNil) {
+    current_.on_complete = std::move(callbacks_[node.callback].fn);
+  } else {
+    current_.on_complete = nullptr;
+  }
+  Remove(g, n);
+  if (g.count == 0) RetireGroup(0);
   StartService();
 }
 

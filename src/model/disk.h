@@ -10,16 +10,22 @@
 // query is aborted (the callback is simply dropped in that case).
 //
 // Queue layout: requests are grouped by exact deadline (a small sorted
-// vector of groups, earliest first); each group holds a cylinder bitmap
-// plus per-cylinder intrusive FIFO lists. The scheduling decision —
-// earliest deadline first, elevator sweep among deadline ties, FIFO among
-// same-cylinder ties — is a front-group bitmap scan, and submit/removal
-// are O(1) list splices, instead of red-black-tree descents over a queue
-// that routinely holds hundreds of requests. A request that finds the disk
-// idle (its queue is then empty) starts service directly, with the same
-// sweep reversal the elevator pick would have made. Cancellation happens
-// once per disk per deadline miss, rare next to submits, so it scans the
-// queue instead of keeping a per-query index up to date on every submit.
+// vector of groups, earliest first), so the ED pick is the front group.
+// A group holding one request keeps it inline and picks it with the
+// same sweep reversal as an idle direct start. A group that gains a
+// second request borrows a cylinder bitmap plus a per-cylinder FIFO-head
+// array from a per-disk pool; the pick is then a bitmap scan from the
+// head in the sweep direction, FIFO within a cylinder, and submit/removal
+// are O(1) list splices. Traffic fits this split: a query has one read
+// in flight, carrying its own deadline, so most groups hold one read,
+// while the deep part of a queue is background spool writes sharing
+// kNoDeadline in one spread group. A queued request is a 40-byte node
+// in fixed-size blocks, linked by 32-bit indices; its deadline lives in
+// its group and its callback, if it has one, in a recycled side slot.
+// A request that finds the disk idle (its queue is then empty) starts
+// service directly. Cancellation happens once per disk per deadline
+// miss, rare next to submits, so it scans the queue instead of keeping a
+// per-query index up to date on every submit.
 //
 // Cancellation model: CancelQuery() removes only *queued* requests. A
 // request already in service keeps the disk busy until its mechanical
@@ -36,7 +42,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/inline_callback.h"
@@ -100,36 +105,71 @@ class Disk {
   int64_t cache_hits() const { return cache_hits_; }
 
  private:
-  struct DeadlineGroup;
+  /// The null index of nodes, callback slots and pooled arrays.
+  static constexpr uint32_t kNil = ~uint32_t{0};
 
-  /// One queued request, doubly linked into its (group, cylinder) FIFO
-  /// (circular; tail == head->fifo_prev). A free node is linked into
-  /// free_nodes_ through fifo_next.
-  struct RequestNode {
-    DiskRequest req;
-    RequestNode* fifo_prev;
-    RequestNode* fifo_next;
-    DeadlineGroup* group;
-    Cylinder cyl;
+  /// Index-addressed pool grown in blocks of 2^Shift elements, so
+  /// elements never move and opening a block is the only allocation.
+  /// Freed elements are recycled first, linked through their `Link`
+  /// field. New elements are default-initialised: a trivial type leaves
+  /// a block's untouched tail unwritten.
+  template <typename T, int Shift, uint32_t T::*Link>
+  class Pool {
+   public:
+    T& operator[](uint32_t i) {
+      return blocks_[i >> Shift][i & ((uint32_t{1} << Shift) - 1)];
+    }
+    /// Index of a free element; indices stay below kNil.
+    uint32_t New();
+    void Free(uint32_t i) {
+      (*this)[i].*Link = free_;
+      free_ = i;
+    }
+
+   private:
+    std::vector<std::unique_ptr<T[]>> blocks_;
+    uint32_t size_ = 0;
+    uint32_t free_ = kNil;
   };
 
-  /// Request nodes are built on demand in blocks of this many bytes,
-  /// each reserved whole when it is opened, so the nodes never move and
-  /// a block's untouched tail costs no resident memory.
-  static constexpr size_t kNodeBlockBytes = 64 * 1024;
-  static constexpr size_t kNodesPerBlock =
-      kNodeBlockBytes / sizeof(RequestNode);
+  /// One queued request. Its deadline is its group's. A node in a spread
+  /// group is doubly linked into its cylinder's circular FIFO (tail ==
+  /// head's prev); a free node is linked through next.
+  struct Node {
+    QueryId query;
+    PageCount start_page;
+    uint32_t pages;
+    uint32_t cyl;
+    uint32_t prev;
+    uint32_t next;
+    uint32_t callback;  // slot in callbacks_, kNil when none
+    bool is_write;
+  };
+  static_assert(sizeof(Node) == 40, "a queued request is 40 bytes");
 
-  /// All queued requests sharing one exact deadline. `bits` marks the
-  /// cylinders with a non-empty FIFO; `heads[cyl]` is only meaningful
-  /// while the cylinder's bit is set, which is what lets a recycled
-  /// group reset with a bitmap memset instead of clearing the 12 KB
-  /// heads array.
-  struct DeadlineGroup {
-    int64_t count = 0;
-    DeadlineGroup* next_free = nullptr;
-    std::unique_ptr<uint64_t[]> bits;       // bitmap_words_ words
-    std::unique_ptr<RequestNode*[]> heads;  // num_cylinders entries
+  /// A queued request's completion callback.
+  struct CallbackSlot {
+    DiskCallback fn;
+    uint32_t next_free;
+  };
+
+  /// All queued requests sharing one exact deadline. While `arrays` is
+  /// kNil the group holds exactly one request, `single`.
+  struct Group {
+    SimTime deadline;
+    uint32_t count;
+    uint32_t single;
+    uint32_t arrays;  // index into arrays_ once spread
+  };
+
+  /// A spread group's cylinder bitmap and FIFO heads. `heads[cyl]` is
+  /// only meaningful while the cylinder's bit is set, and a group hands
+  /// its arrays back once drained, bits all clear, so reuse needs no
+  /// reset. Both are allocated when the set is first handed out.
+  struct ElevatorArrays {
+    std::unique_ptr<uint64_t[]> bits;   // bitmap_words_ words
+    std::unique_ptr<uint32_t[]> heads;  // num_cylinders entries
+    uint32_t next_free;
   };
 
   /// Picks the next request per ED + elevator and starts service.
@@ -138,20 +178,23 @@ class Disk {
   void StartService();
   void OnServiceComplete();
 
-  /// Chooses the next request: earliest-deadline group (front of
-  /// groups_), nearest non-empty cylinder in the sweep direction
-  /// (bitmap scan), FIFO head within that cylinder.
-  RequestNode* PickByElevator();
+  /// Reverses the sweep if `cyl` lies behind the head: the elevator's
+  /// choice when `cyl` is the only candidate.
+  void SweepToward(Cylinder cyl) {
+    if (sweep_up_ ? cyl < head_ : cyl > head_) sweep_up_ = !sweep_up_;
+  }
+  /// Nearest non-empty cylinder in the sweep direction (reversing when
+  /// none lies ahead), FIFO head within it.
+  uint32_t PickByElevator(const ElevatorArrays& a);
 
-  /// Finds (or creates, via the free list) the group for `deadline`.
-  DeadlineGroup* GroupFor(SimTime deadline);
-
-  /// A free node: recycled, else built in the open block.
-  RequestNode* NewNode();
-  /// Unlinks `node` from its group's FIFO, drops its callback and frees
-  /// it. The caller retires the group once its count reaches zero.
-  void RemoveFromQueue(RequestNode* node);
-  /// Returns the drained group at groups_[index] to the free list.
+  /// Gives a one-request group pooled arrays holding that request.
+  void Spread(Group& g);
+  /// Appends node `n` to its cylinder's FIFO in `a`.
+  void Link(ElevatorArrays& a, uint32_t n);
+  /// Unlinks node `n` from group `g` and frees it and its callback
+  /// slot. The caller retires the group once its count reaches zero.
+  void Remove(Group& g, uint32_t n);
+  /// Erases the drained group at groups_[index], returning its arrays.
   void RetireGroup(size_t index);
 
   sim::Simulator* sim_;
@@ -159,18 +202,19 @@ class Disk {
   DiskCache cache_;
   DiskId id_;
 
-  /// Every request node ever built; grows to the queue's high-water
-  /// mark, after which submits recycle free nodes.
-  std::vector<std::vector<RequestNode>> node_blocks_;
-  RequestNode* free_nodes_ = nullptr;
-  /// Every deadline group ever built, live or free.
-  std::vector<std::unique_ptr<DeadlineGroup>> group_storage_;
+  /// Every node, callback slot and array set ever built; each grows to
+  /// its high-water mark, after which submits recycle free ones. Blocks
+  /// are small (256 nodes, 10 KB) because queue high waters vary from
+  /// none to thousands across disks, and a block carved from memory a
+  /// finished session freed is resident whole. Only queued reads carry
+  /// callbacks, a handful per disk.
+  Pool<Node, 8, &Node::next> nodes_;
+  Pool<CallbackSlot, 3, &CallbackSlot::next_free> callbacks_;
+  Pool<ElevatorArrays, 2, &ElevatorArrays::next_free> arrays_;
   /// Live deadline groups, sorted ascending by deadline (exact-equality
-  /// grouping, same as the former (deadline, cylinder, seq) map key).
-  /// Distinct live deadlines number in the tens, so the vector stays
-  /// small and its front() is the ED pick.
-  std::vector<std::pair<SimTime, DeadlineGroup*>> groups_;
-  DeadlineGroup* free_groups_ = nullptr;
+  /// grouping). Distinct live deadlines number in the tens, so the
+  /// vector stays small and its front() is the ED pick.
+  std::vector<Group> groups_;
   size_t bitmap_words_;
   int64_t queued_count_ = 0;
   bool in_service_ = false;

@@ -82,9 +82,10 @@ namespace {
 // suspension, aborts and recycling all churn during the window.
 constexpr double kArrivalRate = 1.0;
 constexpr double kWarmupSimSeconds = 2000.0;
-// Warmup must walk past every high-water mark (runtime pool, disk
-// request-node blocks and deadline-group free list, event slab, CPU job
-// slab, page-cache index table, the live-query and temp-hole vectors).
+// Warmup must walk past every high-water mark (runtime pool; each disk's
+// request-node and callback-slot blocks, its pool of elevator arrays and
+// its deadline-group vector; event slab, CPU job slab, page-cache index
+// table, the live-query and temp-hole vectors).
 // The run is deterministic, so an event-count warmup that covers the
 // high water for the pinned seed covers it on every future run too.
 constexpr int64_t kWarmupEvents = 400000;
