@@ -272,6 +272,46 @@ void BM_DiskElevatorDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_DiskElevatorDrain)->Arg(1)->Arg(4)->Arg(32)->Arg(256);
 
+// The disk queue at serve-global's measured depth: a standing backlog of
+// about 460 no-deadline spool writes over every cylinder, plus reads at
+// distinct deadlines. Each iteration submits one read (with a callback)
+// and one write and completes two requests: the read goes first, then
+// the elevator picks a write off the backlog. Items are requests.
+void BM_DiskSpoolBacklog(benchmark::State& state) {
+  constexpr int kBacklog = 460;
+  rtq::Rng rng(15);
+  const rtq::model::DiskParams params;
+  std::array<rtq::PageCount, 1024> starts{};
+  for (rtq::PageCount& s : starts) {
+    s = rng.UniformInt(0, params.capacity() - 6);
+  }
+  rtq::sim::Simulator sim;
+  rtq::model::Disk disk(&sim, params, 0);
+  size_t next = 0;
+  int64_t reads_done = 0;
+  auto submit = [&](bool read) {
+    rtq::model::DiskRequest req;
+    req.query = 1;
+    req.deadline = read ? sim.Now() + 1.0 : rtq::kNoDeadline;
+    req.start_page = starts[next++ & 1023];
+    req.pages = 6;
+    req.is_write = !read;
+    if (read) req.on_complete = [&reads_done] { ++reads_done; };
+    disk.Submit(std::move(req));
+  };
+  // One write starts at once; the rest queue.
+  for (int i = 0; i <= kBacklog; ++i) submit(false);
+  for (auto _ : state) {
+    submit(true);
+    submit(false);
+    sim.Step();
+    sim.Step();
+  }
+  benchmark::DoNotOptimize(reads_done);
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_DiskSpoolBacklog);
+
 // One CPU job's life: Submit, dispatch, completion event. Arg 0 is the
 // number of jobs in flight, each completion submitting a replacement: at
 // 1 every submit finds the CPU idle and starts at once (most of the
