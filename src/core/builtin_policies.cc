@@ -30,31 +30,6 @@ namespace {
 // Static strategies: one fixed AllocationStrategy for the whole run.
 // ---------------------------------------------------------------------------
 
-class StaticStrategyPolicy : public MemoryPolicy {
- public:
-  using StrategyFactory =
-      std::function<std::unique_ptr<AllocationStrategy>()>;
-
-  StaticStrategyPolicy(std::string spec, std::string display,
-                       StrategyFactory make)
-      : spec_(std::move(spec)),
-        display_(std::move(display)),
-        make_(std::move(make)) {}
-
-  Status Attach(const PolicyHost& host) override {
-    host.mm->SetStrategy(make_());
-    return Status::Ok();
-  }
-
-  std::string Describe() const override { return spec_; }
-  std::string DisplayName() const override { return display_; }
-
- private:
-  std::string spec_;
-  std::string display_;
-  StrategyFactory make_;
-};
-
 StatusOr<std::unique_ptr<MemoryPolicy>> MakeMaxPolicy(const Spec& spec) {
   bool strict = false;
   if (spec.args == "strict") {
@@ -67,7 +42,9 @@ StatusOr<std::unique_ptr<MemoryPolicy>> MakeMaxPolicy(const Spec& spec) {
   std::string display = strict ? "Max(strict)" : "Max";
   return std::unique_ptr<MemoryPolicy>(new StaticStrategyPolicy(
       canonical, display,
-      [strict] { return std::make_unique<MaxStrategy>(!strict); }));
+      [strict](const PolicyHost&) -> StrategyOr {
+        return {std::make_unique<MaxStrategy>(!strict)};
+      }));
 }
 
 /// Shared factory body for the two -N families.
@@ -89,83 +66,14 @@ StatusOr<std::unique_ptr<MemoryPolicy>> MakeLimitPolicy(const Spec& spec,
   std::string display =
       n < 0 ? family : std::string(family) + "-" + std::to_string(n);
   return std::unique_ptr<MemoryPolicy>(new StaticStrategyPolicy(
-      canonical, display, [n] { return std::make_unique<StrategyT>(n); }));
+      canonical, display, [n](const PolicyHost&) -> StrategyOr {
+        return {std::make_unique<StrategyT>(n)};
+      }));
 }
 
 // ---------------------------------------------------------------------------
-// PMM and PMM-Fair: controller-driven adaptive policies.
+// PMM and PMM-Fair: the controller is the policy (pmm.h, pmm_fair.h).
 // ---------------------------------------------------------------------------
-
-class PmmPolicy : public MemoryPolicy {
- public:
-  Status Attach(const PolicyHost& host) override {
-    RTQ_RETURN_IF_ERROR(host.pmm.Validate());
-    controller_ =
-        std::make_unique<PmmController>(host.pmm, host.mm, host.probe);
-    return Status::Ok();
-  }
-
-  void OnQueryEvent(const QueryEvent& event) override {
-    if (event.kind == QueryEvent::Kind::kCompletion) {
-      controller_->OnQueryFinished(event.info);
-    }
-  }
-
-  std::string Describe() const override { return "pmm"; }
-  std::string DisplayName() const override { return "PMM"; }
-  const PmmController* pmm_controller() const override {
-    return controller_.get();
-  }
-
- private:
-  std::unique_ptr<PmmController> controller_;
-};
-
-class PmmFairPolicy : public MemoryPolicy {
- public:
-  explicit PmmFairPolicy(std::vector<double> weights)
-      : weights_(std::move(weights)) {}
-
-  Status Attach(const PolicyHost& host) override {
-    RTQ_RETURN_IF_ERROR(host.pmm.Validate());
-    std::vector<double> weights = weights_;
-    if (weights.empty()) {
-      // No w= argument: ask for equal miss ratios across all classes.
-      weights.assign(static_cast<size_t>(host.num_classes), 1.0);
-    }
-    if (static_cast<int32_t>(weights.size()) != host.num_classes) {
-      return Status::InvalidArgument(
-          "pmm-fair needs one weight per workload class (" +
-          std::to_string(weights.size()) + " weights, " +
-          std::to_string(host.num_classes) + " classes)");
-    }
-    if (weights.empty()) {
-      return Status::InvalidArgument("pmm-fair needs at least one class");
-    }
-    controller_ = std::make_unique<PmmFairController>(host.pmm, host.mm,
-                                                      host.probe, weights);
-    return Status::Ok();
-  }
-
-  void OnQueryEvent(const QueryEvent& event) override {
-    if (event.kind == QueryEvent::Kind::kCompletion) {
-      controller_->OnQueryFinished(event.info);
-    }
-  }
-
-  std::string Describe() const override {
-    return weights_.empty() ? "pmm-fair"
-                            : "pmm-fair:w=" + FormatSpecDoubleList(weights_);
-  }
-  std::string DisplayName() const override { return "PMM-Fair"; }
-  const PmmController* pmm_controller() const override {
-    return controller_.get();
-  }
-
- private:
-  std::vector<double> weights_;
-  std::unique_ptr<PmmFairController> controller_;
-};
 
 StatusOr<std::unique_ptr<MemoryPolicy>> MakePmmFairPolicy(const Spec& spec) {
   std::vector<double> weights;
@@ -177,7 +85,8 @@ StatusOr<std::unique_ptr<MemoryPolicy>> MakePmmFairPolicy(const Spec& spec) {
       return Status::InvalidArgument("pmm-fair: weights must be > 0");
     }
   }
-  return std::unique_ptr<MemoryPolicy>(new PmmFairPolicy(std::move(weights)));
+  return std::unique_ptr<MemoryPolicy>(
+      new PmmFairController(std::move(weights)));
 }
 
 // ---------------------------------------------------------------------------
@@ -202,7 +111,7 @@ RTQ_REGISTER(PolicyRegistry, "pmm",
              "pmm — adaptive Priority Memory Management",
              [](const Spec& spec) -> StatusOr<std::unique_ptr<MemoryPolicy>> {
                RTQ_RETURN_IF_ERROR(SpecArgs(spec.args).Finish());
-               return std::unique_ptr<MemoryPolicy>(new PmmPolicy());
+               return std::unique_ptr<MemoryPolicy>(new PmmController());
              });
 RTQ_REGISTER(PolicyRegistry, "pmm-fair",
              "pmm-fair[:w=w1,w2,...] — PMM + class fairness",

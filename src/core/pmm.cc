@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "stats/large_sample_test.h"
@@ -20,25 +21,31 @@ Status PmmParams::Validate() const {
   return Status::Ok();
 }
 
-PmmController::PmmController(const PmmParams& params, MemoryManager* mm,
-                             SystemProbe* probe)
-    : params_(params), mm_(mm), probe_(probe) {
-  RTQ_CHECK(mm != nullptr && probe != nullptr);
-  RTQ_CHECK_MSG(params.Validate().ok(), "invalid PMM parameters");
+Status PmmController::Attach(const PolicyHost& host) {
+  RTQ_RETURN_IF_ERROR(host.pmm.Validate());
+  RTQ_CHECK(host.mm != nullptr && host.probe != nullptr);
+  params_ = host.pmm;
+  mm_ = host.mm;
+  probe_ = host.probe;
   // Adaptations are rare (~one per tens of completions); pre-growing the
   // trace keeps its amortized reallocation out of the steady-state path.
   trace_.reserve(1024);
-  // The paper: "Initially, the Max mode is selected."
-  mm_->SetStrategy(MakeMaxStrategy());
+  InstallStrategy();
+  return Status::Ok();
 }
 
-std::unique_ptr<AllocationStrategy> PmmController::MakeMaxStrategy() {
-  return std::make_unique<MaxStrategy>();
+void PmmController::OnQueryEvent(const QueryEvent& event) {
+  if (event.kind == QueryEvent::Kind::kCompletion) OnQueryFinished(event.info);
 }
 
-std::unique_ptr<AllocationStrategy> PmmController::MakeMinMaxStrategy(
-    int64_t target_mpl) {
-  return std::make_unique<MinMaxStrategy>(target_mpl);
+void PmmController::InstallStrategy() {
+  std::unique_ptr<AllocationStrategy> inner;
+  if (mode_ == Mode::kMax) {
+    inner = std::make_unique<MaxStrategy>();
+  } else {
+    inner = std::make_unique<MinMaxStrategy>(target_mpl_);
+  }
+  mm_->SetStrategy(Wrap(std::move(inner)));
 }
 
 void PmmController::OnQueryFinished(const CompletionInfo& info) {
@@ -76,7 +83,7 @@ void PmmController::Restart() {
   max_mode_realized_mpl_.Reset();
   mode_ = Mode::kMax;
   target_mpl_ = -1;
-  mm_->SetStrategy(MakeMaxStrategy());
+  InstallStrategy();
 }
 
 void PmmController::ForceTarget(SimTime now, int64_t target) {
@@ -84,7 +91,7 @@ void PmmController::ForceTarget(SimTime now, int64_t target) {
   if (mode_ == Mode::kMinMax && target == target_mpl_) return;
   mode_ = Mode::kMinMax;
   target_mpl_ = target;
-  mm_->SetStrategy(MakeMinMaxStrategy(target_mpl_));
+  InstallStrategy();
   TracePoint point;
   point.time = now;
   point.mode = mode_;
@@ -96,7 +103,7 @@ void PmmController::ForceMax(SimTime now) {
   if (mode_ == Mode::kMax) return;
   mode_ = Mode::kMax;
   target_mpl_ = -1;
-  mm_->SetStrategy(MakeMaxStrategy());
+  InstallStrategy();
   TracePoint point;
   point.time = now;
   point.mode = mode_;
@@ -175,7 +182,7 @@ void PmmController::Adapt() {
                         std::llround(readings.realized_mpl)) + 1,
                     2)
               : RuHeuristicMpl(readings.realized_mpl, bottleneck);
-      mm_->SetStrategy(MakeMinMaxStrategy(target_mpl_));
+      InstallStrategy();
     }
   } else {
     // --- MinMax mode: admission control (Section 3.1) -------------------
@@ -247,10 +254,10 @@ void PmmController::Adapt() {
         AllowRevertToMax(readings.now)) {
       mode_ = Mode::kMax;
       target_mpl_ = -1;
-      mm_->SetStrategy(MakeMaxStrategy());
+      InstallStrategy();
     } else if (new_target != target_mpl_) {
       target_mpl_ = new_target;
-      mm_->SetStrategy(MakeMinMaxStrategy(target_mpl_));
+      InstallStrategy();
     }
   }
 

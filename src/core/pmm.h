@@ -32,88 +32,23 @@
 #define RTQ_CORE_PMM_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
-#include "core/memory_manager.h"
+#include "core/memory_policy.h"
 #include "stats/linear_fit.h"
 #include "stats/quadratic_fit.h"
 #include "stats/running_stats.h"
 
 namespace rtq::core {
 
-/// Table 1 parameters plus safety clamps.
-struct PmmParams {
-  /// Re-evaluation frequency, in query completions.
-  int64_t sample_size = 30;
-  /// Desirable utilization band for the bottleneck resource.
-  double util_low = 0.70;
-  double util_high = 0.85;
-  /// Confidence of the adaptation tests (admission wait, slack).
-  double adapt_conf_level = 0.95;
-  /// Confidence of the workload-change tests.
-  double change_conf_level = 0.99;
-  /// Clamp for the target MPL chosen by projection / heuristic.
-  int64_t max_mpl = 500;
-  /// Record the batch's realized (time-averaged) MPL instead of the
-  /// target setting as the x-coordinate of the projection fit. Off by
-  /// default (the paper projects over its MPL settings); the A2 ablation
-  /// flips it.
-  bool fit_realized_mpl = false;
-  /// Disable the miss-ratio projection (RU heuristic only) — ablation.
-  bool disable_projection = false;
-  /// Disable the RU heuristic (projection only; falls back to keeping the
-  /// current MPL when projection fails) — ablation.
-  bool disable_ru_heuristic = false;
-
-  Status Validate() const;
-};
-
-/// What the controller learns about each finished (or missed) query.
-struct CompletionInfo {
-  QueryId id = kInvalidQueryId;
-  int32_t query_class = -1;
-  bool missed = false;
-  SimTime arrival = 0.0;
-  SimTime finish = 0.0;
-  SimTime deadline = kNoDeadline;
-  /// Arrival to first non-zero allocation (whole lifetime if never
-  /// admitted).
-  SimTime admission_wait = 0.0;
-  /// First admission to completion/abort.
-  SimTime execution_time = 0.0;
-  /// Deadline - arrival.
-  SimTime time_constraint = 0.0;
-  // Workload characteristics (Section 3.3).
-  PageCount max_memory = 0;
-  int64_t operand_io_requests = 0;
-};
-
-/// Per-batch system readings the controller needs from the engine:
-/// utilizations and the realized MPL over the window since the last call.
-class SystemProbe {
- public:
-  virtual ~SystemProbe() = default;
-  struct Readings {
-    SimTime now = 0.0;
-    double realized_mpl = 0.0;
-    double cpu_utilization = 0.0;
-    /// Mean utilization across the disk array. PMM's decisions use this
-    /// as the disk-side load signal: over a 30-completion window the max
-    /// across disks is a heavily biased order statistic (whichever disk
-    /// hosts the momentarily popular relation saturates), while the
-    /// array-wide mean tracks the long-run "most heavily loaded
-    /// resource" the paper's heuristic intends.
-    double avg_disk_utilization = 0.0;
-    double max_disk_utilization = 0.0;
-  };
-  /// Returns readings for the window since the previous TakeReadings()
-  /// call and starts a new window.
-  virtual Readings TakeReadings() = 0;
-};
-
-class PmmController {
+/// The "pmm" policy. Variants (pmm-fair, pmm-class, pmm-tick,
+/// pmm-predict) subclass it and override only what differs: Attach to
+/// check their own host needs before calling this one, Wrap to decorate
+/// the Max/MinMax strategy PMM picks, and the hooks below.
+class PmmController : public MemoryPolicy {
  public:
   enum class Mode { kMax, kMinMax };
 
@@ -130,10 +65,15 @@ class PmmController {
     bool workload_change = false;
   };
 
-  PmmController(const PmmParams& params, MemoryManager* mm,
-                SystemProbe* probe);
-
-  virtual ~PmmController() = default;
+  /// Validates host.pmm, keeps the host's manager and probe, and
+  /// installs the initial strategy (the paper: "Initially, the Max mode
+  /// is selected").
+  Status Attach(const PolicyHost& host) override;
+  /// Feeds completions to OnQueryFinished.
+  void OnQueryEvent(const QueryEvent& event) override;
+  std::string Describe() const override { return "pmm"; }
+  std::string DisplayName() const override { return "PMM"; }
+  const PmmController* pmm_controller() const override { return this; }
 
   /// Feed every completion (including misses) to the controller.
   virtual void OnQueryFinished(const CompletionInfo& info);
@@ -145,11 +85,16 @@ class PmmController {
   int64_t workload_changes_detected() const { return workload_changes_; }
 
  protected:
-  /// Strategy factories; PMM-Fair overrides these to install class-aware
-  /// variants.
-  virtual std::unique_ptr<AllocationStrategy> MakeMaxStrategy();
-  virtual std::unique_ptr<AllocationStrategy> MakeMinMaxStrategy(
-      int64_t target_mpl);
+  /// Decorates the Max or MinMax-N strategy of the current mode before
+  /// it is installed; the identity here. PMM-Fair and pmm-class wrap it
+  /// in their class-aware orderings and quotas.
+  virtual std::unique_ptr<AllocationStrategy> Wrap(
+      std::unique_ptr<AllocationStrategy> inner) {
+    return inner;
+  }
+
+  /// Installs Wrap(Max) or Wrap(MinMax-target) for the current mode.
+  void InstallStrategy();
 
   /// Hook for subclasses, called at the end of every batch adaptation.
   virtual void OnBatchAdapted(const TracePoint& point) { (void)point; }
@@ -177,7 +122,6 @@ class PmmController {
   /// accumulating from the next batch as after a regular revert.
   void ForceMax(SimTime now);
 
-  const PmmParams& params() const { return params_; }
   MemoryManager* memory_manager() { return mm_; }
 
  private:
@@ -202,8 +146,8 @@ class PmmController {
   int64_t RuHeuristicMpl(double current_mpl, double current_util) const;
 
   PmmParams params_;
-  MemoryManager* mm_;
-  SystemProbe* probe_;
+  MemoryManager* mm_ = nullptr;
+  SystemProbe* probe_ = nullptr;
 
   Mode mode_ = Mode::kMax;
   int64_t target_mpl_ = -1;

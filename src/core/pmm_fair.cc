@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "common/check.h"
+#include "common/spec.h"
 
 namespace rtq::core {
 
@@ -48,17 +51,34 @@ std::string FairOrderingStrategy::name() const {
   return "Fair(" + inner_->name() + ")";
 }
 
-PmmFairController::PmmFairController(const PmmParams& params,
-                                     MemoryManager* mm, SystemProbe* probe,
-                                     std::vector<double> class_weights)
-    : PmmController(params, mm, probe), weights_(std::move(class_weights)) {
-  RTQ_CHECK_MSG(!weights_.empty(), "PMM-Fair needs class weights");
-  for (double w : weights_) RTQ_CHECK_MSG(w > 0.0, "weights must be > 0");
+PmmFairController::PmmFairController(std::vector<double> class_weights)
+    : spec_weights_(std::move(class_weights)) {}
+
+Status PmmFairController::Attach(const PolicyHost& host) {
+  weights_ = spec_weights_;
+  if (weights_.empty()) {
+    // No w= argument: ask for equal miss ratios across all classes.
+    weights_.assign(static_cast<size_t>(host.num_classes), 1.0);
+  }
+  if (static_cast<int32_t>(weights_.size()) != host.num_classes) {
+    return Status::InvalidArgument(
+        "pmm-fair needs one weight per workload class (" +
+        std::to_string(weights_.size()) + " weights, " +
+        std::to_string(host.num_classes) + " classes)");
+  }
+  if (weights_.empty()) {
+    return Status::InvalidArgument("pmm-fair needs at least one class");
+  }
   urgency_.assign(weights_.size(), 1.0);
   batch_completions_.assign(weights_.size(), 0);
   batch_misses_.assign(weights_.size(), 0);
-  // Reinstall the initial strategy now that urgencies exist.
-  memory_manager()->SetStrategy(MakeMaxStrategy());
+  return PmmController::Attach(host);
+}
+
+std::string PmmFairController::Describe() const {
+  return spec_weights_.empty()
+             ? "pmm-fair"
+             : "pmm-fair:w=" + FormatSpecDoubleList(spec_weights_);
 }
 
 void PmmFairController::OnQueryFinished(const CompletionInfo& info) {
@@ -70,19 +90,9 @@ void PmmFairController::OnQueryFinished(const CompletionInfo& info) {
   PmmController::OnQueryFinished(info);
 }
 
-std::unique_ptr<AllocationStrategy> PmmFairController::MakeMaxStrategy() {
-  // During construction of the base class the urgency vector does not
-  // exist yet; fall back to plain ED until it does.
-  if (urgency_.empty()) return std::make_unique<MaxStrategy>();
-  return std::make_unique<FairOrderingStrategy>(
-      std::make_unique<MaxStrategy>(), urgency_);
-}
-
-std::unique_ptr<AllocationStrategy> PmmFairController::MakeMinMaxStrategy(
-    int64_t target_mpl) {
-  if (urgency_.empty()) return std::make_unique<MinMaxStrategy>(target_mpl);
-  return std::make_unique<FairOrderingStrategy>(
-      std::make_unique<MinMaxStrategy>(target_mpl), urgency_);
+std::unique_ptr<AllocationStrategy> PmmFairController::Wrap(
+    std::unique_ptr<AllocationStrategy> inner) {
+  return std::make_unique<FairOrderingStrategy>(std::move(inner), urgency_);
 }
 
 void PmmFairController::OnBatchAdapted(const TracePoint& point) {
@@ -111,11 +121,7 @@ void PmmFairController::OnBatchAdapted(const TracePoint& point) {
       }
     }
     // Install strategies with the updated urgencies.
-    if (mode() == Mode::kMax) {
-      memory_manager()->SetStrategy(MakeMaxStrategy());
-    } else {
-      memory_manager()->SetStrategy(MakeMinMaxStrategy(target_mpl()));
-    }
+    InstallStrategy();
   }
   std::fill(batch_completions_.begin(), batch_completions_.end(), 0);
   std::fill(batch_misses_.begin(), batch_misses_.end(), 0);

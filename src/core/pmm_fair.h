@@ -25,6 +25,7 @@
 #define RTQ_CORE_PMM_FAIR_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/pmm.h"
@@ -48,27 +49,34 @@ class FairOrderingStrategy : public AllocationStrategy {
   std::vector<double> class_urgency_;
 };
 
+/// The "pmm-fair[:w=w1,w2,...]" policy.
 class PmmFairController : public PmmController {
  public:
   /// `class_weights[c]` is the desired relative miss ratio of class c
-  /// (larger = more misses tolerated). Must be positive.
-  PmmFairController(const PmmParams& params, MemoryManager* mm,
-                    SystemProbe* probe, std::vector<double> class_weights);
+  /// (larger = more misses tolerated), each positive; empty asks for
+  /// equal miss ratios across however many classes the host has.
+  explicit PmmFairController(std::vector<double> class_weights = {});
 
+  /// Fails unless there is one weight per workload class.
+  Status Attach(const PolicyHost& host) override;
   void OnQueryFinished(const CompletionInfo& info) override;
+  std::string Describe() const override;
+  std::string DisplayName() const override { return "PMM-Fair"; }
 
   const std::vector<double>& class_urgency() const { return urgency_; }
 
  protected:
-  std::unique_ptr<AllocationStrategy> MakeMaxStrategy() override;
-  std::unique_ptr<AllocationStrategy> MakeMinMaxStrategy(
-      int64_t target_mpl) override;
+  std::unique_ptr<AllocationStrategy> Wrap(
+      std::unique_ptr<AllocationStrategy> inner) override;
   void OnBatchAdapted(const TracePoint& point) override;
 
  private:
   static constexpr double kUrgencyStep = 1.25;
   static constexpr double kUrgencyMax = 8.0;
 
+  /// As given in the spec (empty = equal); Describe() reports these.
+  std::vector<double> spec_weights_;
+  /// One per class, resolved at Attach.
   std::vector<double> weights_;
   std::vector<double> urgency_;
   std::vector<int64_t> batch_completions_;

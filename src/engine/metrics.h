@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "common/types.h"
-#include "core/pmm.h"
+#include "core/memory_policy.h"
 #include "exec/query.h"
 #include "stats/batch_means.h"
 #include "stats/running_stats.h"

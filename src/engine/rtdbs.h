@@ -120,8 +120,8 @@ class Rtdbs {
   buffer::BufferPool& buffer_pool() { return *pool_; }
   /// The active memory policy (resolved from the config's spec string).
   const core::MemoryPolicy& policy() const { return *policy_; }
-  /// The policy's adaptation controller; null unless the policy is
-  /// PMM-driven (PMM, PMM-Fair, or a plugin built on PmmController).
+  /// The policy's adaptation controller; null unless the policy is a
+  /// PmmController (PMM, PMM-Fair, or a plugin built on it).
   const core::PmmController* pmm() const {
     return policy_ ? policy_->pmm_controller() : nullptr;
   }

@@ -13,7 +13,7 @@
 
 #include "common/status.h"
 #include "common/types.h"
-#include "core/pmm.h"
+#include "core/memory_policy.h"
 #include "exec/cost_model.h"
 #include "model/disk_geometry.h"
 #include "storage/database.h"

@@ -87,30 +87,6 @@ class EdfShedStrategy : public AllocationStrategy {
   MinMaxStrategy inner_;
 };
 
-class EdfShedPolicy : public MemoryPolicy {
- public:
-  explicit EdfShedPolicy(double margin) : margin_(margin) {}
-
-  Status Attach(const PolicyHost& host) override {
-    if (!host.now) {
-      return Status::FailedPrecondition(
-          "edf-shed needs a simulation clock from the host");
-    }
-    host.mm->SetStrategy(
-        std::make_unique<EdfShedStrategy>(host.now, margin_));
-    return Status::Ok();
-  }
-
-  std::string Describe() const override {
-    return margin_ == 1.0 ? "edf-shed"
-                          : "edf-shed:m=" + FormatSpecDoubleList({margin_});
-  }
-  std::string DisplayName() const override { return "EDF-Shed"; }
-
- private:
-  double margin_;
-};
-
 StatusOr<std::unique_ptr<MemoryPolicy>> MakeEdfShedPolicy(const Spec& spec) {
   double margin = 1.0;
   SpecArgs args(spec.args);
@@ -119,7 +95,16 @@ StatusOr<std::unique_ptr<MemoryPolicy>> MakeEdfShedPolicy(const Spec& spec) {
   if (margin <= 0.0) {
     return Status::InvalidArgument("edf-shed: m must be > 0");
   }
-  return std::unique_ptr<MemoryPolicy>(new EdfShedPolicy(margin));
+  return std::unique_ptr<MemoryPolicy>(new StaticStrategyPolicy(
+      margin == 1.0 ? "edf-shed"
+                    : "edf-shed:m=" + FormatSpecDoubleList({margin}),
+      "EDF-Shed", [margin](const PolicyHost& host) -> StrategyOr {
+        if (!host.now) {
+          return Status::FailedPrecondition(
+              "edf-shed needs a simulation clock from the host");
+        }
+        return {std::make_unique<EdfShedStrategy>(host.now, margin)};
+      }));
 }
 
 RTQ_REGISTER(PolicyRegistry, "edf-shed",

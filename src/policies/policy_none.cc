@@ -12,9 +12,10 @@
 // queries starve. This is the behaviour every Section 3 policy is
 // implicitly measured against.
 //
-// The file is deliberately self-contained: policy + strategy + registry
-// hook in one translation unit, zero edits anywhere else — the "how to
-// add a policy in one file" recipe from docs/ARCHITECTURE.md.
+// The file is deliberately self-contained: strategy + registry hook in
+// one translation unit, zero edits anywhere else — the "how to add a
+// policy in one file" recipe from docs/ARCHITECTURE.md. A policy that is
+// one strategy registers a StaticStrategyPolicy rather than a class.
 
 #include <algorithm>
 #include <memory>
@@ -53,21 +54,14 @@ class FcfsMaxStrategy : public AllocationStrategy {
   std::string name() const override { return "None(FCFS)"; }
 };
 
-class NonePolicy : public MemoryPolicy {
- public:
-  Status Attach(const PolicyHost& host) override {
-    host.mm->SetStrategy(std::make_unique<FcfsMaxStrategy>());
-    return Status::Ok();
-  }
-  std::string Describe() const override { return "none"; }
-  std::string DisplayName() const override { return "None"; }
-};
-
 RTQ_REGISTER(PolicyRegistry, "none",
              "none — no admission control, FCFS maximum grants",
              [](const Spec& spec) -> StatusOr<std::unique_ptr<MemoryPolicy>> {
                RTQ_RETURN_IF_ERROR(SpecArgs(spec.args).Finish());
-               return std::unique_ptr<MemoryPolicy>(new NonePolicy());
+               return std::unique_ptr<MemoryPolicy>(new StaticStrategyPolicy(
+                   "none", "None", [](const PolicyHost&) -> StrategyOr {
+                     return {std::make_unique<FcfsMaxStrategy>()};
+                   }));
              });
 
 }  // namespace

@@ -63,31 +63,6 @@ class OracleEdStrategy : public AllocationStrategy {
   double margin_;
 };
 
-class OracleEdPolicy : public MemoryPolicy {
- public:
-  explicit OracleEdPolicy(double margin) : margin_(margin) {}
-
-  Status Attach(const PolicyHost& host) override {
-    if (!host.now) {
-      return Status::FailedPrecondition(
-          "oracle-ed needs a simulation clock from the host");
-    }
-    host.mm->SetStrategy(
-        std::make_unique<OracleEdStrategy>(host.now, margin_));
-    return Status::Ok();
-  }
-
-  std::string Describe() const override {
-    return margin_ == 1.0
-               ? "oracle-ed"
-               : "oracle-ed:m=" + FormatSpecDoubleList({margin_});
-  }
-  std::string DisplayName() const override { return "Oracle-ED"; }
-
- private:
-  double margin_;
-};
-
 StatusOr<std::unique_ptr<MemoryPolicy>> MakeOracleEdPolicy(const Spec& spec) {
   double margin = 1.0;
   SpecArgs args(spec.args);
@@ -96,7 +71,16 @@ StatusOr<std::unique_ptr<MemoryPolicy>> MakeOracleEdPolicy(const Spec& spec) {
   if (margin <= 0.0) {
     return Status::InvalidArgument("oracle-ed: m must be > 0");
   }
-  return std::unique_ptr<MemoryPolicy>(new OracleEdPolicy(margin));
+  return std::unique_ptr<MemoryPolicy>(new StaticStrategyPolicy(
+      margin == 1.0 ? "oracle-ed"
+                    : "oracle-ed:m=" + FormatSpecDoubleList({margin}),
+      "Oracle-ED", [margin](const PolicyHost& host) -> StrategyOr {
+        if (!host.now) {
+          return Status::FailedPrecondition(
+              "oracle-ed needs a simulation clock from the host");
+        }
+        return {std::make_unique<OracleEdStrategy>(host.now, margin)};
+      }));
 }
 
 RTQ_REGISTER(PolicyRegistry, "oracle-ed",

@@ -26,7 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/memory_policy.h"
 #include "core/pmm.h"
 #include "core/policy_registry.h"
 #include "core/strategy.h"
@@ -78,40 +77,10 @@ class ClassQuotaStrategy : public AllocationStrategy {
 /// PMM whose Max/MinMax strategies are wrapped in the class quota.
 class PmmClassController : public PmmController {
  public:
-  PmmClassController(const PmmParams& params, MemoryManager* mm,
-                     SystemProbe* probe, std::vector<int64_t> caps)
-      : PmmController(params, mm, probe), caps_(std::move(caps)) {
-    // The base constructor installed an unwrapped Max strategy (the
-    // quota vector did not exist yet); reinstall with the quota on.
-    memory_manager()->SetStrategy(MakeMaxStrategy());
-  }
-
- protected:
-  std::unique_ptr<AllocationStrategy> MakeMaxStrategy() override {
-    return Wrap(std::make_unique<MaxStrategy>());
-  }
-  std::unique_ptr<AllocationStrategy> MakeMinMaxStrategy(
-      int64_t target_mpl) override {
-    return Wrap(std::make_unique<MinMaxStrategy>(target_mpl));
-  }
-
- private:
-  std::unique_ptr<AllocationStrategy> Wrap(
-      std::unique_ptr<AllocationStrategy> inner) {
-    if (caps_.empty()) return inner;  // base-constructor window / no quotas
-    return std::make_unique<ClassQuotaStrategy>(std::move(inner), caps_);
-  }
-
-  std::vector<int64_t> caps_;
-};
-
-class PmmClassPolicy : public MemoryPolicy {
- public:
-  explicit PmmClassPolicy(std::vector<int64_t> targets)
+  explicit PmmClassController(std::vector<int64_t> targets)
       : targets_(std::move(targets)) {}
 
   Status Attach(const PolicyHost& host) override {
-    RTQ_RETURN_IF_ERROR(host.pmm.Validate());
     if (!targets_.empty() &&
         static_cast<int32_t>(targets_.size()) != host.num_classes) {
       return Status::InvalidArgument(
@@ -119,15 +88,7 @@ class PmmClassPolicy : public MemoryPolicy {
           std::to_string(targets_.size()) + " targets, " +
           std::to_string(host.num_classes) + " classes)");
     }
-    controller_ = std::make_unique<PmmClassController>(host.pmm, host.mm,
-                                                       host.probe, targets_);
-    return Status::Ok();
-  }
-
-  void OnQueryEvent(const QueryEvent& event) override {
-    if (event.kind == QueryEvent::Kind::kCompletion) {
-      controller_->OnQueryFinished(event.info);
-    }
+    return PmmController::Attach(host);
   }
 
   std::string Describe() const override {
@@ -142,8 +103,11 @@ class PmmClassPolicy : public MemoryPolicy {
                             : "PMM-Class(" + JoinedTargets() + ")";
   }
 
-  const PmmController* pmm_controller() const override {
-    return controller_.get();
+ protected:
+  std::unique_ptr<AllocationStrategy> Wrap(
+      std::unique_ptr<AllocationStrategy> inner) override {
+    if (targets_.empty()) return inner;  // no quotas: plain PMM
+    return std::make_unique<ClassQuotaStrategy>(std::move(inner), targets_);
   }
 
  private:
@@ -157,7 +121,6 @@ class PmmClassPolicy : public MemoryPolicy {
   }
 
   std::vector<int64_t> targets_;
-  std::unique_ptr<PmmClassController> controller_;
 };
 
 StatusOr<std::unique_ptr<MemoryPolicy>> MakePmmClassPolicy(const Spec& spec) {
@@ -177,7 +140,7 @@ StatusOr<std::unique_ptr<MemoryPolicy>> MakePmmClassPolicy(const Spec& spec) {
     targets.push_back(static_cast<int64_t>(v));
   }
   return std::unique_ptr<MemoryPolicy>(
-      new PmmClassPolicy(std::move(targets)));
+      new PmmClassController(std::move(targets)));
 }
 
 RTQ_REGISTER(PolicyRegistry, "pmm-class",

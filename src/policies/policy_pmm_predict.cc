@@ -8,8 +8,8 @@
 // ramp) the arrival process telegraphs its next move, so reacting late
 // costs a burst of misses the trend already predicted.
 //
-// pmm-predict is an unmodified PmmController plus a forecasting layer
-// driven from OnTick. Each tick it samples three signals without ever
+// pmm-predict is a PmmController plus a forecasting layer driven from
+// OnTick. Each tick it samples three signals without ever
 // touching the shared SystemProbe (whose windowed readings belong to
 // the controller's batch machinery):
 //
@@ -58,7 +58,6 @@
 #include <string>
 #include <utility>
 
-#include "core/memory_policy.h"
 #include "core/pmm.h"
 #include "core/policy_registry.h"
 #include "stats/trend_tracker.h"
@@ -71,36 +70,7 @@ constexpr int64_t kDefaultLead = 2;
 constexpr double kDefaultBand = 0.25;
 constexpr double kDefaultConf = 0.5;
 
-/// PmmController with an out-of-band clamp: ApplyForecastTarget forces
-/// a MinMax target immediately and holds off the revert-to-Max test
-/// until `hold_until` so batch adaptations cannot undo a proactive
-/// clamp before the forecast horizon arrives.
-class PmmPredictController : public PmmController {
- public:
-  PmmPredictController(const PmmParams& params, MemoryManager* mm,
-                       SystemProbe* probe)
-      : PmmController(params, mm, probe) {}
-
-  void ApplyForecastTarget(SimTime now, int64_t target, SimTime hold_until) {
-    hold_until_ = std::max(hold_until_, hold_until);
-    ForceTarget(now, target);
-  }
-
-  /// Reverts to Max immediately and clears any standing hold (forecast
-  /// says the wave has passed).
-  void ForceMaxNow(SimTime now) {
-    hold_until_ = 0.0;
-    ForceMax(now);
-  }
-
- protected:
-  bool AllowRevertToMax(SimTime now) override { return now >= hold_until_; }
-
- private:
-  SimTime hold_until_ = 0.0;
-};
-
-class PmmPredictPolicy : public MemoryPolicy {
+class PmmPredictPolicy : public PmmController {
  public:
   PmmPredictPolicy(int64_t window, int64_t lead, double band, double conf)
       : window_(window),
@@ -112,7 +82,6 @@ class PmmPredictPolicy : public MemoryPolicy {
         pressure_trend_(window) {}
 
   Status Attach(const PolicyHost& host) override {
-    RTQ_RETURN_IF_ERROR(host.pmm.Validate());
     if (host.tick_interval <= 0.0) {
       // Without ticks the forecasting layer never samples and the policy
       // silently degenerates to plain PMM; fail loud instead.
@@ -120,11 +89,8 @@ class PmmPredictPolicy : public MemoryPolicy {
           "pmm-predict needs a host that ticks "
           "(mpl_sample_interval > 0)");
     }
-    mm_ = host.mm;
     tick_ = host.tick_interval;
-    controller_ = std::make_unique<PmmPredictController>(host.pmm, host.mm,
-                                                         host.probe);
-    return Status::Ok();
+    return PmmController::Attach(host);
   }
 
   void OnQueryEvent(const QueryEvent& event) override {
@@ -134,7 +100,7 @@ class PmmPredictPolicy : public MemoryPolicy {
     }
     ++completions_;
     if (event.info.missed) ++misses_;
-    controller_->OnQueryFinished(event.info);
+    OnQueryFinished(event.info);
   }
 
   void OnTick(SimTime now) override {
@@ -147,7 +113,8 @@ class PmmPredictPolicy : public MemoryPolicy {
       miss_trend_.Add(now, static_cast<double>(misses_) /
                                static_cast<double>(completions_));
     }
-    pressure_trend_.Add(now, static_cast<double>(mm_->waiting_count()));
+    pressure_trend_.Add(now,
+                        static_cast<double>(memory_manager()->waiting_count()));
     arrivals_ = completions_ = misses_ = 0;
 
     SimTime horizon = now + static_cast<double>(lead_) * tick_;
@@ -177,22 +144,23 @@ class PmmPredictPolicy : public MemoryPolicy {
                           pressure.slope > 0.0;
 
     if (ratio >= 1.0 + band) {
-      if (controller_->mode() == PmmController::Mode::kMinMax) {
+      if (mode() == Mode::kMinMax) {
         // Wave approaching while admission control is on: hold the
         // standing clamp through the forecast horizon so a batch
         // adaptation cannot revert to Max just as the wave lands.
-        controller_->ApplyForecastTarget(now, controller_->target_mpl(),
-                                         horizon);
+        hold_until_ = std::max(hold_until_, horizon);
+        ForceTarget(now, target_mpl());
       }
       // In Max mode, do nothing: the clamp level is memory's call (the
       // reactive Section 3.2 test), not the arrival rate's — see the
       // header comment.
     } else if (ratio <= 1.0 - band && !backlog_rising &&
-               controller_->mode() == PmmController::Mode::kMinMax) {
+               mode() == Mode::kMinMax) {
       // Load confidently draining and no backlog building: release
       // admission control now instead of waiting for the lagging
-      // reactive revert test.
-      controller_->ForceMaxNow(now);
+      // reactive revert test, and clear any standing hold.
+      hold_until_ = 0.0;
+      ForceMax(now);
     }
   }
 
@@ -219,9 +187,11 @@ class PmmPredictPolicy : public MemoryPolicy {
                : "PMM-Predict(" + spec.substr(colon + 1) + ")";
   }
 
-  const PmmController* pmm_controller() const override {
-    return controller_.get();
-  }
+ protected:
+  /// Holds off the Section 3.2 revert-to-Max test until the forecast
+  /// horizon of the last proactive clamp, so batch adaptations cannot
+  /// undo it before the wave arrives.
+  bool AllowRevertToMax(SimTime now) override { return now >= hold_until_; }
 
  private:
   int64_t window_;
@@ -229,9 +199,8 @@ class PmmPredictPolicy : public MemoryPolicy {
   double band_;
   double conf_;
 
-  MemoryManager* mm_ = nullptr;
   SimTime tick_ = 0.0;
-  std::unique_ptr<PmmPredictController> controller_;
+  SimTime hold_until_ = 0.0;
 
   stats::TrendTracker rate_trend_;
   stats::TrendTracker miss_trend_;

@@ -4,14 +4,15 @@
 // Table 1's PMM adapts every SampleSize query completions, so its
 // reaction time stretches as load thins out (30 completions can be ten
 // minutes at a low arrival rate) and jitters with the completion
-// process itself. pmm-tick holds arriving completion records in a
-// buffer and releases them to an unmodified PmmController only when a
-// full batching period of *simulated time* has elapsed, at the engine's
-// OnTick cadence. The controller then sees the same completion stream
-// in the same order — but its adaptation points (and the SystemProbe
-// utilization windows they read) land on the wall-clock grid, making a
-// clean A/B between completion-count batching ("pmm") and time
-// batching ("pmm-tick") with every other mechanism held fixed.
+// process itself. pmm-tick is a PmmController that holds arriving
+// completion records in a buffer and releases them to the unmodified
+// batching only when a full batching period of *simulated time* has
+// elapsed, at the engine's OnTick cadence. The controller then sees the
+// same completion stream in the same order — but its adaptation points
+// (and the SystemProbe utilization windows they read) land on the
+// wall-clock grid, making a clean A/B between completion-count batching
+// ("pmm") and time batching ("pmm-tick") with every other mechanism
+// held fixed.
 //
 //   spec: "pmm-tick"            (period = 60000 ms, one default engine
 //                                tick interval)
@@ -27,9 +28,7 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <utility>
 
-#include "core/memory_policy.h"
 #include "core/pmm.h"
 #include "core/policy_registry.h"
 
@@ -38,12 +37,11 @@ namespace {
 
 constexpr int64_t kDefaultPeriodMs = 60000;
 
-class PmmTickPolicy : public MemoryPolicy {
+class PmmTickPolicy : public PmmController {
  public:
   explicit PmmTickPolicy(int64_t period_ms) : period_ms_(period_ms) {}
 
   Status Attach(const PolicyHost& host) override {
-    RTQ_RETURN_IF_ERROR(host.pmm.Validate());
     if (period_ms_ > 0 && host.tick_interval <= 0.0) {
       // With ticks disabled OnTick never fires: completions would
       // buffer forever and the controller would never adapt. Fail loud
@@ -52,15 +50,13 @@ class PmmTickPolicy : public MemoryPolicy {
           "pmm-tick:ms=" + std::to_string(period_ms_) +
           " needs a host that ticks (mpl_sample_interval > 0)");
     }
-    controller_ =
-        std::make_unique<PmmController>(host.pmm, host.mm, host.probe);
-    return Status::Ok();
+    return PmmController::Attach(host);
   }
 
   void OnQueryEvent(const QueryEvent& event) override {
     if (event.kind != QueryEvent::Kind::kCompletion) return;
     if (period_ms_ == 0) {
-      controller_->OnQueryFinished(event.info);
+      OnQueryFinished(event.info);
     } else {
       pending_.push_back(event.info);
     }
@@ -76,7 +72,7 @@ class PmmTickPolicy : public MemoryPolicy {
     while (!pending_.empty()) {
       CompletionInfo info = pending_.front();
       pending_.pop_front();
-      controller_->OnQueryFinished(info);
+      OnQueryFinished(info);
     }
   }
 
@@ -91,13 +87,8 @@ class PmmTickPolicy : public MemoryPolicy {
     return "PMM-Tick(" + std::to_string(period_ms_) + "ms)";
   }
 
-  const PmmController* pmm_controller() const override {
-    return controller_.get();
-  }
-
  private:
   int64_t period_ms_;
-  std::unique_ptr<PmmController> controller_;
   std::deque<CompletionInfo> pending_;
   SimTime last_flush_ = 0.0;
 };

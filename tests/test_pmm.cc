@@ -32,8 +32,13 @@ class FakeProbe : public SystemProbe {
 
 struct Fixture {
   explicit Fixture(PmmParams params = PmmParams())
-      : mm(2560, std::make_unique<MaxStrategy>(), [](QueryId, PageCount) {}),
-        controller(params, &mm, &probe) {}
+      : mm(2560, std::make_unique<MaxStrategy>(), [](QueryId, PageCount) {}) {
+    PolicyHost host;
+    host.mm = &mm;
+    host.probe = &probe;
+    host.pmm = params;
+    EXPECT_TRUE(controller.Attach(host).ok());
+  }
 
   /// Feeds one batch of completions with the given shape.
   void FeedBatch(int64_t n, int64_t misses, double wait, double exec,

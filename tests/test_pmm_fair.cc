@@ -72,7 +72,13 @@ TEST(FairOrderingStrategy, Name) {
 struct FairFixture {
   FairFixture()
       : mm(2560, std::make_unique<MaxStrategy>(), [](QueryId, PageCount) {}),
-        controller(PmmParams(), &mm, &probe, {1.0, 1.0}) {}
+        controller({1.0, 1.0}) {
+    PolicyHost host;
+    host.mm = &mm;
+    host.probe = &probe;
+    host.num_classes = 2;
+    EXPECT_TRUE(controller.Attach(host).ok());
+  }
 
   void FeedBatch(int64_t n, int64_t misses_class0, int64_t misses_class1) {
     for (int64_t i = 0; i < n; ++i) {
