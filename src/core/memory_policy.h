@@ -49,7 +49,6 @@
 namespace rtq::core {
 
 class PmmController;
-class ShardCoordinator;
 
 /// Table 1 parameters plus safety clamps.
 struct PmmParams {
@@ -138,17 +137,6 @@ struct PolicyHost {
   /// seconds); <= 0 means the engine never ticks. Time-driven policies
   /// should reject hosts that cannot feed them from Attach().
   SimTime tick_interval = 0.0;
-  /// Shard identity of the hosting engine within a ShardedRtdbs cluster;
-  /// a standalone engine is shard 0 of 1.
-  int32_t shard_index = 0;
-  int32_t num_shards = 1;
-  /// Cross-shard admission coordinator; non-null only when the host is a
-  /// shard of a ShardedRtdbs running admission="global:mpl=N". Purely
-  /// opt-in introspection (cluster-wide in_use()/global_mpl() for
-  /// shard-aware policies): the engine enforces the global cap itself at
-  /// the MemoryManager layer, so policies that ignore this field keep
-  /// working unmodified.
-  ShardCoordinator* coordinator = nullptr;
 };
 
 /// One query lifecycle event. `info` always carries the query's identity

@@ -13,9 +13,8 @@
 // reallocation event (arrival, completion, deadline abort). No
 // cross-shard wakeup machinery is needed for progress: firm deadlines
 // bound how long any waiting query can linger, and the paper's workloads
-// churn membership constantly. Policies can inspect the coordinator
-// through PolicyHost::coordinator (opt-in; enforcement happens in the
-// engine layer either way, so existing policies work unmodified).
+// churn membership constantly. Enforcement lives entirely in the engine
+// layer, so policies never see the coordinator and work unmodified.
 
 #ifndef RTQ_CORE_SHARD_COORDINATOR_H_
 #define RTQ_CORE_SHARD_COORDINATOR_H_

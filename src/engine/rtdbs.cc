@@ -304,9 +304,6 @@ core::PolicyHost Rtdbs::MakePolicyHost() {
   host.pmm = config_.pmm;
   host.num_classes = static_cast<int32_t>(config_.workload.classes.size());
   host.tick_interval = config_.mpl_sample_interval;
-  host.shard_index = config_.shard.index;
-  host.num_shards = config_.shard.count;
-  host.coordinator = config_.shard.coordinator;
   return host;
 }
 

@@ -179,7 +179,6 @@ StatusOr<std::unique_ptr<ShardedRtdbs>> ShardedRtdbs::Create(
   for (int32_t s = 0; s < shards.num_shards; ++s) {
     SystemConfig cfg = base;
     cfg.shard.index = s;
-    cfg.shard.count = shards.num_shards;
     cfg.shard.placement = sys->placement_.get();
     cfg.shard.coordinator = sys->coordinator_.get();
     auto shard = Rtdbs::Create(cfg);

@@ -35,8 +35,7 @@
 // MPL against its own pool). Under "global:mpl=N" a core::ShardCoordinator
 // caps the cluster-wide admitted count; enforcement lives in the
 // MemoryManager's admission gate, so every registered policy works
-// unmodified (policies may additionally introspect the coordinator via
-// PolicyHost::coordinator).
+// unmodified.
 
 #ifndef RTQ_ENGINE_SHARDED_RTDBS_H_
 #define RTQ_ENGINE_SHARDED_RTDBS_H_

@@ -67,11 +67,10 @@ struct ShardConfig {
 /// Identity stamped on a shard's SystemConfig by engine::ShardedRtdbs so
 /// the embedded engine knows which slice of the arrival stream is its own
 /// and (under global admission) which coordinator to consult. Plain
-/// single-engine systems leave this at its defaults: index 0 of 1,
+/// single-engine systems leave this at its defaults: index 0,
 /// accept-everything, no coordinator.
 struct ShardIdentity {
   int32_t index = 0;
-  int32_t count = 1;
   /// Non-null on shards of a sharded system: arrivals whose placement
   /// shard differs from `index` are counted and dropped at the sink (the
   /// stream itself is generated identically on every shard). Not owned.
