@@ -350,7 +350,6 @@ PolicySwapOutcome Rtdbs::SwapPolicy(const std::string& spec) {
     // incumbent's spec attached once already, so the rebuild cannot fail.
     auto rebuilt = core::PolicyRegistry::Global().Create(incumbent_spec);
     RTQ_CHECK_MSG(rebuilt.ok(), "incumbent policy spec no longer parses");
-    retired_policies_.push_back(std::move(policy_));
     policy_ = std::move(rebuilt).value();
     Status reattach = policy_->Attach(MakePolicyHost());
     RTQ_CHECK_MSG(reattach.ok(), "incumbent policy re-attach failed");
@@ -359,7 +358,6 @@ PolicySwapOutcome Rtdbs::SwapPolicy(const std::string& spec) {
     out.reattached = true;
     return out;
   }
-  retired_policies_.push_back(std::move(policy_));
   policy_ = std::move(incoming);
   out.active_spec = policy_->Describe();
   out.reattached = true;

@@ -232,11 +232,11 @@ class Rtdbs {
   std::vector<QueryRuntime*> retired_;
   /// Scratch for CacheCovers' one-hash-per-page hit path.
   std::vector<buffer::LruCache::Handle> cache_scratch_;
-  /// Swapped-out sources and policies are parked, not destroyed: their
-  /// already-scheduled events still hold `this` captures and must fire
-  /// (as no-ops) to keep event counts replay-identical.
+  /// Swapped-out sources are parked, not destroyed: their
+  /// already-scheduled arrival events still hold `this` captures and must
+  /// fire (as no-ops) to keep event counts replay-identical. Swapped-out
+  /// policies schedule no events and are destroyed at once.
   std::vector<std::unique_ptr<workload::ArrivalSource>> retired_sources_;
-  std::vector<std::unique_ptr<core::MemoryPolicy>> retired_policies_;
   /// Rng stream for state created after boot (swapped-in sources). The
   /// third fork off the master seed, taken in Init so that taking it
   /// does not perturb the placement or source streams.

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <string>
 
+#include "core/policy_registry.h"
+#include "core/strategy.h"
 #include "harness/paper_experiments.h"
 
 namespace rtq::engine {
@@ -130,6 +134,47 @@ TEST(Engine, PmmControllerIsExposedOnlyForPmmPolicies) {
   EXPECT_EQ(max_sys.value()->pmm(), nullptr);
   auto pmm_sys = Rtdbs::Create(SmallConfig("pmm"));
   EXPECT_NE(pmm_sys.value()->pmm(), nullptr);
+}
+
+/// Live CountedPolicy instances. Atomic: the shards of a local-admission
+/// cluster build and run theirs on worker threads.
+std::atomic<int> g_counted_live{0};
+
+/// Test-only plugin: Max allocation that counts its live instances.
+class CountedPolicy : public core::StaticStrategyPolicy {
+ public:
+  CountedPolicy()
+      : StaticStrategyPolicy("counted", "Counted",
+                             [](const core::PolicyHost&) -> core::StrategyOr {
+                               return {std::make_unique<core::MaxStrategy>()};
+                             }) {
+    ++g_counted_live;
+  }
+  ~CountedPolicy() override { --g_counted_live; }
+};
+
+RTQ_REGISTER(core::PolicyRegistry, "counted",
+             "counted — test-only Max that counts its live instances",
+             [](const Spec& spec)
+                 -> StatusOr<std::unique_ptr<core::MemoryPolicy>> {
+               RTQ_RETURN_IF_ERROR(SpecArgs(spec.args).Finish());
+               return std::unique_ptr<core::MemoryPolicy>(new CountedPolicy());
+             });
+
+TEST(Engine, SwappedOutPoliciesAreDestroyed) {
+  const int base = g_counted_live.load();
+  auto sys = Rtdbs::Create(SmallConfig("counted", 0.08));
+  ASSERT_TRUE(sys.ok());
+  EXPECT_EQ(g_counted_live.load(), base + 1);
+  for (int i = 1; i <= 5; ++i) {
+    sys.value()->RunUntil(600.0 * i);
+    ASSERT_TRUE(sys.value()->SwapPolicy("counted").status.ok());
+    EXPECT_EQ(g_counted_live.load(), base + 1) << "after swap " << i;
+  }
+  ASSERT_TRUE(sys.value()->SwapPolicy("max").status.ok());
+  EXPECT_EQ(g_counted_live.load(), base);
+  sys.value()->RunUntil(3600.0);
+  EXPECT_GT(sys.value()->Summarize().overall.completions, 0);
 }
 
 TEST(Engine, PmmAdaptsDuringRun) {
