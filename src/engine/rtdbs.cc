@@ -289,10 +289,32 @@ StatusOr<workload::Trace> RenderScenarioTrace(const SystemConfig& config,
   if (!db.ok()) return db.status();
   Status st = config.workload.Validate(db.value());
   if (!st.ok()) return st;
-  workload::Trace trace = workload::RenderTrace(
-      config.scenario, config.workload, db.value(), config.exec, config.disk,
-      config.mips, std::move(source_rng), horizon);
+  workload::Trace trace;
+  trace.num_classes = static_cast<int32_t>(config.workload.classes.size());
+  trace.scenario = config.scenario.name;
   trace.seed = config.seed;
+  // Run the live source on a private calendar up to the horizon: the
+  // trace holds exactly the arrivals a live run sees, in its order.
+  sim::Simulator sim;
+  workload::ScenarioSource source(
+      &sim, &db.value(), config.workload, config.scenario,
+      std::move(source_rng),
+      [&](const workload::QueryBlueprint& bp, QueryId id) {
+        workload::TraceRecord record;
+        record.time = bp.time;
+        record.query_class = bp.query_class;
+        record.type = bp.type;
+        record.r = bp.r;
+        record.s = bp.s;
+        record.slack = bp.slack;
+        record.standalone = workload::BuildQuery(bp, id, db.value(),
+                                                 config.exec, config.disk,
+                                                 config.mips)
+                                .desc.standalone_time;
+        trace.records.push_back(record);
+      });
+  source.Start();
+  sim.RunUntil(horizon);
   return trace;
 }
 

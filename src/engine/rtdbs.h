@@ -244,10 +244,11 @@ class Rtdbs {
   bool started_ = false;
 };
 
-/// Renders config.scenario to a `.rtqt` trace with the exact Rng fork
-/// order Rtdbs::Init uses (master -> placement -> source), so replaying
-/// the result via config.trace reproduces the live scenario run
-/// bit-identically — the determinism gate the replay tests pin.
+/// Renders config.scenario to a `.rtqt` trace: every arrival up to
+/// `horizon` (inclusive) of a ScenarioSource run on a private calendar,
+/// forked the way Rtdbs::Init forks (master -> placement -> source). So
+/// replaying the result via config.trace reproduces the live scenario
+/// run bit-identically — the determinism gate the replay tests pin.
 StatusOr<workload::Trace> RenderScenarioTrace(const SystemConfig& config,
                                               SimTime horizon);
 

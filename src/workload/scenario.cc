@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/fnv.h"
+#include "workload/trace.h"
 
 namespace rtq::workload {
 
@@ -226,37 +227,6 @@ void ArrivalProcess::AppendDigest(std::string* out) const {
 }
 
 // ---------------------------------------------------------------------------
-// Shared per-class stream construction: fork order is the contract that
-// makes ScenarioSource (live) and RenderTrace (offline) bit-identical.
-// The first loop forks arrivals, then selection, per class in index
-// order; Markov chain streams fork afterwards. The golden-trajectory and
-// smoke references pin this order, so it must not change.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct ClassStreams {
-  std::vector<std::unique_ptr<ArrivalProcess>> processes;
-  std::vector<Rng> selections;
-};
-
-ClassStreams BuildStreams(const ScenarioSpec& scenario, Rng* rng) {
-  ClassStreams out;
-  for (const ScenarioClassSpec& cls : scenario.classes) {
-    out.processes.push_back(
-        std::make_unique<ArrivalProcess>(cls.shape, rng->Fork()));
-    out.selections.push_back(rng->Fork());
-  }
-  for (size_t i = 0; i < scenario.classes.size(); ++i) {
-    if (scenario.classes[i].shape.kind == ShapeKind::kMarkov)
-      out.processes[i]->SetChain(rng->Fork());
-  }
-  return out;
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
 // ScenarioSource
 // ---------------------------------------------------------------------------
 
@@ -274,11 +244,17 @@ ScenarioSource::ScenarioSource(sim::Simulator* sim,
   RTQ_CHECK_MSG(workload_.Validate(*db).ok(), "invalid workload spec");
   RTQ_CHECK_MSG(scenario_.Validate(workload_).ok(), "invalid scenario spec");
   RTQ_CHECK(sink_ != nullptr);
-  ClassStreams streams = BuildStreams(scenario_, &rng);
+  // Fork order: arrivals, then selection, per class in index order; the
+  // Markov chain streams afterwards. The golden-trajectory and smoke
+  // references pin this order, so it must not change.
   class_state_.reserve(scenario_.classes.size());
+  for (const ScenarioClassSpec& cls : scenario_.classes) {
+    auto process = std::make_unique<ArrivalProcess>(cls.shape, rng.Fork());
+    class_state_.push_back(ClassState{std::move(process), rng.Fork()});
+  }
   for (size_t i = 0; i < scenario_.classes.size(); ++i) {
-    class_state_.push_back(ClassState{std::move(streams.processes[i]),
-                                      std::move(streams.selections[i])});
+    if (scenario_.classes[i].shape.kind == ShapeKind::kMarkov)
+      class_state_[i].process->SetChain(rng.Fork());
   }
 }
 
@@ -329,61 +305,6 @@ void ScenarioSource::EmitQuery(int32_t query_class) {
       sim_->Now(), *db_, &state.selection,
       scenario_.classes[static_cast<size_t>(query_class)].selection);
   sink_(bp, next_id_++);
-}
-
-// ---------------------------------------------------------------------------
-// RenderTrace
-// ---------------------------------------------------------------------------
-
-Trace RenderTrace(const ScenarioSpec& scenario, const WorkloadSpec& workload,
-                  const storage::Database& db,
-                  const exec::ExecParams& exec_params,
-                  const model::DiskParams& disk_params, double mips, Rng rng,
-                  SimTime horizon) {
-  RTQ_CHECK_MSG(scenario.Validate(workload).ok(), "invalid scenario spec");
-  Trace trace;
-  trace.num_classes = static_cast<int32_t>(workload.classes.size());
-  trace.scenario = scenario.name;
-
-  ClassStreams streams = BuildStreams(scenario, &rng);
-  size_t n = scenario.classes.size();
-  std::vector<std::optional<SimTime>> next(n);
-  for (size_t i = 0; i < n; ++i) next[i] = streams.processes[i]->Next();
-
-  while (true) {
-    // Earliest pending arrival within the horizon; ties (measure-zero
-    // with continuous inter-arrival draws) break toward the lower class
-    // index, matching the event calendar's FIFO order for equal keys.
-    int pick = -1;
-    for (size_t i = 0; i < n; ++i) {
-      if (!next[i].has_value() || *next[i] > horizon) continue;
-      if (pick < 0 || *next[i] < *next[static_cast<size_t>(pick)])
-        pick = static_cast<int>(i);
-    }
-    if (pick < 0) break;
-    auto c = static_cast<size_t>(pick);
-    SimTime t = *next[c];
-
-    QueryBlueprint bp =
-        DrawBlueprint(workload.classes[c], pick, t, db,
-                      &streams.selections[c], scenario.classes[c].selection);
-    BuiltQuery built =
-        BuildQuery(bp, static_cast<QueryId>(trace.records.size()), db,
-                   exec_params, disk_params, mips);
-
-    TraceRecord record;
-    record.time = t;
-    record.query_class = pick;
-    record.type = bp.type;
-    record.r = bp.r;
-    record.s = bp.s;
-    record.slack = bp.slack;
-    record.standalone = built.desc.standalone_time;
-    trace.records.push_back(record);
-
-    next[c] = streams.processes[c]->Next();
-  }
-  return trace;
 }
 
 }  // namespace rtq::workload

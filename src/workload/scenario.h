@@ -28,10 +28,10 @@
 // Time-varying shapes generate by Lewis-Shedler thinning against the
 // shape's maximum rate; piecewise-constant shapes draw directly. All
 // randomness flows through forked Rng streams in a fixed order, so the
-// same (spec, workload, seed) is bit-reproducible — and RenderTrace and
-// ScenarioSource share the per-class ArrivalProcess machinery, so
-// rendering a scenario to a `.rtqt` trace and replaying it yields the
-// identical engine trajectory as generating live.
+// same (spec, workload, seed) is bit-reproducible — and
+// engine::RenderScenarioTrace records a ScenarioSource's own arrivals,
+// so rendering a scenario to a `.rtqt` trace and replaying it yields
+// the identical engine trajectory as generating live.
 
 #ifndef RTQ_WORKLOAD_SCENARIO_H_
 #define RTQ_WORKLOAD_SCENARIO_H_
@@ -45,13 +45,10 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "exec/cost_model.h"
-#include "model/disk_geometry.h"
 #include "sim/simulator.h"
 #include "storage/database.h"
 #include "workload/arrival_source.h"
 #include "workload/query_builder.h"
-#include "workload/trace.h"
 #include "workload/workload_spec.h"
 
 namespace rtq::workload {
@@ -153,9 +150,8 @@ class ArrivalProcess {
 };
 
 /// Live scenario generation through the engine's ArrivalSource seam.
-/// Rng fork order (one arrivals + one selection stream per class, then
-/// one chain stream per Markov class) is shared with RenderTrace, so
-/// live generation and trace replay are bit-identical.
+/// Rng fork order: one arrivals + one selection stream per class, then
+/// one chain stream per Markov class.
 class ScenarioSource : public ArrivalSource {
  public:
   ScenarioSource(sim::Simulator* sim, const storage::Database* db,
@@ -196,17 +192,6 @@ class ScenarioSource : public ArrivalSource {
   /// started at time 0, so pre-existing runs are unchanged.
   SimTime t0_ = 0.0;
 };
-
-/// Renders a scenario to a trace: all arrivals with time <= horizon, in
-/// emission order, with resolved relations, slack and stand-alone
-/// estimates. Uses the same Rng fork/consumption order as
-/// ScenarioSource, so replaying the result reproduces live generation
-/// bit-identically.
-Trace RenderTrace(const ScenarioSpec& scenario, const WorkloadSpec& workload,
-                  const storage::Database& db,
-                  const exec::ExecParams& exec_params,
-                  const model::DiskParams& disk_params, double mips, Rng rng,
-                  SimTime horizon);
 
 }  // namespace rtq::workload
 

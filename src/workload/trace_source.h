@@ -1,7 +1,8 @@
 // TraceSource: replays a `.rtqt` trace through the ArrivalSource seam.
 //
 // Replay consumes no randomness at all — every arrival is fully resolved
-// in the trace — so a trace rendered from a scenario (RenderTrace) and
+// in the trace — so a trace rendered from a scenario
+// (engine::RenderScenarioTrace) and
 // replayed here reproduces the generating run's engine trajectory
 // bit-identically. Create() validates the trace against the database
 // layout and workload spec up front (class/type/relation consistency,
