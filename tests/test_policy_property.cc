@@ -11,13 +11,20 @@
 //     to the original instance: a short two-class simulation driven by
 //     the bare name and one driven by Describe()'s canonical spec
 //     produce the same trajectory fingerprint. This is what makes spec
-//     strings safe to persist in BENCH_*.json and RTQ_POLICIES sweeps.
+//     strings safe to persist in BENCH_*.json and RTQ_POLICIES sweeps;
+//  4. Attach reallocates exactly once, so a policy swapped in mid-run
+//     moves live queries straight to its own allocation.
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "core/memory_manager.h"
 #include "core/policy_registry.h"
+#include "core/strategy.h"
 #include "engine/rtdbs.h"
 #include "harness/paper_experiments.h"
 #include "run_fingerprint.h"
@@ -71,6 +78,52 @@ TEST(PolicyProperty, CanonicalSpecReproducesTheOriginalTrajectory) {
     // Determinism backstop: the same spec reruns identically, so the
     // comparison above cannot pass by accident.
     EXPECT_EQ(original, Fingerprint(PropertyConfig(name), kHorizon));
+  }
+}
+
+/// Readings of an idle system, for attaching PMM outside an engine.
+class IdleProbe : public SystemProbe {
+ public:
+  Readings TakeReadings() override { return Readings{}; }
+};
+
+TEST(PolicyProperty, AttachReallocatesOnce) {
+  std::vector<std::string> specs = PolicyRegistry::Global().Names();
+  specs.push_back("pmm-fair:w=1,2");
+  specs.push_back("pmm-class:targets=1,1");
+  for (const std::string& spec : specs) {
+    SCOPED_TRACE(spec);
+    // Four class-0 queries that all fit at their maximum, of which the
+    // incumbent MinMax-1 admits only the first.
+    std::map<QueryId, int> changes;
+    MemoryManager mm(1000, std::make_unique<MinMaxStrategy>(1),
+                     [&changes](QueryId id, PageCount) { ++changes[id]; });
+    for (QueryId id = 0; id < 4; ++id) {
+      MemRequest q;
+      q.id = id;
+      q.deadline = 1000.0 + static_cast<double>(id);
+      q.query_class = 0;
+      q.min_memory = 50;
+      q.max_memory = 200;
+      mm.AddQuery(q);
+    }
+    changes.clear();
+
+    auto policy = PolicyRegistry::Global().Create(spec);
+    ASSERT_TRUE(policy.ok());
+    IdleProbe probe;
+    PolicyHost host;
+    host.mm = &mm;
+    host.probe = &probe;
+    host.now = [] { return 0.0; };
+    host.num_classes = 2;
+    host.tick_interval = 60.0;
+    int64_t before = mm.recomputes();
+    ASSERT_TRUE(policy.value()->Attach(host).ok());
+    EXPECT_EQ(mm.recomputes(), before + 1);
+    // A pass through a strategy the policy does not keep (say, Max
+    // before pmm-class wraps it in its quota) would move a query twice.
+    for (const auto& [id, n] : changes) EXPECT_EQ(n, 1) << "query " << id;
   }
 }
 
