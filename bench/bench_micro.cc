@@ -241,11 +241,15 @@ BENCHMARK(BM_DiskGeometryAccessTime);
 // requests in a handful of deadline buckets (so the cylinder-sweep
 // tie-break, not just ED, decides) and drain the disk. Each service
 // completion pays one PickByElevator over the remaining queue. Depth 1
-// is the idle-disk path: the request starts without being queued.
+// is the idle-disk path: the request starts without being queued. The
+// disk drains to idle every iteration, so one disk serves them all and
+// the loop times no construction. Its prefetch cache is off: it would
+// otherwise serve depths 1 and 4, whose reads repeat every iteration.
 void BM_DiskElevatorDrain(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   rtq::Rng rng(12);
   rtq::model::DiskParams params;
+  params.cache_pages = 0;
   struct Req {
     double deadline;
     rtq::PageCount start;
@@ -255,13 +259,13 @@ void BM_DiskElevatorDrain(benchmark::State& state) {
     reqs.push_back(Req{100.0 * static_cast<double>(rng.UniformInt(1, 4)),
                        rng.UniformInt(0, params.capacity() - 7)});
   }
+  rtq::sim::Simulator sim;
+  rtq::model::Disk disk(&sim, params, 0);
   for (auto _ : state) {
-    rtq::sim::Simulator sim;
-    rtq::model::Disk disk(&sim, params, 0);
     for (const Req& r : reqs) {
       rtq::model::DiskRequest req;
       req.query = 1;
-      req.deadline = r.deadline;
+      req.deadline = sim.Now() + r.deadline;
       req.start_page = r.start;
       req.pages = 6;
       disk.Submit(std::move(req));
