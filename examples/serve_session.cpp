@@ -56,11 +56,11 @@ int main() {
 
   Banner("live reconfig: swap to the bandit policy selector");
   auto swap = session->ApplyPolicy("select:candidates=pmm+pmm-predict");
-  if (!swap.status.ok()) {
-    std::fprintf(stderr, "%s\n", swap.status.ToString().c_str());
+  if (!swap.ok()) {
+    std::fprintf(stderr, "%s\n", swap.status().ToString().c_str());
     return 1;
   }
-  std::printf("  active: %s\n", swap.active_spec.c_str());
+  std::printf("  active: %s\n", swap.value().c_str());
   session->RunEvents(20000);
   PrintState(*session);
 

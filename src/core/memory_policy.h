@@ -18,7 +18,10 @@
 //      AllocationStrategy here with one SetStrategy call, since a second
 //      would move live queries' memory twice (and may keep the host
 //      around for later decisions). Configuration errors surface as
-//      Status.
+//      Status, returned before anything touches host.mm: a failed
+//      Attach must leave the manager as it found it, because a live
+//      swap that fails keeps the incumbent policy in charge. Every
+//      registered policy checks its host first and installs last.
 //   3. OnQueryEvent(event) is fed every query lifecycle event (arrivals
 //      and completions, including deadline misses). Adaptive policies
 //      revise their strategy from here.
@@ -155,7 +158,8 @@ class MemoryPolicy {
  public:
   virtual ~MemoryPolicy() = default;
 
-  /// Called once; must install the policy's initial strategy on host.mm.
+  /// Called once; must install the policy's initial strategy on host.mm,
+  /// and must not touch host.mm when it returns an error.
   virtual Status Attach(const PolicyHost& host) = 0;
 
   /// Query lifecycle notifications (see QueryEvent). Default: ignore.

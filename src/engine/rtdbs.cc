@@ -352,39 +352,13 @@ bool Rtdbs::StepEvent() {
   return sim_.Step();
 }
 
-PolicySwapOutcome Rtdbs::SwapPolicy(const std::string& spec) {
-  PolicySwapOutcome out;
+StatusOr<std::string> Rtdbs::SwapPolicy(const std::string& spec) {
   auto created = core::PolicyRegistry::Global().Create(spec);
-  if (!created.ok()) {
-    // Stage-1 failure: nothing was touched, the system is bit-identical
-    // to before the call.
-    out.status = created.status();
-    out.active_spec = policy_->Describe();
-    return out;
-  }
-  std::unique_ptr<core::MemoryPolicy> incoming = std::move(created).value();
-  const std::string incumbent_spec = policy_->Describe();
-  Status attach = incoming->Attach(MakePolicyHost());
-  if (!attach.ok()) {
-    // Attach may have steered mm_ before failing, so "keep the incumbent
-    // object" is not safe; rebuild it from its canonical spec and
-    // re-attach, leaving a well-defined (but state-reset) policy. The
-    // incumbent's spec attached once already, so the rebuild cannot fail.
-    auto rebuilt = core::PolicyRegistry::Global().Create(incumbent_spec);
-    RTQ_CHECK_MSG(rebuilt.ok(), "incumbent policy spec no longer parses");
-    policy_ = std::move(rebuilt).value();
-    Status reattach = policy_->Attach(MakePolicyHost());
-    RTQ_CHECK_MSG(reattach.ok(), "incumbent policy re-attach failed");
-    out.status = attach;
-    out.active_spec = incumbent_spec;
-    out.reattached = true;
-    return out;
-  }
-  policy_ = std::move(incoming);
-  out.active_spec = policy_->Describe();
-  out.reattached = true;
-  config_.policy.spec = out.active_spec;
-  return out;
+  if (!created.ok()) return created.status();
+  // A failed Attach has not touched mm_, so the incumbent stays.
+  RTQ_RETURN_IF_ERROR(created.value()->Attach(MakePolicyHost()));
+  policy_ = std::move(created).value();
+  return policy_->Describe();
 }
 
 StatusOr<std::string> Rtdbs::SwapScenario(const std::string& spec) {
@@ -404,8 +378,6 @@ StatusOr<std::string> Rtdbs::SwapScenario(const std::string& spec) {
   incoming->set_first_query_id(first_id);
   if (started_) incoming->Start();
   source_ = std::move(incoming);
-  config_.scenario = scenario;
-  config_.trace = nullptr;
   return scenario.name;
 }
 

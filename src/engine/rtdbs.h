@@ -41,22 +41,6 @@
 
 namespace rtq::engine {
 
-/// Outcome of a live policy swap (serve-mode `policy <spec>` command).
-/// When `status` is not OK the requested spec was rejected; `reattached`
-/// then says whether the rollback had to rebuild the incumbent policy
-/// from its Describe() spec — which resets its adaptive state, so a
-/// deterministic replay journal must record the re-application even
-/// though the user-visible swap failed.
-struct PolicySwapOutcome {
-  Status status = Status::Ok();
-  /// Describe() of the policy active after the call (new on success,
-  /// incumbent on failure).
-  std::string active_spec;
-  /// True whenever a fresh policy instance was attached (successful swap
-  /// or rollback) — i.e. whenever adaptive policy state was reset.
-  bool reattached = false;
-};
-
 class Rtdbs {
  public:
   /// Builds the full system; fails on invalid configuration.
@@ -81,10 +65,12 @@ class Rtdbs {
   bool StepEvent();
 
   /// Hot-swaps the memory policy to `spec` (resolved through the
-  /// PolicyRegistry) between events. Never CHECK-fails on bad input: a
-  /// spec the registry rejects leaves the system bit-identical to before
-  /// the call (outcome.reattached == false).
-  PolicySwapOutcome SwapPolicy(const std::string& spec);
+  /// PolicyRegistry) between events and returns its canonical spec. A
+  /// spec the registry rejects or whose Attach fails leaves the system
+  /// bit-identical to before the call: Attach returns its errors before
+  /// it touches the memory manager (MemoryPolicy's lifecycle), so the
+  /// incumbent keeps running with its adaptive state.
+  StatusOr<std::string> SwapPolicy(const std::string& spec);
 
   /// Swaps the arrival stream to a freshly created scenario source
   /// (resolved through the ScenarioRegistry) between events. The old

@@ -163,17 +163,13 @@ Status Execute(ServeState& state, const Command& cmd) {
                                 std::to_string(got) + " events");
       return Status::Ok();
     }
-    case Command::Kind::kPolicy: {
-      rtq::engine::PolicySwapOutcome out =
-          state.session->ApplyPolicy(cmd.arg);
-      if (!out.status.ok()) return out.status;
-      std::fprintf(stderr, "policy: active %s\n", out.active_spec.c_str());
-      return Status::Ok();
-    }
+    case Command::Kind::kPolicy:
     case Command::Kind::kScenario: {
-      auto canonical = state.session->ApplyScenario(cmd.arg);
+      const bool policy = cmd.kind == Command::Kind::kPolicy;
+      auto canonical = policy ? state.session->ApplyPolicy(cmd.arg)
+                              : state.session->ApplyScenario(cmd.arg);
       if (!canonical.ok()) return canonical.status();
-      std::fprintf(stderr, "scenario: active %s\n",
+      std::fprintf(stderr, "%s: active %s\n", policy ? "policy" : "scenario",
                    canonical.value().c_str());
       return Status::Ok();
     }

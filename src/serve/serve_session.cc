@@ -75,26 +75,17 @@ StatusOr<std::unique_ptr<ServeSession>> ServeSession::Restore(
   // applied at. Re-applying re-journals, so a faithful replay rebuilds
   // the journal too — any divergence means the snapshot lied.
   for (const JournalEntry& e : snapshot.journal) {
-    Status at = s->StepTo(e.events);
-    if (!at.ok()) return at;
-    if (e.command == "policy") {
-      engine::PolicySwapOutcome out = s->ApplyPolicy(e.arg);
-      if (!out.status.ok())
-        return Status::Internal("journal replay: policy '" + e.arg +
-                                "' rejected: " + out.status.message());
-    } else {  // "scenario" — ParseSnapshot admits no other command
-      auto canonical = s->ApplyScenario(e.arg);
-      if (!canonical.ok())
-        return Status::Internal("journal replay: scenario '" + e.arg +
-                                "' rejected: " + canonical.status().message());
-    }
-    if (s->journal_.empty() || s->journal_.back() != e)
+    RTQ_RETURN_IF_ERROR(s->StepTo(e.events));
+    auto canonical = s->Apply(e.command, e.arg);
+    if (!canonical.ok())
+      return Status::Internal("journal replay: " + e.command + " '" + e.arg +
+                              "' rejected: " + canonical.status().message());
+    if (s->journal_.back() != e)
       return Status::Internal("journal replay diverged at '" + e.command +
                               " " + e.arg + "'");
   }
 
-  Status at = s->StepTo(snapshot.position_events);
-  if (!at.ok()) return at;
+  RTQ_RETURN_IF_ERROR(s->StepTo(snapshot.position_events));
 
   // The digest is the proof obligation: every line of the rebuilt
   // session's state must match what the snapshot recorded.
@@ -115,36 +106,26 @@ StatusOr<std::unique_ptr<ServeSession>> ServeSession::Restore(
   return s;
 }
 
-engine::PolicySwapOutcome ServeSession::ApplyPolicy(const std::string& spec) {
-  // Shard 0 probes the spec. Whenever it attached a fresh instance — the
-  // new policy, or the incumbent rebuilt after an attach failure — every
-  // other shard, built from the same config, swaps the same way, so the
-  // shards never disagree and replaying the journal entry reproduces
-  // all of them.
-  engine::PolicySwapOutcome out = cluster_->shard(0).SwapPolicy(spec);
-  if (!out.reattached) return out;
-  for (int32_t s = 1; s < cluster_->num_shards(); ++s) {
-    engine::PolicySwapOutcome rest = cluster_->shard(s).SwapPolicy(spec);
-    RTQ_CHECK_MSG(rest.reattached && rest.active_spec == out.active_spec,
-                  "shards disagree on a policy swap");
-  }
-  journal_.push_back(JournalEntry{events(), "policy", out.active_spec});
-  return out;
-}
-
-StatusOr<std::string> ServeSession::ApplyScenario(const std::string& spec) {
-  // Same protocol as ApplyPolicy. Every shard forks the new source from
-  // its own live rng; those streams are identical across shards (same
-  // genesis seed), so filtered replication still sees one global arrival
-  // process.
-  StatusOr<std::string> canonical = cluster_->shard(0).SwapScenario(spec);
+StatusOr<std::string> ServeSession::Apply(const std::string& command,
+                                          const std::string& spec) {
+  // Shard 0 tries the spec; a failure has changed nothing anywhere.
+  // Every shard is built from the same config, so the others then swap
+  // the same way and the journal entry replays all of them. New sources
+  // fork from each shard's own live rng, and those streams match across
+  // shards (same genesis seed), so filtered replication still sees one
+  // global arrival process.
+  auto swap = [&](engine::Rtdbs& shard) {
+    return command == "policy" ? shard.SwapPolicy(spec)
+                               : shard.SwapScenario(spec);
+  };
+  StatusOr<std::string> canonical = swap(cluster_->shard(0));
   if (!canonical.ok()) return canonical;
   for (int32_t s = 1; s < cluster_->num_shards(); ++s) {
-    auto rest = cluster_->shard(s).SwapScenario(spec);
-    RTQ_CHECK_MSG(rest.ok(),
-                  "scenario spec accepted by shard 0 but rejected later");
+    StatusOr<std::string> rest = swap(cluster_->shard(s));
+    RTQ_CHECK_MSG(rest.ok() && rest.value() == canonical.value(),
+                  "shards disagree on a swap");
   }
-  journal_.push_back(JournalEntry{events(), "scenario", canonical.value()});
+  journal_.push_back(JournalEntry{events(), command, canonical.value()});
   return canonical;
 }
 

@@ -3,21 +3,23 @@
 // ServeSession wraps an engine::ShardedRtdbs built from a SessionSpec
 // genesis (one shard unless the genesis asks for more; a 1-shard
 // cluster is bit-identical to a plain engine::Rtdbs) and records every
-// state-mutating control command (policy/scenario swaps) in a journal
-// keyed by the event count it was applied at. Because the engine is
-// deterministic, {genesis, journal, position} is a complete
-// serialization of the session: Restore rebuilds the cluster from
-// genesis, replays the journal at the exact event boundaries, steps to
-// the snapshot position, and verifies the recomputed state digest
-// line-by-line against the snapshot's. A restored session's future
-// trajectory is bit-identical to the uninterrupted original — the
-// invariant tests/test_serve_snapshot.cc pins for every registered
-// policy and for sharded sessions under both admission modes.
+// successful state-mutating control command (policy/scenario swaps,
+// both run through one Apply) in a journal keyed by the event count it
+// was applied at. Because the engine is deterministic, {genesis,
+// journal, position} is a complete serialization of the session:
+// Restore rebuilds the cluster from genesis, replays the journal at
+// the exact event boundaries, steps to the snapshot position, and
+// verifies the recomputed state digest line-by-line against the
+// snapshot's. A restored session's future trajectory is bit-identical
+// to the uninterrupted original — the invariant
+// tests/test_serve_snapshot.cc pins for every registered policy and for
+// sharded sessions under both admission modes.
 //
-// Failure discipline: malformed specs, corrupt snapshots, and
-// unreachable positions all surface as Status errors that leave the
-// running session untouched (Restore builds the replacement session on
-// the side; the caller swaps only on success).
+// Failure discipline: malformed specs (a policy whose Attach fails
+// among them), corrupt snapshots, and unreachable positions all surface
+// as Status errors that leave the running session untouched and journal
+// nothing (Restore builds the replacement session on the side; the
+// caller swaps only on success).
 
 #ifndef RTQ_SERVE_SERVE_SESSION_H_
 #define RTQ_SERVE_SERVE_SESSION_H_
@@ -53,15 +55,15 @@ class ServeSession {
   /// many actually dispatched (fewer only when every calendar drains).
   uint64_t RunEvents(uint64_t n) { return cluster_->StepEvents(n); }
 
-  /// Hot-swaps the memory policy on every shard, journaling the
-  /// canonical spec whenever a fresh policy instance was attached
-  /// (including a rebuild-rollback after an attach failure — replay must
-  /// reproduce the state reset).
-  engine::PolicySwapOutcome ApplyPolicy(const std::string& spec);
+  /// Hot-swaps the memory policy on every shard (Apply("policy", spec)).
+  StatusOr<std::string> ApplyPolicy(const std::string& spec) {
+    return Apply("policy", spec);
+  }
 
-  /// Swaps the arrival stream to `spec`; journals and returns the
-  /// canonical scenario spec on success, leaves state untouched on error.
-  StatusOr<std::string> ApplyScenario(const std::string& spec);
+  /// Swaps the arrival stream on every shard (Apply("scenario", spec)).
+  StatusOr<std::string> ApplyScenario(const std::string& spec) {
+    return Apply("scenario", spec);
+  }
 
   /// Captures {genesis, journal, position, state digest} at this instant.
   Snapshot TakeSnapshot() const;
@@ -80,6 +82,13 @@ class ServeSession {
  private:
   ServeSession(SessionSpec spec, std::unique_ptr<engine::ShardedRtdbs> cluster)
       : spec_(std::move(spec)), cluster_(std::move(cluster)) {}
+
+  /// The one swap protocol, for `command` "policy" or "scenario":
+  /// journals and returns the canonical spec on success; on error the
+  /// session is bit-identical to before the call and nothing is
+  /// journaled. Restore replays every journal entry through it.
+  StatusOr<std::string> Apply(const std::string& command,
+                              const std::string& spec);
 
   /// Steps until `target` events have dispatched; Internal error if the
   /// calendar drains first (the snapshot position is unreachable).

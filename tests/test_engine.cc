@@ -168,10 +168,10 @@ TEST(Engine, SwappedOutPoliciesAreDestroyed) {
   EXPECT_EQ(g_counted_live.load(), base + 1);
   for (int i = 1; i <= 5; ++i) {
     sys.value()->RunUntil(600.0 * i);
-    ASSERT_TRUE(sys.value()->SwapPolicy("counted").status.ok());
+    ASSERT_TRUE(sys.value()->SwapPolicy("counted").ok());
     EXPECT_EQ(g_counted_live.load(), base + 1) << "after swap " << i;
   }
-  ASSERT_TRUE(sys.value()->SwapPolicy("max").status.ok());
+  ASSERT_TRUE(sys.value()->SwapPolicy("max").ok());
   EXPECT_EQ(g_counted_live.load(), base);
   sys.value()->RunUntil(3600.0);
   EXPECT_GT(sys.value()->Summarize().overall.completions, 0);
