@@ -1,32 +1,11 @@
 #include "serve/control.h"
 
+#include "common/file.h"
 #include "common/spec.h"
 
 namespace rtq::serve {
 
 namespace {
-
-/// First whitespace-separated token of `line` starting at `*pos`;
-/// advances `*pos` past it. Empty when the line is exhausted.
-std::string NextToken(const std::string& line, size_t* pos) {
-  size_t start = line.find_first_not_of(" \t", *pos);
-  if (start == std::string::npos) {
-    *pos = line.size();
-    return "";
-  }
-  size_t end = line.find_first_of(" \t", start);
-  if (end == std::string::npos) end = line.size();
-  *pos = end;
-  return line.substr(start, end - start);
-}
-
-/// Rest of `line` from `pos`, trimmed of surrounding whitespace.
-std::string Rest(const std::string& line, size_t pos) {
-  size_t start = line.find_first_not_of(" \t", pos);
-  if (start == std::string::npos) return "";
-  size_t end = line.find_last_not_of(" \t\r");
-  return line.substr(start, end - start + 1);
-}
 
 Status CommandError(const std::string& what) {
   return Status::InvalidArgument("control: " + what);
@@ -34,24 +13,21 @@ Status CommandError(const std::string& what) {
 
 }  // namespace
 
-StatusOr<Command> ParseCommand(const std::string& raw) {
-  // A script saved with CRLF endings hands every line over with its '\r'.
-  std::string line = raw;
-  if (!line.empty() && line.back() == '\r') line.pop_back();
+StatusOr<Command> ParseCommand(const std::string& line) {
   Command cmd;
-  size_t pos = 0;
-  std::string keyword = NextToken(line, &pos);
-  if (keyword.empty() || keyword[0] == '#') return cmd;  // kNop
+  LineReader in(line);
+  if (!in.Next()) return cmd;  // kNop: blank line or comment
+  const std::string keyword = in.Token(0);
 
   if (keyword == "run") {
     cmd.kind = Command::Kind::kRun;
-    std::string count = NextToken(line, &pos);
+    std::string count = in.Token(1);
     StatusOr<uint64_t> n = SpecArgs::ToUint(count);
     if (!n.ok() || n.value() == 0)
       return CommandError("'run' needs a positive event count, got '" + count +
                           "'");
     cmd.count = n.value();
-    if (!Rest(line, pos).empty())
+    if (in.size() > 2)
       return CommandError("trailing input after 'run " + count + "'");
     return cmd;
   }
@@ -61,7 +37,7 @@ StatusOr<Command> ParseCommand(const std::string& raw) {
                : keyword == "scenario" ? Command::Kind::kScenario
                : keyword == "snapshot" ? Command::Kind::kSnapshot
                                        : Command::Kind::kRestore;
-    cmd.arg = Rest(line, pos);
+    cmd.arg = in.Rest(1);
     if (cmd.arg.empty())
       return CommandError("'" + keyword + "' needs an argument");
     return cmd;
@@ -70,7 +46,7 @@ StatusOr<Command> ParseCommand(const std::string& raw) {
     cmd.kind = keyword == "stats"     ? Command::Kind::kStats
                : keyword == "metrics" ? Command::Kind::kMetrics
                                       : Command::Kind::kQuit;
-    if (!Rest(line, pos).empty())
+    if (in.size() > 1)
       return CommandError("trailing input after '" + keyword + "'");
     return cmd;
   }

@@ -15,7 +15,8 @@
 //   quit               exit the serve loop
 //
 // Blank lines and lines starting with '#' are no-ops. A line may end in
-// CRLF.
+// CRLF. Lines are read by LineReader (common/file.h), like `.rtqt`
+// traces and `.rtqs` snapshots.
 
 #ifndef RTQ_SERVE_CONTROL_H_
 #define RTQ_SERVE_CONTROL_H_

@@ -1,7 +1,6 @@
 #include "serve/snapshot.h"
 
 #include <limits>
-#include <sstream>
 
 #include "common/file.h"
 #include "common/spec.h"
@@ -16,90 +15,26 @@ Status LineError(size_t line, const std::string& what) {
                                  ": " + what);
 }
 
-/// Cursor over the text's meaningful lines (comments and blanks
-/// skipped), tracking 1-based line numbers for error messages.
-class LineReader {
- public:
-  explicit LineReader(const std::string& text) : in_(text) {}
+/// Advances `in` to the next line, which must read "<key> <text>";
+/// stores the rest of the line in `*out`.
+Status Text(LineReader& in, const std::string& key, std::string* out) {
+  if (!in.Next() || in.Token(0) != key)
+    return LineError(in.line_no(), "expected '" + key + " <spec>'");
+  *out = in.Rest(1);
+  if (out->empty()) return LineError(in.line_no(), "empty " + key + " spec");
+  return Status::Ok();
+}
 
-  /// Advances to the next meaningful line. False at end of input.
-  bool Next() {
-    std::string line;
-    while (std::getline(in_, line)) {
-      ++line_no_;
-      size_t i = line.find_first_not_of(" \t\r");
-      if (i == std::string::npos || line[i] == '#') continue;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      line_ = line;
-      return true;
-    }
-    return false;
-  }
-
-  /// First whitespace-separated token of the current line.
-  std::string Head() const {
-    size_t start = line_.find_first_not_of(" \t");
-    size_t end = line_.find_first_of(" \t", start);
-    if (end == std::string::npos) return line_.substr(start);
-    return line_.substr(start, end - start);
-  }
-
-  /// The current line with its first `n` tokens removed — rest-of-line
-  /// values (specs, digest text) survive verbatim.
-  std::string Rest(size_t n) const {
-    size_t i = line_.find_first_not_of(" \t");
-    for (size_t k = 0; k < n; ++k) {
-      if (i == std::string::npos) return "";
-      i = line_.find_first_of(" \t", i);
-      if (i == std::string::npos) return "";
-      i = line_.find_first_not_of(" \t", i);
-    }
-    return i == std::string::npos ? "" : line_.substr(i);
-  }
-
-  /// Token at index `k` (0-based) of the current line; "" when absent.
-  std::string Token(size_t k) const {
-    size_t i = line_.find_first_not_of(" \t");
-    for (size_t step = 0; step < k; ++step) {
-      if (i == std::string::npos) return "";
-      i = line_.find_first_of(" \t", i);
-      if (i == std::string::npos) return "";
-      i = line_.find_first_not_of(" \t", i);
-    }
-    if (i == std::string::npos) return "";
-    size_t end = line_.find_first_of(" \t", i);
-    if (end == std::string::npos) return line_.substr(i);
-    return line_.substr(i, end - i);
-  }
-
-  size_t line_no() const { return line_no_; }
-
-  /// Advances to the next line, which must read "<key> <text>"; stores
-  /// the non-empty rest of the line in `*out`.
-  Status Text(const std::string& key, std::string* out) {
-    if (!Next() || Head() != key)
-      return LineError(line_no_, "expected '" + key + " <spec>'");
-    *out = Rest(1);
-    if (out->empty()) return LineError(line_no_, "empty " + key + " spec");
-    return Status::Ok();
-  }
-
-  /// Advances to the next line, which must read "<key> <uint>".
-  Status Uint(const std::string& key, uint64_t* out) {
-    if (!Next() || Head() != key)
-      return LineError(line_no_, "expected '" + key + " <uint>'");
-    StatusOr<uint64_t> value = SpecArgs::ToUint(Token(1));
-    if (!value.ok() || !Rest(2).empty())
-      return LineError(line_no_, "bad " + key + " '" + Rest(1) + "'");
-    *out = value.value();
-    return Status::Ok();
-  }
-
- private:
-  std::istringstream in_;
-  std::string line_;
-  size_t line_no_ = 0;
-};
+/// Advances `in` to the next line, which must read "<key> <uint>".
+Status Uint(LineReader& in, const std::string& key, uint64_t* out) {
+  if (!in.Next() || in.Token(0) != key)
+    return LineError(in.line_no(), "expected '" + key + " <uint>'");
+  StatusOr<uint64_t> value = SpecArgs::ToUint(in.Token(1));
+  if (!value.ok() || in.size() > 2)
+    return LineError(in.line_no(), "bad " + key + " '" + in.Rest(1) + "'");
+  *out = value.value();
+  return Status::Ok();
+}
 
 }  // namespace
 
@@ -153,25 +88,25 @@ StatusOr<Snapshot> ParseSnapshot(const std::string& text) {
   LineReader in(text);
 
   uint64_t version = 0;
-  if (!in.Uint("rtqs", &version).ok() || version != 2)
+  if (!Uint(in, "rtqs", &version).ok() || version != 2)
     return LineError(in.line_no(), "expected the 'rtqs 2' version header");
 
-  RTQ_RETURN_IF_ERROR(in.Text("workload", &snap.session.workload));
-  RTQ_RETURN_IF_ERROR(in.Text("policy", &snap.session.policy));
-  RTQ_RETURN_IF_ERROR(in.Uint("seed", &snap.session.seed));
+  RTQ_RETURN_IF_ERROR(Text(in, "workload", &snap.session.workload));
+  RTQ_RETURN_IF_ERROR(Text(in, "policy", &snap.session.policy));
+  RTQ_RETURN_IF_ERROR(Uint(in, "seed", &snap.session.seed));
   uint64_t shards = 0;
-  RTQ_RETURN_IF_ERROR(in.Uint("shards", &shards));
+  RTQ_RETURN_IF_ERROR(Uint(in, "shards", &shards));
   if (shards < 1 || shards > std::numeric_limits<int32_t>::max())
     return LineError(in.line_no(), "shards must be in [1, 2^31)");
   snap.session.shards = static_cast<int32_t>(shards);
-  RTQ_RETURN_IF_ERROR(in.Text("placement", &snap.session.placement));
-  RTQ_RETURN_IF_ERROR(in.Text("admission", &snap.session.admission));
+  RTQ_RETURN_IF_ERROR(Text(in, "placement", &snap.session.placement));
+  RTQ_RETURN_IF_ERROR(Text(in, "admission", &snap.session.admission));
 
   uint64_t journal_count = 0;
-  RTQ_RETURN_IF_ERROR(in.Uint("journal", &journal_count));
+  RTQ_RETURN_IF_ERROR(Uint(in, "journal", &journal_count));
   uint64_t prev_events = 0;
   for (uint64_t i = 0; i < journal_count; ++i) {
-    if (!in.Next() || in.Head() != "j")
+    if (!in.Next() || in.Token(0) != "j")
       return LineError(in.line_no(),
                        "expected " + std::to_string(journal_count) +
                            " journal entries, got " + std::to_string(i));
@@ -194,14 +129,14 @@ StatusOr<Snapshot> ParseSnapshot(const std::string& text) {
     snap.journal.push_back(std::move(entry));
   }
 
-  if (!in.Next() || in.Head() != "position")
+  if (!in.Next() || in.Token(0) != "position")
     return LineError(in.line_no(), "expected 'position <events> <time>'");
   StatusOr<uint64_t> events = SpecArgs::ToUint(in.Token(1));
   if (!events.ok())
     return LineError(in.line_no(), "bad position events '" + in.Token(1) + "'");
   snap.position_events = events.value();
   StatusOr<double> time = SpecArgs::ToDouble(in.Token(2));
-  if (!time.ok() || time.value() < 0.0 || !in.Rest(3).empty())
+  if (!time.ok() || time.value() < 0.0 || in.size() > 3)
     return LineError(in.line_no(), "bad position time '" + in.Rest(2) + "'");
   snap.position_time = time.value();
   if (!snap.journal.empty() &&
@@ -210,9 +145,9 @@ StatusOr<Snapshot> ParseSnapshot(const std::string& text) {
                      "journal extends past the snapshot position");
 
   uint64_t digest_count = 0;
-  RTQ_RETURN_IF_ERROR(in.Uint("digest", &digest_count));
+  RTQ_RETURN_IF_ERROR(Uint(in, "digest", &digest_count));
   for (uint64_t i = 0; i < digest_count; ++i) {
-    if (!in.Next() || in.Head() != "s")
+    if (!in.Next() || in.Token(0) != "s")
       return LineError(in.line_no(),
                        "expected " + std::to_string(digest_count) +
                            " digest lines, got " + std::to_string(i));
@@ -222,7 +157,7 @@ StatusOr<Snapshot> ParseSnapshot(const std::string& text) {
     snap.digest.push_back(std::move(line));
   }
 
-  if (!in.Next() || in.Head() != "end" || !in.Rest(1).empty())
+  if (!in.Next() || in.Token(0) != "end" || in.size() > 1)
     return LineError(in.line_no(), "missing 'end' terminator (truncated?)");
   if (in.Next())
     return LineError(in.line_no(), "trailing content after 'end'");

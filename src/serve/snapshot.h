@@ -22,8 +22,9 @@
 // replay and any differing line fails the restore with a Status error
 // naming it.
 //
-// Grammar (line-oriented text; '#' starts a comment, blank lines are
-// ignored; tokens are space-separated; mirrors `.rtqt`):
+// Grammar (line-oriented text read by LineReader, common/file.h: '#'
+// starts a comment, blank lines are ignored, tokens are separated by
+// spaces or tabs; mirrors `.rtqt`):
 //
 //   snapshot := "rtqs 2" NL
 //               "workload" SPEC NL

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <sstream>
 
 #include "common/file.h"
 #include "common/spec.h"
@@ -21,19 +20,6 @@ bool DoubleEq(double a, double b) {
 Status LineError(size_t line, const std::string& what) {
   return Status::InvalidArgument("trace line " + std::to_string(line) + ": " +
                                  what);
-}
-
-/// Splits a line into whitespace-separated tokens.
-std::vector<std::string> Tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    size_t start = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
-    if (i > start) tokens.push_back(line.substr(start, i - start));
-  }
-  return tokens;
 }
 
 }  // namespace
@@ -87,9 +73,7 @@ std::string SerializeTrace(const Trace& trace) {
 
 StatusOr<Trace> ParseTrace(const std::string& text) {
   Trace trace;
-  std::istringstream in(text);
-  std::string line;
-  size_t line_no = 0;
+  LineReader in(text);
 
   // Header fields, in order; `records` declares the expected count.
   bool saw_version = false;
@@ -99,62 +83,57 @@ StatusOr<Trace> ParseTrace(const std::string& text) {
   int64_t declared_records = -1;
   SimTime last_time = 0.0;
 
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    std::vector<std::string> tokens = Tokenize(line);
-    if (tokens.empty() || tokens[0][0] == '#') continue;
-    const std::string& tag = tokens[0];
+  while (in.Next()) {
+    const size_t line_no = in.line_no();
+    const size_t n = in.size();
+    const std::string tag = in.Token(0);
 
     if (!saw_version) {
-      if (tag != "rtqt" || tokens.size() != 2)
+      if (tag != "rtqt" || n != 2)
         return LineError(line_no, "expected version header 'rtqt 1'");
-      StatusOr<int64_t> version = SpecArgs::ToInt(tokens[1]);
+      StatusOr<int64_t> version = SpecArgs::ToInt(in.Token(1));
       if (!version.ok())
-        return LineError(line_no, "bad version number '" + tokens[1] + "'");
+        return LineError(line_no, "bad version number '" + in.Token(1) + "'");
       if (version.value() != 1)
-        return LineError(line_no, "unsupported trace version " + tokens[1]);
+        return LineError(line_no, "unsupported trace version " + in.Token(1));
       trace.version = 1;
       saw_version = true;
       continue;
     }
 
     if (tag == "classes") {
-      StatusOr<int64_t> n = SpecArgs::ToInt(tokens.back());
-      if (saw_classes || tokens.size() != 2 || !n.ok() || n.value() <= 0 ||
-          n.value() > std::numeric_limits<int32_t>::max())
+      StatusOr<int64_t> classes = SpecArgs::ToInt(in.Token(1));
+      if (saw_classes || n != 2 || !classes.ok() || classes.value() <= 0 ||
+          classes.value() > std::numeric_limits<int32_t>::max())
         return LineError(line_no, "bad 'classes' header");
-      trace.num_classes = static_cast<int32_t>(n.value());
+      trace.num_classes = static_cast<int32_t>(classes.value());
       saw_classes = true;
       continue;
     }
     if (tag == "scenario") {
-      if (saw_scenario || tokens.size() < 2)
+      if (saw_scenario || n < 2)
         return LineError(line_no, "bad 'scenario' header");
       // The scenario spec is the rest of the line (specs contain no
       // spaces today, but keep the field future-proof).
-      size_t pos = line.find("scenario");
-      std::string rest = line.substr(pos + 8);
-      size_t start = rest.find_first_not_of(" \t");
-      trace.scenario = start == std::string::npos ? "" : rest.substr(start);
+      trace.scenario = in.Rest(1);
       if (trace.scenario == "-") trace.scenario.clear();
       saw_scenario = true;
       continue;
     }
     if (tag == "seed") {
-      StatusOr<uint64_t> seed = SpecArgs::ToUint(tokens.back());
-      if (saw_seed || tokens.size() != 2 || !seed.ok())
+      StatusOr<uint64_t> seed = SpecArgs::ToUint(in.Token(1));
+      if (saw_seed || n != 2 || !seed.ok())
         return LineError(line_no, "bad 'seed' header");
       trace.seed = seed.value();
       saw_seed = true;
       continue;
     }
     if (tag == "records") {
-      StatusOr<int64_t> n = SpecArgs::ToInt(tokens.back());
-      if (declared_records >= 0 || tokens.size() != 2 || !n.ok() ||
-          n.value() < 0)
+      StatusOr<int64_t> records = SpecArgs::ToInt(in.Token(1));
+      if (declared_records >= 0 || n != 2 || !records.ok() ||
+          records.value() < 0)
         return LineError(line_no, "bad 'records' header");
-      declared_records = n.value();
+      declared_records = records.value();
       continue;
     }
 
@@ -162,59 +141,58 @@ StatusOr<Trace> ParseTrace(const std::string& text) {
       return LineError(line_no, "unknown directive '" + tag + "'");
     if (!saw_classes || !saw_scenario || !saw_seed || declared_records < 0)
       return LineError(line_no, "record before complete header");
-    if (tokens.size() != 8)
-      return LineError(line_no,
-                       "truncated record (want 8 tokens, got " +
-                           std::to_string(tokens.size()) + ")");
+    if (n != 8)
+      return LineError(line_no, "truncated record (want 8 tokens, got " +
+                                    std::to_string(n) + ")");
 
     TraceRecord r;
-    StatusOr<double> time = SpecArgs::ToDouble(tokens[1]);
+    StatusOr<double> time = SpecArgs::ToDouble(in.Token(1));
     if (!time.ok() || time.value() < 0.0)
-      return LineError(line_no, "bad arrival time '" + tokens[1] + "'");
+      return LineError(line_no, "bad arrival time '" + in.Token(1) + "'");
     r.time = time.value();
     if (!trace.records.empty() && r.time < last_time)
       return LineError(line_no, "out-of-order arrival time");
     last_time = r.time;
 
-    StatusOr<int64_t> cls = SpecArgs::ToInt(tokens[2]);
+    StatusOr<int64_t> cls = SpecArgs::ToInt(in.Token(2));
     if (!cls.ok() || cls.value() < 0 || cls.value() >= trace.num_classes)
-      return LineError(line_no, "unknown class '" + tokens[2] + "'");
+      return LineError(line_no, "unknown class '" + in.Token(2) + "'");
     r.query_class = static_cast<int32_t>(cls.value());
 
-    if (tokens[3] == "join") {
+    if (in.Token(3) == "join") {
       r.type = exec::QueryType::kHashJoin;
-    } else if (tokens[3] == "sort") {
+    } else if (in.Token(3) == "sort") {
       r.type = exec::QueryType::kExternalSort;
     } else {
-      return LineError(line_no, "unknown query type '" + tokens[3] + "'");
+      return LineError(line_no, "unknown query type '" + in.Token(3) + "'");
     }
 
-    StatusOr<int64_t> rel = SpecArgs::ToInt(tokens[4]);
+    StatusOr<int64_t> rel = SpecArgs::ToInt(in.Token(4));
     if (!rel.ok() || rel.value() < 0)
-      return LineError(line_no, "bad relation id '" + tokens[4] + "'");
+      return LineError(line_no, "bad relation id '" + in.Token(4) + "'");
     r.r = rel.value();
-    if (tokens[5] == "-") {
+    if (in.Token(5) == "-") {
       if (r.type == exec::QueryType::kHashJoin)
         return LineError(line_no, "join record missing outer relation");
       r.s = -1;
     } else {
-      StatusOr<int64_t> outer = SpecArgs::ToInt(tokens[5]);
+      StatusOr<int64_t> outer = SpecArgs::ToInt(in.Token(5));
       if (!outer.ok() || outer.value() < 0)
-        return LineError(line_no, "bad relation id '" + tokens[5] + "'");
+        return LineError(line_no, "bad relation id '" + in.Token(5) + "'");
       if (r.type == exec::QueryType::kExternalSort)
         return LineError(line_no, "sort record with outer relation");
       r.s = outer.value();
     }
 
-    StatusOr<double> slack = SpecArgs::ToDouble(tokens[6]);
+    StatusOr<double> slack = SpecArgs::ToDouble(in.Token(6));
     if (!slack.ok() || slack.value() <= 0.0)
-      return LineError(line_no, "bad slack ratio '" + tokens[6] + "'");
+      return LineError(line_no, "bad slack ratio '" + in.Token(6) + "'");
     r.slack = slack.value();
-    if (tokens[7] != "-") {
-      StatusOr<double> standalone = SpecArgs::ToDouble(tokens[7]);
+    if (in.Token(7) != "-") {
+      StatusOr<double> standalone = SpecArgs::ToDouble(in.Token(7));
       if (!standalone.ok() || standalone.value() <= 0.0)
         return LineError(line_no,
-                         "bad stand-alone time '" + tokens[7] + "'");
+                         "bad stand-alone time '" + in.Token(7) + "'");
       r.standalone = standalone.value();
     }
     trace.records.push_back(r);

@@ -6,8 +6,9 @@
 // it, which makes traces both a portable workload format and a byte-exact
 // replay-testing oracle.
 //
-// Grammar (line-oriented text; '#' starts a comment, blank lines are
-// ignored; tokens are space-separated):
+// Grammar (line-oriented text read by LineReader, common/file.h: '#'
+// starts a comment, blank lines are ignored, tokens are separated by
+// spaces or tabs):
 //
 //   trace    := header record*
 //   header   := "rtqt 1" NL
