@@ -28,7 +28,7 @@
 
 namespace rtq::exec {
 
-class ExternalSort : public OperatorBase {
+class ExternalSort : public Operator {
  public:
   struct Inputs {
     DiskId disk = 0;

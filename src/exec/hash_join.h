@@ -30,7 +30,7 @@
 
 namespace rtq::exec {
 
-class HashJoin : public OperatorBase {
+class HashJoin : public Operator {
  public:
   struct Inputs {
     DiskId r_disk = 0;

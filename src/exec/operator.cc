@@ -4,7 +4,7 @@
 
 namespace rtq::exec {
 
-void OperatorBase::SetAllocation(PageCount pages) {
+void Operator::SetAllocation(PageCount pages) {
   RTQ_CHECK_MSG(pages >= 0, "allocation must be >= 0");
   allocation_ = pages;
   // If the operator is idle (not mid-chain), apply the change now; a
@@ -13,7 +13,7 @@ void OperatorBase::SetAllocation(PageCount pages) {
   if (started_ && !finished_ && !aborted_ && !in_flight_) Continue();
 }
 
-void OperatorBase::Start(ExecContext* ctx) {
+void Operator::Start(ExecContext* ctx) {
   RTQ_CHECK(ctx != nullptr);
   RTQ_CHECK_MSG(!started_, "operator started twice");
   RTQ_CHECK_MSG(allocation_ >= min_memory(),
@@ -23,13 +23,13 @@ void OperatorBase::Start(ExecContext* ctx) {
   Continue();
 }
 
-void OperatorBase::Abort() {
+void Operator::Abort() {
   if (aborted_ || finished_) return;
   aborted_ = true;
   ReleaseTempSpace();
 }
 
-void OperatorBase::Continue() {
+void Operator::Continue() {
   if (!CanRun()) return;
   if (allocation_ != applied_allocation_) {
     applied_allocation_ = allocation_;
@@ -44,7 +44,7 @@ void OperatorBase::Continue() {
   // flag it clears.
 }
 
-void OperatorBase::StepCpu(Instructions instructions) {
+void Operator::StepCpu(Instructions instructions) {
   RTQ_DCHECK(in_flight_);
   counters_.cpu_instructions += instructions;
   ctx_->RunCpu(instructions, [this] {
@@ -54,7 +54,7 @@ void OperatorBase::StepCpu(Instructions instructions) {
   });
 }
 
-void OperatorBase::StepRead(DiskId disk, PageCount start, PageCount pages) {
+void Operator::StepRead(DiskId disk, PageCount start, PageCount pages) {
   RTQ_DCHECK(in_flight_);
   ++counters_.read_requests;
   counters_.pages_read += pages;
@@ -65,13 +65,13 @@ void OperatorBase::StepRead(DiskId disk, PageCount start, PageCount pages) {
   });
 }
 
-void OperatorBase::FireWrite(DiskId disk, PageCount start, PageCount pages) {
+void Operator::FireWrite(DiskId disk, PageCount start, PageCount pages) {
   ++counters_.write_requests;
   counters_.pages_written += pages;
   ctx_->Write(disk, start, pages, nullptr, /*background=*/true);
 }
 
-void OperatorBase::Complete() {
+void Operator::Complete() {
   RTQ_CHECK(!finished_);
   finished_ = true;
   in_flight_ = false;

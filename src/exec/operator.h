@@ -41,6 +41,9 @@ struct OperatorCounters {
   Instructions cpu_instructions = 0;
 };
 
+/// The protocol above, plus the step bookkeeping both concrete operators
+/// (HashJoin, ExternalSort) share; they implement the workspace demands
+/// and the three hooks below.
 class Operator {
  public:
   virtual ~Operator() = default;
@@ -51,40 +54,26 @@ class Operator {
   virtual PageCount max_memory() const = 0;
 
   /// Memory manager grants/revises the workspace. 0 suspends.
-  virtual void SetAllocation(PageCount pages) = 0;
+  void SetAllocation(PageCount pages);
 
   /// Begins execution; requires a prior SetAllocation(>= min_memory()).
-  virtual void Start(ExecContext* ctx) = 0;
+  void Start(ExecContext* ctx);
 
   /// Deadline miss: free temp space, stop issuing work.
-  virtual void Abort() = 0;
+  void Abort();
 
-  virtual bool started() const = 0;
-  virtual bool finished() const = 0;
+  bool started() const { return started_; }
+  bool finished() const { return finished_; }
 
-  virtual PageCount allocation() const = 0;
-  virtual const OperatorCounters& counters() const = 0;
+  PageCount allocation() const { return allocation_; }
+  const OperatorCounters& counters() const { return counters_; }
 
   /// Invoked exactly once when the operator completes all its work.
   std::function<void()> on_finished;
-};
-
-/// Shared bookkeeping for the two concrete operators.
-class OperatorBase : public Operator {
- public:
-  void SetAllocation(PageCount pages) final;
-  void Start(ExecContext* ctx) final;
-  void Abort() final;
-
-  bool started() const final { return started_; }
-  bool finished() const final { return finished_; }
-  PageCount allocation() const final { return allocation_; }
-  const OperatorCounters& counters() const final { return counters_; }
 
  protected:
-  /// Issues the next unit of asynchronous work. Implementations must call
-  /// FinishStep() from their completion callbacks (via the helpers below)
-  /// and must not leave more than one chain outstanding.
+  /// Issues the next unit of asynchronous work through the helpers below;
+  /// implementations must not leave more than one chain outstanding.
   virtual void Step() = 0;
 
   /// Reconfigure internal plans for allocation() pages; called at step
