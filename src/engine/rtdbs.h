@@ -98,7 +98,6 @@ class Rtdbs {
   /// else a ScenarioSource (over PoissonScenario when no scenario is set).
   workload::ArrivalSource& arrivals() { return *source_; }
   core::MemoryManager& memory_manager() { return *mm_; }
-  const storage::Database& database() const { return *db_; }
   const MetricsCollector& metrics() const { return metrics_; }
   /// Mutable access for hosts that pre-size the record buffer (e.g. the
   /// zero-allocation gate calls Reserve before measuring).
@@ -111,7 +110,6 @@ class Rtdbs {
   const core::PmmController* pmm() const {
     return policy_ ? policy_->pmm_controller() : nullptr;
   }
-  const SystemConfig& config() const { return config_; }
 
   /// Live queries currently registered (waiting + admitted).
   int64_t live_queries() const {

@@ -167,8 +167,6 @@ StatusOr<std::unique_ptr<ShardedRtdbs>> ShardedRtdbs::Create(
   if (!cap.ok()) return cap.status();
 
   std::unique_ptr<ShardedRtdbs> sys(new ShardedRtdbs());
-  sys->shard_config_ = shards;
-  sys->shard_config_.placement = placement.value().spec();
   sys->placement_ = std::make_unique<workload::ShardPlacement>(
       std::move(placement).value());
   if (cap.value() > 0) {

@@ -93,8 +93,6 @@ class ShardedRtdbs {
   const Rtdbs& shard(int32_t s) const {
     return *shards_[static_cast<size_t>(s)];
   }
-  const ShardConfig& shard_config() const { return shard_config_; }
-  const workload::ShardPlacement& placement() const { return *placement_; }
   /// Null under local admission.
   const core::ShardCoordinator* coordinator() const {
     return coordinator_.get();
@@ -125,7 +123,6 @@ class ShardedRtdbs {
   /// `horizon`, earliest first. Returns the number dispatched.
   uint64_t StepMerged(uint64_t max_events, SimTime horizon);
 
-  ShardConfig shard_config_;
   std::unique_ptr<workload::ShardPlacement> placement_;
   std::unique_ptr<core::ShardCoordinator> coordinator_;
   /// Declared after placement_/coordinator_: shards hold raw pointers to

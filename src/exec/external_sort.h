@@ -47,7 +47,6 @@ class ExternalSort : public Operator {
   // --- introspection (tests, metrics) -----------------------------------
   int64_t runs_formed() const { return runs_formed_; }
   int64_t merge_steps() const { return merge_steps_; }
-  size_t pending_runs() const { return runs_.size(); }
 
  protected:
   void Step() override;

@@ -50,7 +50,6 @@ class HashJoin : public Operator {
   int64_t num_partitions() const { return P_; }
   int64_t expanded_partitions() const { return e_; }
   PageCount spilled_r_pages() const { return r_live_spilled_; }
-  PageCount spilled_s_pages() const { return s_live_spilled_; }
 
  protected:
   void Step() override;

@@ -22,16 +22,6 @@ enum class QueryType {
   kExternalSort,
 };
 
-inline const char* QueryTypeName(QueryType type) {
-  switch (type) {
-    case QueryType::kHashJoin:
-      return "hash_join";
-    case QueryType::kExternalSort:
-      return "external_sort";
-  }
-  return "?";
-}
-
 struct QueryDescriptor {
   QueryId id = kInvalidQueryId;
   /// Workload class this query was generated from (index into the

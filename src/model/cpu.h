@@ -67,7 +67,6 @@ class Cpu {
   /// computed by differencing snapshots of this integral).
   double busy_seconds(SimTime now) const { return busy_.Integral(now); }
 
-  double mips() const { return mips_; }
   /// Jobs submitted and not yet finished or cancelled, the running one
   /// included.
   size_t pending_jobs() const { return ready_.size() + (running_ ? 1 : 0); }

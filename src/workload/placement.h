@@ -42,8 +42,6 @@ class ShardPlacement {
   /// database's relation count; only range placement reads them.
   int32_t ShardOf(QueryId id, int64_t relation, int64_t num_relations) const;
 
-  Kind kind() const { return kind_; }
-  int32_t num_shards() const { return num_shards_; }
   /// Hot-shard traffic fraction (skew placement only).
   double hot_fraction() const { return hot_; }
   /// Canonical spec string ("hash", "range", "skew:hot=0.60").

@@ -45,7 +45,6 @@ class TraceSource : public ArrivalSource {
     return static_cast<int64_t>(next_id_);
   }
   void AppendStateDigest(std::vector<std::string>* out) const override;
-  const Trace& trace() const { return *trace_; }
 
  private:
   TraceSource(sim::Simulator* sim, std::shared_ptr<const Trace> trace,
