@@ -142,8 +142,9 @@ StatusOr<Trace> ParseTrace(const std::string& text) {
     if (!saw_classes || !saw_scenario || !saw_seed || declared_records < 0)
       return LineError(line_no, "record before complete header");
     if (n != 8)
-      return LineError(line_no, "truncated record (want 8 tokens, got " +
-                                    std::to_string(n) + ")");
+      return LineError(line_no,
+                       "truncated record (want 8 tokens, got " +
+                           std::to_string(n) + ")");
 
     TraceRecord r;
     StatusOr<double> time = SpecArgs::ToDouble(in.Token(1));
