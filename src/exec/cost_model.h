@@ -12,6 +12,17 @@
 
 namespace rtq::exec {
 
+/// ceil(a / b) for a >= 0, b > 0: blocks needed for `a` pages.
+inline int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
+
+/// ceil(log2(n)), at least 1: key comparisons per tuple in a heap or
+/// merge over n entries.
+inline int64_t Log2Ceil(int64_t n) {
+  int64_t bits = 0;
+  for (int64_t v = 1; v < n; v <<= 1) ++bits;
+  return bits < 1 ? 1 : bits;
+}
+
 struct CpuCosts {
   // Common operations.
   Instructions start_io = 1000;        ///< Start an I/O operation.

@@ -7,22 +7,9 @@
 
 namespace rtq::exec {
 
-namespace {
-int64_t Log2Ceil(int64_t n) {
-  int64_t bits = 0;
-  int64_t v = 1;
-  while (v < n) {
-    v <<= 1;
-    ++bits;
-  }
-  return std::max<int64_t>(bits, 1);
-}
-}  // namespace
-
 ExternalSort::ExternalSort(const ExecParams& params, const Inputs& inputs,
                            Arena* arena)
-    : params_(params), in_(inputs), runs_(ArenaAllocator<PageCount>(arena)) {
-  RTQ_CHECK_MSG(params.Validate().ok(), "invalid exec params");
+    : Operator(params), in_(inputs), runs_(ArenaAllocator<PageCount>(arena)) {
   RTQ_CHECK_MSG(inputs.pages > 0, "sort operand must be non-empty");
 }
 
@@ -35,23 +22,9 @@ int64_t ExternalSort::FanIn() const {
   return std::max<int64_t>(allocation() - 1, 2);
 }
 
-void ExternalSort::EnsureTemp() {
-  if (!temp_a_) {
-    auto file = ctx_->AllocateTemp(in_.pages, in_.disk);
-    RTQ_CHECK_MSG(file.ok(), "temp space exhausted (sort runs)");
-    temp_a_ = std::move(file).value();
-  }
-}
-
 void ExternalSort::ReleaseTempSpace() {
-  if (temp_a_) {
-    ctx_->FreeTemp(*temp_a_);
-    temp_a_.reset();
-  }
-  if (temp_b_) {
-    ctx_->FreeTemp(*temp_b_);
-    temp_b_.reset();
-  }
+  ReleaseTemp(&temp_a_);
+  ReleaseTemp(&temp_b_);
 }
 
 void ExternalSort::CloseCurrentRun() {
@@ -63,35 +36,16 @@ void ExternalSort::CloseCurrentRun() {
 }
 
 void ExternalSort::FlushOutput(bool final_flush) {
-  while (true) {
-    PageCount whole = static_cast<PageCount>(pend_write_);
-    PageCount to_write = 0;
-    if (whole >= params_.block_size) {
-      to_write = params_.block_size;
-    } else if (final_flush && pend_write_ > 1e-9) {
-      to_write = std::max<PageCount>(1, whole);
-    }
-    if (to_write == 0) return;
-    EnsureTemp();
-    // Run-formation output and merge output share the ping-pong extents;
-    // merge output goes to the second extent.
-    storage::TempFile* dest = &*temp_a_;
-    if (merging_active_ || phase_ == Phase::kMergePlan ||
-        phase_ == Phase::kMergeRead || phase_ == Phase::kMergeCpu) {
-      if (!temp_b_) {
-        auto file = ctx_->AllocateTemp(in_.pages, in_.disk);
-        RTQ_CHECK_MSG(file.ok(), "temp space exhausted (merge output)");
-        temp_b_ = std::move(file).value();
-      }
-      dest = &*temp_b_;
-    }
-    pend_write_ = std::max(0.0, pend_write_ - to_write);
-    if (write_cursor_ + to_write > dest->pages) write_cursor_ = 0;
-    PageCount at = dest->start_page + write_cursor_;
-    write_cursor_ += to_write;
-    // Spooled output is written asynchronously in blocks; the sort does
-    // not stall on it (double-buffered output in [Pang93b]).
-    FireWrite(dest->disk, at, to_write);
+  // Run formation spools to the first extent, merge output to the second
+  // (the runs it reads stay in the first). The writes are asynchronous;
+  // the sort does not stall on them (double-buffered output in
+  // [Pang93b]).
+  const bool merging = merging_active_ || phase_ == Phase::kMergePlan ||
+                       phase_ == Phase::kMergeRead ||
+                       phase_ == Phase::kMergeCpu;
+  while (PageCount pages = TakeSpoolBlock(&pend_write_, final_flush)) {
+    SpoolWrite(EnsureTemp(merging ? &temp_b_ : &temp_a_, in_.pages, in_.disk),
+               &write_cursor_, pages);
   }
 }
 
@@ -302,12 +256,8 @@ void ExternalSort::Step() {
       }
       // Merge-phase reads are single-page: inputs are scattered across
       // runs, so the prefetch block would be wasted (paper Section 4.2).
-      EnsureTemp();
-      if (read_cursor_ >= temp_a_->pages) read_cursor_ = 0;
-      PageCount at = temp_a_->start_page + read_cursor_;
-      ++read_cursor_;
       phase_ = Phase::kMergeCpu;
-      StepRead(temp_a_->disk, at, 1);
+      StepRead(EnsureTemp(&temp_a_, in_.pages, in_.disk), &read_cursor_, 1);
       return;
     }
 
@@ -332,18 +282,15 @@ void ExternalSort::Step() {
         Continue();
         return;
       }
-      EnsureTemp();
       cur_block_ =
           std::min<PageCount>(params_.block_size, final_scan_left_);
       final_scan_left_ -= cur_block_;
-      if (read_cursor_ + cur_block_ > temp_a_->pages) read_cursor_ = 0;
-      PageCount at = temp_a_->start_page + read_cursor_;
-      read_cursor_ += cur_block_;
       // Delivery copy cost is charged with the block that follows; the
       // scan alternates read / copy like the other phases.
       pend_scan_cpu_ = cur_block_ * tpp * c.sort_copy;
       phase_ = Phase::kFinalScanCpu;
-      StepRead(temp_a_->disk, at, cur_block_);
+      StepRead(EnsureTemp(&temp_a_, in_.pages, in_.disk), &read_cursor_,
+               cur_block_);
       return;
     }
 

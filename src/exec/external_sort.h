@@ -72,7 +72,6 @@ class ExternalSort : public Operator {
   /// Merge fan-in at the current allocation.
   int64_t FanIn() const;
 
-  void EnsureTemp();
   /// Closes the run being formed (if any) and appends it to runs_.
   void CloseCurrentRun();
   /// Spools all pending output blocks as fire-and-forget writes;
@@ -82,7 +81,6 @@ class ExternalSort : public Operator {
   /// as a run and re-queueing unconsumed input (step splitting).
   void SplitCurrentStep();
 
-  ExecParams params_;
   Inputs in_;
 
   Phase phase_ = Phase::kInit;
@@ -107,11 +105,11 @@ class ExternalSort : public Operator {
   bool step_is_final_ = false;    // output goes to client, not disk
   int64_t merge_steps_ = 0;
 
-  // Temp extents: ping-pong between two regions sized ||R||.
+  // Temp extents, each sized ||R||: runs are formed in the first and
+  // read back from it; merge output goes to the second.
   std::optional<storage::TempFile> temp_a_;
   std::optional<storage::TempFile> temp_b_;
-  bool reading_from_a_ = true;
-  PageCount read_cursor_ = 0;   // within the source extent
+  PageCount read_cursor_ = 0;   // within temp_a_
   PageCount write_cursor_ = 0;  // within the destination extent
 
   PageCount final_scan_left_ = 0;

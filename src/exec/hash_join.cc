@@ -7,13 +7,8 @@
 
 namespace rtq::exec {
 
-namespace {
-PageCount CeilDiv(PageCount a, PageCount b) { return (a + b - 1) / b; }
-}  // namespace
-
 HashJoin::HashJoin(const ExecParams& params, const Inputs& inputs)
-    : params_(params), in_(inputs) {
-  RTQ_CHECK_MSG(params.Validate().ok(), "invalid exec params");
+    : Operator(params), in_(inputs) {
   RTQ_CHECK_MSG(inputs.r_pages > 0 && inputs.s_pages > 0,
                 "join operands must be non-empty");
   double fr = params_.fudge_factor * static_cast<double>(in_.r_pages);
@@ -30,6 +25,10 @@ HashJoin::HashJoin(const ExecParams& params, const Inputs& inputs)
       std::ceil(params_.fudge_factor * static_cast<double>(part_r_)));
   min_memory_ = std::max<PageCount>(P_, part_table) + 1;
   if (min_memory_ > max_memory_) min_memory_ = max_memory_;
+  r_.extent = in_.r_pages;
+  r_.disk = in_.r_disk;
+  s_.extent = in_.s_pages;
+  s_.disk = in_.s_disk;
 }
 
 int64_t HashJoin::ExpandedFor(PageCount m) const {
@@ -59,11 +58,11 @@ void HashJoin::OnAllocationApplied() {
       double move = exp_built_ * static_cast<double>(e_ - target_e) /
                     static_cast<double>(e_);
       exp_built_ -= move;
-      pend_r_spill_ += move;
+      r_.pending += move;
     }
     e_ = target_e;
   } else if (target_e > e_) {
-    if (InProbe() && r_live_spilled_ > 0 && P_ > e_) {
+    if (InProbe() && r_.live > 0 && P_ > e_) {
       // PPHJ expansion: read spilled build pages back so subsequent outer
       // tuples that hash to these partitions join directly. Expansion is
       // "late": it only pays when enough of the probe remains, so near
@@ -73,11 +72,10 @@ void HashJoin::OnAllocationApplied() {
           1.0 - static_cast<double>(s_read_) /
                     static_cast<double>(in_.s_pages);
       if (s_remaining > 0.25) {
-        double share = static_cast<double>(r_live_spilled_) *
+        double share = static_cast<double>(r_.live) *
                        static_cast<double>(target_e - e_) /
                        static_cast<double>(P_ - e_);
-        reload_pending_ +=
-            std::min(static_cast<double>(r_live_spilled_), share);
+        reload_pending_ += std::min(static_cast<double>(r_.live), share);
       }
     }
     // During the build phase expansion costs nothing now: future tuples
@@ -87,70 +85,20 @@ void HashJoin::OnAllocationApplied() {
   }
 }
 
-void HashJoin::EnsureRTemp() {
-  if (r_temp_) return;
-  auto file = ctx_->AllocateTemp(in_.r_pages, in_.r_disk);
-  RTQ_CHECK_MSG(file.ok(), "temp space exhausted (R spill)");
-  r_temp_ = std::move(file).value();
-}
-
-void HashJoin::EnsureSTemp() {
-  if (s_temp_) return;
-  auto file = ctx_->AllocateTemp(in_.s_pages, in_.s_disk);
-  RTQ_CHECK_MSG(file.ok(), "temp space exhausted (S spill)");
-  s_temp_ = std::move(file).value();
-}
-
 void HashJoin::ReleaseTempSpace() {
-  if (r_temp_) {
-    ctx_->FreeTemp(*r_temp_);
-    r_temp_.reset();
-  }
-  if (s_temp_) {
-    ctx_->FreeTemp(*s_temp_);
-    s_temp_.reset();
-  }
+  ReleaseTemp(&r_.temp);
+  ReleaseTemp(&s_.temp);
 }
 
-void HashJoin::FlushR(bool final_flush) {
-  while (true) {
-    PageCount whole = static_cast<PageCount>(pend_r_spill_);
-    PageCount to_write = 0;
-    if (whole >= params_.block_size) {
-      to_write = params_.block_size;
-    } else if (final_flush && pend_r_spill_ > 1e-9) {
-      to_write = std::max<PageCount>(1, whole);
-    }
-    if (to_write == 0) return;
-    EnsureRTemp();
-    pend_r_spill_ = std::max(0.0, pend_r_spill_ - to_write);
-    // The extent is sized ||R||; under adaptation R pages can cycle out
-    // and back, so wrap the cursor if the (rare) total exceeds the extent.
-    if (r_temp_cursor_ + to_write > r_temp_->pages) r_temp_cursor_ = 0;
-    PageCount at = r_temp_->start_page + r_temp_cursor_;
-    r_temp_cursor_ += to_write;
-    r_live_spilled_ = std::min(r_live_spilled_ + to_write, r_temp_->pages);
-    FireWrite(r_temp_->disk, at, to_write);
-  }
-}
-
-void HashJoin::FlushS(bool final_flush) {
-  while (true) {
-    PageCount whole = static_cast<PageCount>(pend_s_spill_);
-    PageCount to_write = 0;
-    if (whole >= params_.block_size) {
-      to_write = params_.block_size;
-    } else if (final_flush && pend_s_spill_ > 1e-9) {
-      to_write = std::max<PageCount>(1, whole);
-    }
-    if (to_write == 0) return;
-    EnsureSTemp();
-    pend_s_spill_ = std::max(0.0, pend_s_spill_ - to_write);
-    if (s_temp_cursor_ + to_write > s_temp_->pages) s_temp_cursor_ = 0;
-    PageCount at = s_temp_->start_page + s_temp_cursor_;
-    s_temp_cursor_ += to_write;
-    s_live_spilled_ = std::min(s_live_spilled_ + to_write, s_temp_->pages);
-    FireWrite(s_temp_->disk, at, to_write);
+void HashJoin::Flush(Spill* spill, bool final_flush) {
+  while (PageCount pages = TakeSpoolBlock(&spill->pending, final_flush)) {
+    const storage::TempFile& temp =
+        EnsureTemp(&spill->temp, spill->extent, spill->disk);
+    // The extent is sized like the operand; under adaptation R pages can
+    // cycle out and back, so the (rare) total may exceed the extent: the
+    // cursor wraps and the live count stops at the extent's size.
+    spill->live = std::min(spill->live + pages, temp.pages);
+    SpoolWrite(temp, &spill->write_cursor, pages);
   }
 }
 
@@ -167,16 +115,16 @@ void HashJoin::Step() {
     case Phase::kBuildRead: {
       // Spool contracted-partition output as blocks fill (asynchronous
       // priority spooling: the writes do not block the build).
-      FlushR(/*final_flush=*/false);
+      Flush(&r_, /*final_flush=*/false);
       if (allocation() == 0) {
         // Suspended: OnAllocationApplied contracted everything; flush the
         // tail and go quiet.
-        FlushR(/*final_flush=*/true);
+        Flush(&r_, /*final_flush=*/true);
         Idle();
         return;
       }
       if (r_read_ >= in_.r_pages) {
-        FlushR(/*final_flush=*/true);
+        Flush(&r_, /*final_flush=*/true);
         phase_ = Phase::kProbeRead;
         Continue();
         return;
@@ -196,7 +144,7 @@ void HashJoin::Step() {
           tuples * (frac * static_cast<double>(c.hash_insert) +
                     (1.0 - frac) * static_cast<double>(c.hash_copy)));
       exp_built_ += static_cast<double>(cur_block_) * frac;
-      pend_r_spill_ += static_cast<double>(cur_block_) * (1.0 - frac);
+      r_.pending += static_cast<double>(cur_block_) * (1.0 - frac);
       phase_ = Phase::kBuildRead;
       StepCpu(instr);
       return;
@@ -205,7 +153,7 @@ void HashJoin::Step() {
     case Phase::kProbeReload: {
       PageCount chunk = std::min<PageCount>(
           params_.block_size, static_cast<PageCount>(reload_pending_));
-      chunk = std::min(chunk, r_live_spilled_);
+      chunk = std::min(chunk, r_.live);
       if (chunk <= 0) {
         reload_pending_ = 0.0;
         phase_ = Phase::kProbeRead;
@@ -213,21 +161,21 @@ void HashJoin::Step() {
         return;
       }
       reload_pending_ -= static_cast<double>(chunk);
-      r_live_spilled_ -= chunk;
+      r_.live -= chunk;
       exp_built_ += static_cast<double>(chunk);
       // Read back the most recently spooled pages (tail of the live
       // region): late contraction spools them last, so they are reloaded
       // first.
-      StepRead(r_temp_->disk, r_temp_->start_page + r_live_spilled_, chunk);
+      StepRead(r_.temp->disk, r_.temp->start_page + r_.live, chunk);
       return;
     }
 
     case Phase::kProbeRead: {
       // Contraction during probe spools R hash pages; S spool as blocks.
-      FlushR(/*final_flush=*/true);
-      FlushS(/*final_flush=*/false);
+      Flush(&r_, /*final_flush=*/true);
+      Flush(&s_, /*final_flush=*/false);
       if (allocation() == 0) {
-        FlushS(/*final_flush=*/true);
+        Flush(&s_, /*final_flush=*/true);
         Idle();
         return;
       }
@@ -237,14 +185,12 @@ void HashJoin::Step() {
         return;
       }
       if (s_read_ >= in_.s_pages) {
-        FlushS(/*final_flush=*/true);
-        cleanup_r_remaining_ = cleanup_r_total_ = r_live_spilled_;
-        cleanup_s_remaining_ = cleanup_s_total_ = s_live_spilled_;
+        Flush(&s_, /*final_flush=*/true);
+        r_.cleanup_remaining = r_.cleanup_total = r_.live;
+        s_.cleanup_remaining = s_.cleanup_total = s_.live;
         // The expanded hash tables have served their purpose; their
         // memory is recycled for cleanup chunks without further I/O.
         exp_built_ = 0.0;
-        cleanup_r_cursor_ = 0;
-        cleanup_s_cursor_ = 0;
         phase_ = Phase::kCleanupStart;
         Continue();
         return;
@@ -265,7 +211,7 @@ void HashJoin::Step() {
       Instructions instr = static_cast<Instructions>(
           tuples * (frac * static_cast<double>(c.hash_probe + c.hash_copy) +
                     (1.0 - frac) * static_cast<double>(c.hash_copy)));
-      pend_s_spill_ += static_cast<double>(cur_block_) * (1.0 - frac);
+      s_.pending += static_cast<double>(cur_block_) * (1.0 - frac);
       phase_ = Phase::kProbeRead;
       StepCpu(instr);
       return;
@@ -276,15 +222,15 @@ void HashJoin::Step() {
         Idle();
         return;
       }
-      if (cleanup_r_remaining_ <= 0 && cleanup_s_remaining_ <= 0) {
+      if (r_.cleanup_remaining <= 0 && s_.cleanup_remaining <= 0) {
         phase_ = Phase::kTerminate;
         Continue();
         return;
       }
-      if (cleanup_r_remaining_ <= 0) {
+      if (r_.cleanup_remaining <= 0) {
         // Rounding left some S behind: scan it against the last chunk.
-        chunk_r_left_ = 0;
-        chunk_s_left_ = cleanup_s_remaining_;
+        r_.chunk_left = 0;
+        s_.chunk_left = s_.cleanup_remaining;
         phase_ = Phase::kCleanupReadS;
         Continue();
         return;
@@ -294,40 +240,40 @@ void HashJoin::Step() {
           static_cast<double>(std::max<PageCount>(allocation() - 1, 1)) /
           params_.fudge_factor);
       fit = std::max<PageCount>(fit, 1);
-      chunk_r_left_ = std::min(cleanup_r_remaining_, fit);
-      double share = cleanup_r_total_ > 0
-                         ? static_cast<double>(chunk_r_left_) /
-                               static_cast<double>(cleanup_r_total_)
+      r_.chunk_left = std::min(r_.cleanup_remaining, fit);
+      double share = r_.cleanup_total > 0
+                         ? static_cast<double>(r_.chunk_left) /
+                               static_cast<double>(r_.cleanup_total)
                          : 1.0;
-      chunk_s_left_ = std::min<PageCount>(
-          cleanup_s_remaining_,
+      s_.chunk_left = std::min<PageCount>(
+          s_.cleanup_remaining,
           static_cast<PageCount>(std::ceil(
-              static_cast<double>(cleanup_s_total_) * share)));
+              static_cast<double>(s_.cleanup_total) * share)));
       phase_ = Phase::kCleanupReadR;
       Continue();
       return;
     }
 
-    case Phase::kCleanupReadR: {
+    case Phase::kCleanupReadR:
+    case Phase::kCleanupReadS: {
+      // A chunk's R pages, then the matching share of S. A pass reads at
+      // most the pages live on temp, so the cursor never wraps here.
+      const bool r_side = phase_ == Phase::kCleanupReadR;
+      Spill& spill = r_side ? r_ : s_;
       if (allocation() == 0) {
         Idle();
         return;
       }
-      if (chunk_r_left_ <= 0) {
-        phase_ = Phase::kCleanupReadS;
+      if (spill.chunk_left <= 0) {
+        phase_ = r_side ? Phase::kCleanupReadS : Phase::kCleanupStart;
         Continue();
         return;
       }
-      cur_block_ = std::min<PageCount>(params_.block_size, chunk_r_left_);
-      chunk_r_left_ -= cur_block_;
-      cleanup_r_remaining_ -= cur_block_;
-      PageCount at = r_temp_->start_page +
-                     (cleanup_r_cursor_ % r_temp_->pages);
-      cleanup_r_cursor_ += cur_block_;
-      phase_ = Phase::kCleanupCpuR;
-      StepRead(
-          r_temp_->disk, at,
-          std::min(cur_block_, r_temp_->pages - (at - r_temp_->start_page)));
+      cur_block_ = std::min<PageCount>(params_.block_size, spill.chunk_left);
+      spill.chunk_left -= cur_block_;
+      spill.cleanup_remaining -= cur_block_;
+      phase_ = r_side ? Phase::kCleanupCpuR : Phase::kCleanupCpuS;
+      StepRead(*spill.temp, &spill.read_cursor, cur_block_);
       return;
     }
 
@@ -335,29 +281,6 @@ void HashJoin::Step() {
       phase_ = Phase::kCleanupReadR;
       StepCpu(cur_block_ * tpp * c.hash_insert);
       return;
-
-    case Phase::kCleanupReadS: {
-      if (allocation() == 0) {
-        Idle();
-        return;
-      }
-      if (chunk_s_left_ <= 0) {
-        phase_ = Phase::kCleanupStart;
-        Continue();
-        return;
-      }
-      cur_block_ = std::min<PageCount>(params_.block_size, chunk_s_left_);
-      chunk_s_left_ -= cur_block_;
-      cleanup_s_remaining_ -= cur_block_;
-      PageCount at = s_temp_->start_page +
-                     (cleanup_s_cursor_ % s_temp_->pages);
-      cleanup_s_cursor_ += cur_block_;
-      phase_ = Phase::kCleanupCpuS;
-      StepRead(
-          s_temp_->disk, at,
-          std::min(cur_block_, s_temp_->pages - (at - s_temp_->start_page)));
-      return;
-    }
 
     case Phase::kCleanupCpuS:
       phase_ = Phase::kCleanupReadS;

@@ -49,7 +49,7 @@ class HashJoin : public Operator {
   // --- introspection (tests, metrics) -----------------------------------
   int64_t num_partitions() const { return P_; }
   int64_t expanded_partitions() const { return e_; }
-  PageCount spilled_r_pages() const { return r_live_spilled_; }
+  PageCount spilled_r_pages() const { return r_.live; }
 
  protected:
   void Step() override;
@@ -87,15 +87,27 @@ class HashJoin : public Operator {
     return static_cast<double>(e_) / static_cast<double>(P_);
   }
 
-  void EnsureRTemp();
-  void EnsureSTemp();
+  /// One operand's spill: its temp extent (sized like the operand, on
+  /// the operand's disk), the pages owed to it, and the cleanup pass's
+  /// progress through it.
+  struct Spill {
+    PageCount extent = 0;
+    DiskId disk = 0;
+    std::optional<storage::TempFile> temp;
+    double pending = 0.0;        // pages awaiting spool
+    PageCount write_cursor = 0;  // write position in temp
+    PageCount live = 0;          // pages currently on temp
+    // Cleanup progress.
+    PageCount cleanup_total = 0;
+    PageCount cleanup_remaining = 0;
+    PageCount chunk_left = 0;    // pages left in the current chunk
+    PageCount read_cursor = 0;   // read position in temp
+  };
 
-  /// Spools all pending full blocks of R / S spill as fire-and-forget
-  /// writes; `final_flush` also spools a sub-block tail.
-  void FlushR(bool final_flush);
-  void FlushS(bool final_flush);
+  /// Spools all pending full blocks of `spill` as fire-and-forget writes;
+  /// `final_flush` also spools a sub-block tail.
+  void Flush(Spill* spill, bool final_flush);
 
-  ExecParams params_;
   Inputs in_;
 
   int64_t P_ = 1;           // number of partitions
@@ -112,27 +124,10 @@ class HashJoin : public Operator {
   PageCount cur_block_ = 0;  // pages in the block being processed
 
   // In-memory / spilled state, in tuple-pages (aggregate model).
-  double exp_built_ = 0.0;       // R pages resident in hash tables
-  double pend_r_spill_ = 0.0;    // R pages awaiting spool
-  double pend_s_spill_ = 0.0;    // S pages awaiting spool
-  PageCount r_live_spilled_ = 0;  // R pages currently on temp
-  PageCount s_live_spilled_ = 0;  // S pages currently on temp
-  PageCount r_temp_cursor_ = 0;   // monotone write position in R temp
-  PageCount s_temp_cursor_ = 0;   // monotone write position in S temp
-  double reload_pending_ = 0.0;   // pages to read back for expansion
-
-  // Cleanup state.
-  PageCount cleanup_r_remaining_ = 0;
-  PageCount cleanup_s_remaining_ = 0;
-  PageCount cleanup_s_total_ = 0;
-  PageCount cleanup_r_total_ = 0;
-  PageCount chunk_r_left_ = 0;
-  PageCount chunk_s_left_ = 0;
-  PageCount cleanup_r_cursor_ = 0;  // read position in R temp
-  PageCount cleanup_s_cursor_ = 0;  // read position in S temp
-
-  std::optional<storage::TempFile> r_temp_;
-  std::optional<storage::TempFile> s_temp_;
+  double exp_built_ = 0.0;      // R pages resident in hash tables
+  double reload_pending_ = 0.0;  // pages to read back for expansion
+  Spill r_;
+  Spill s_;
 };
 
 }  // namespace rtq::exec

@@ -1,8 +1,14 @@
 #include "exec/operator.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace rtq::exec {
+
+Operator::Operator(const ExecParams& params) : params_(params) {
+  RTQ_CHECK_MSG(params.Validate().ok(), "invalid exec params");
+}
 
 void Operator::SetAllocation(PageCount pages) {
   RTQ_CHECK_MSG(pages >= 0, "allocation must be >= 0");
@@ -65,10 +71,53 @@ void Operator::StepRead(DiskId disk, PageCount start, PageCount pages) {
   });
 }
 
-void Operator::FireWrite(DiskId disk, PageCount start, PageCount pages) {
+void Operator::StepRead(const storage::TempFile& file, PageCount* cursor,
+                        PageCount pages) {
+  StepRead(file.disk, Advance(file, cursor, pages), pages);
+}
+
+PageCount Operator::TakeSpoolBlock(double* pending, bool final_flush) const {
+  PageCount whole = static_cast<PageCount>(*pending);
+  PageCount pages = 0;
+  if (whole >= params_.block_size) {
+    pages = params_.block_size;
+  } else if (final_flush && *pending > 1e-9) {
+    pages = std::max<PageCount>(1, whole);
+  }
+  *pending = std::max(0.0, *pending - static_cast<double>(pages));
+  return pages;
+}
+
+const storage::TempFile& Operator::EnsureTemp(
+    std::optional<storage::TempFile>* file, PageCount pages, DiskId disk) {
+  if (!*file) {
+    auto granted = ctx_->AllocateTemp(pages, disk);
+    RTQ_CHECK_MSG(granted.ok(), "temp space exhausted");
+    *file = std::move(granted).value();
+  }
+  return **file;
+}
+
+void Operator::ReleaseTemp(std::optional<storage::TempFile>* file) {
+  if (!*file) return;
+  ctx_->FreeTemp(**file);
+  file->reset();
+}
+
+void Operator::SpoolWrite(const storage::TempFile& file, PageCount* cursor,
+                          PageCount pages) {
   ++counters_.write_requests;
   counters_.pages_written += pages;
-  ctx_->Write(disk, start, pages, nullptr, /*background=*/true);
+  ctx_->Write(file.disk, Advance(file, cursor, pages), pages, nullptr,
+              /*background=*/true);
+}
+
+PageCount Operator::Advance(const storage::TempFile& file, PageCount* cursor,
+                            PageCount pages) {
+  if (*cursor + pages > file.pages) *cursor = 0;
+  PageCount at = file.start_page + *cursor;
+  *cursor += pages;
+  return at;
 }
 
 void Operator::Complete() {

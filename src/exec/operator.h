@@ -24,6 +24,7 @@
 #define RTQ_EXEC_OPERATOR_H_
 
 #include <functional>
+#include <optional>
 
 #include "common/types.h"
 #include "exec/cost_model.h"
@@ -41,11 +42,12 @@ struct OperatorCounters {
   Instructions cpu_instructions = 0;
 };
 
-/// The protocol above, plus the step bookkeeping both concrete operators
-/// (HashJoin, ExternalSort) share; they implement the workspace demands
-/// and the three hooks below.
+/// The protocol above, plus the step bookkeeping and the temp-file
+/// primitives both concrete operators (HashJoin, ExternalSort) share;
+/// they implement the workspace demands and the three hooks below.
 class Operator {
  public:
+  explicit Operator(const ExecParams& params);
   virtual ~Operator() = default;
 
   /// Smallest workspace the operator can make progress with.
@@ -82,7 +84,8 @@ class Operator {
   /// Step() runs.
   virtual void OnAllocationApplied() = 0;
 
-  /// Frees operator-held temp extents; called from Abort().
+  /// Frees the operator's temp extents (ReleaseTemp each); called from
+  /// Abort() and Complete().
   virtual void ReleaseTempSpace() = 0;
 
   // --- helpers for subclasses -------------------------------------------
@@ -94,12 +97,34 @@ class Operator {
   void StepCpu(Instructions instructions);
   /// Reads then re-enters.
   void StepRead(DiskId disk, PageCount start, PageCount pages);
+  /// Reads `pages` of `file` at `*cursor` (see Advance), then re-enters.
+  void StepRead(const storage::TempFile& file, PageCount* cursor,
+                PageCount pages);
 
-  /// Fire-and-forget spool write, the only kind of write: it is queued on
-  /// the disk at background priority and the operator does NOT wait for
-  /// it — PPHJ's "priority spooling" and the sort's block-spooled output.
-  /// Does not consume the current step.
-  void FireWrite(DiskId disk, PageCount start, PageCount pages);
+  // --- temp files -------------------------------------------------------
+  // Both operators spill the same way: pages owed to temp accumulate as a
+  // fractional count and leave in blocks, written to an extent allocated
+  // on first use and walked by a cursor.
+
+  /// Takes the next spool block off `*pending`: a full block_size, or on
+  /// a final flush the sub-block tail (at least one page); 0 when none is
+  /// due.
+  PageCount TakeSpoolBlock(double* pending, bool final_flush) const;
+
+  /// `*file`, allocated as `pages` pages near `disk` on first use. Temp
+  /// space exhaustion is fatal.
+  const storage::TempFile& EnsureTemp(std::optional<storage::TempFile>* file,
+                                      PageCount pages, DiskId disk);
+  /// Frees `*file` if it is allocated.
+  void ReleaseTemp(std::optional<storage::TempFile>* file);
+
+  /// Fire-and-forget spool write of `pages` at `*cursor` in `file`, the
+  /// only kind of write: it is queued on the disk at background priority
+  /// and the operator does NOT wait for it — PPHJ's "priority spooling"
+  /// and the sort's block-spooled output. Does not consume the current
+  /// step.
+  void SpoolWrite(const storage::TempFile& file, PageCount* cursor,
+                  PageCount pages);
 
   /// Marks completion and fires on_finished.
   void Complete();
@@ -113,10 +138,17 @@ class Operator {
   /// then either idles (suspended / below min) or calls Step().
   void Continue();
 
+  ExecParams params_;
   ExecContext* ctx_ = nullptr;
   OperatorCounters counters_;
 
  private:
+  /// The first page of an access of `pages` at `*cursor` in `file`, and
+  /// moves the cursor past it. An access that would run past the end of
+  /// the extent starts over at its first page.
+  static PageCount Advance(const storage::TempFile& file, PageCount* cursor,
+                           PageCount pages);
+
   PageCount allocation_ = 0;
   PageCount applied_allocation_ = -1;  // force first application
   bool started_ = false;

@@ -8,18 +8,6 @@ namespace rtq::exec {
 
 namespace {
 
-int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
-
-int64_t Log2Ceil(int64_t n) {
-  int64_t bits = 0;
-  int64_t v = 1;
-  while (v < n) {
-    v <<= 1;
-    ++bits;
-  }
-  return bits < 1 ? 1 : bits;
-}
-
 /// Expected disk time for a sequential scan of `pages` pages read in
 /// blocks of `block` pages: every request pays half a rotation, the media
 /// transfer, and a single-cylinder seek amortized over the requests that
