@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/spec.h"
 #include "core/policy_registry.h"
 #include "engine/rtdbs.h"
 #include "harness/bench_json.h"
@@ -390,7 +391,7 @@ void WorkloadChanges(const std::string& name) {
   const int intervals = 6;
   const double interval_s = harness::ExperimentDuration() / 2.5;
   const std::string scenario =
-      "mixshift:interval=" + workload::FormatDouble(interval_s) +
+      "mixshift:interval=" + FormatDouble(interval_s) +
       ",intervals=" + std::to_string(intervals);
   sweep.json.AddConfig("intervals", std::to_string(intervals));
   sweep.json.AddConfig("interval_hours", F(interval_s / 3600.0, 2));
@@ -764,7 +765,6 @@ void Scenarios(const std::string& name) {
               {"scenario", "policy", "miss_ratio", "completions", "avg_mpl",
                "disk_util", "gap_to_oracle"});
   const double d = harness::ExperimentDuration();
-  using workload::FormatDouble;
   const Policies policies =
       PoliciesOrDefault({{"pmm"},
                          {"pmm-predict"},

@@ -12,9 +12,9 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/spec.h"
 #include "engine/rtdbs.h"
 #include "harness/paper_experiments.h"
-#include "workload/trace.h"
 
 int main(int argc, char** argv) {
   using namespace rtq;
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   const double interval_s = 3600.0;
 
   engine::SystemConfig config = harness::ScenarioConfig(
-      "mixshift:interval=" + workload::FormatDouble(interval_s) +
+      "mixshift:interval=" + FormatDouble(interval_s) +
           ",intervals=" + std::to_string(intervals),
       {"pmm"});
 

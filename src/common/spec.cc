@@ -11,6 +11,17 @@ namespace {
 
 bool IsNameStart(char c) { return c >= 'a' && c <= 'z'; }
 
+// "%.*g" of `v` at the lowest precision, from `min_digits` up, that
+// strtod parses back to `v` (17 digits always do).
+std::string ShortestRoundTrip(double v, int min_digits) {
+  char buf[40];
+  for (int precision = min_digits; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
 // The conversion for each Take() type, picked by the pointer's type.
 StatusOr<int64_t> Convert(const std::string& text, int64_t*) {
   return SpecArgs::ToInt(text);
@@ -70,11 +81,9 @@ std::vector<std::string> SplitAt(const std::string& text, char sep) {
 
 std::string FormatSpecDoubleList(const std::vector<double>& values) {
   std::string out;
-  char buf[64];
   for (size_t i = 0; i < values.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%g", values[i]);
     if (i > 0) out += ',';
-    out += buf;
+    out += ShortestRoundTrip(values[i], 6);  // %g's precision
   }
   return out;
 }
@@ -99,6 +108,8 @@ StatusOr<double> SpecArgs::ToDouble(const std::string& text) {
   }
   return value;
 }
+
+std::string FormatDouble(double v) { return ShortestRoundTrip(v, 1); }
 
 StatusOr<uint64_t> SpecArgs::ToUint(const std::string& text) {
   errno = 0;

@@ -56,8 +56,17 @@ bool IsSpecName(const std::string& name);
 /// Splits `text` at every `sep`; an empty text is one empty piece.
 std::vector<std::string> SplitAt(const std::string& text, char sep);
 
-/// Formats doubles as the canonical "v1,v2" argument text (%g each).
+/// Formats doubles as the canonical "v1,v2" argument text: each with %g
+/// when that parses back to the same double, otherwise with the fewest
+/// more significant digits that do, so a canonical spec rebuilds the
+/// values it describes.
 std::string FormatSpecDoubleList(const std::vector<double>& values);
+
+/// Shortest decimal rendering of `v` that strtod parses back to the
+/// identical double: the number format of traces, snapshots, state
+/// digests and canonical scenario specs. Unlike FormatSpecDoubleList it
+/// may use an exponent where %g would not (10 is "1e+01").
+std::string FormatDouble(double v);
 
 /// Reads one spec's argument text; see the grammar above.
 class SpecArgs {

@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "common/fnv.h"
 #include "common/rng.h"
+#include "common/spec.h"
 #include "core/policy_registry.h"
 #include "core/shard_coordinator.h"
 #include "core/strategy.h"
@@ -630,7 +631,7 @@ void Rtdbs::CacheInvalidate(DiskId disk, PageCount start, PageCount pages) {
 
 void Rtdbs::AppendStateDigest(std::vector<std::string>* out) const {
   const SimTime now = sim_.Now();
-  out->push_back("clock " + workload::FormatDouble(now));
+  out->push_back("clock " + FormatDouble(now));
   out->push_back("dispatched " + std::to_string(sim_.events_dispatched()));
   out->push_back("routed " + std::to_string(routed_elsewhere_));
 
@@ -651,7 +652,7 @@ void Rtdbs::AppendStateDigest(std::vector<std::string>* out) const {
                    std::to_string(rt->desc.query_class) + " " +
                    std::to_string(rt->allocation) + " " +
                    std::to_string(rt->admitted_once ? 1 : 0) + " " +
-                   workload::FormatDouble(rt->first_admit) + " " +
+                   FormatDouble(rt->first_admit) + " " +
                    std::to_string(rt->fluctuations) + " " +
                    std::to_string(rt->op->started() ? 1 : 0) + " " +
                    std::to_string(rt->op->counters().pages_read) + " " +
@@ -661,14 +662,14 @@ void Rtdbs::AppendStateDigest(std::vector<std::string>* out) const {
   out->push_back("cpu " + std::to_string(cpu_->pending_jobs()) + " " +
                  std::to_string(cpu_->completed_jobs()) + " " +
                  std::to_string(cpu_->preemptions()) + " " +
-                 workload::FormatDouble(cpu_->busy_seconds(now)));
+                 FormatDouble(cpu_->busy_seconds(now)));
   for (size_t d = 0; d < disks_.size(); ++d) {
     const model::Disk& disk = *disks_[d];
     out->push_back("disk " + std::to_string(d) + " " +
                    std::to_string(disk.head()) + " " +
                    std::to_string(disk.busy() ? 1 : 0) + " " +
                    std::to_string(disk.queue_length()) + " " +
-                   workload::FormatDouble(disk.busy_seconds(now)) + " " +
+                   FormatDouble(disk.busy_seconds(now)) + " " +
                    std::to_string(disk.completed_requests()) + " " +
                    std::to_string(disk.completed_pages()) + " " +
                    std::to_string(disk.cache_hits()));
@@ -713,7 +714,7 @@ void Rtdbs::AppendStateDigest(std::vector<std::string>* out) const {
                    std::to_string(overall.misses) + " " +
                    std::to_string(h.digest()) + " " +
                    std::to_string(ticks_) + " " +
-                   workload::FormatDouble(metrics_.MplIntegral(now)));
+                   FormatDouble(metrics_.MplIntegral(now)));
   }
 
   out->push_back("livestream " +

@@ -92,8 +92,8 @@ class PmmClassController : public PmmController {
   }
 
   std::string Describe() const override {
-    // Joined with std::to_string, not FormatSpecDoubleList: %g keeps
-    // only 6 significant digits, which would corrupt large quotas.
+    // The targets are integers, so std::to_string prints them exactly
+    // and never in exponent form.
     return targets_.empty() ? "pmm-class"
                             : "pmm-class:targets=" + JoinedTargets();
   }

@@ -4,7 +4,6 @@
 
 #include "common/file.h"
 #include "common/spec.h"
-#include "workload/trace.h"
 
 namespace rtq::serve {
 
@@ -74,7 +73,7 @@ std::string SerializeSnapshot(const Snapshot& snapshot) {
            "\n";
   }
   out += "position " + std::to_string(snapshot.position_events) + " " +
-         workload::FormatDouble(snapshot.position_time) + "\n";
+         FormatDouble(snapshot.position_time) + "\n";
   out += "digest " + std::to_string(snapshot.digest.size()) + "\n";
   for (const std::string& line : snapshot.digest) {
     out += "s " + line + "\n";

@@ -6,7 +6,7 @@
 
 #include "common/check.h"
 #include "common/fnv.h"
-#include "workload/trace.h"
+#include "common/spec.h"
 
 namespace rtq::workload {
 

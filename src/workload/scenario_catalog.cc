@@ -4,8 +4,8 @@
 // canonical spec name, so the same string regenerates the identical
 // scenario.
 
+#include "common/spec.h"
 #include "workload/scenario.h"
-#include "workload/trace.h"
 
 namespace rtq::workload {
 

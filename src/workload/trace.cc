@@ -1,8 +1,6 @@
 #include "workload/trace.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 #include "common/file.h"
@@ -39,15 +37,6 @@ bool operator==(const Trace& a, const Trace& b) {
          a.records == b.records;
 }
 bool operator!=(const Trace& a, const Trace& b) { return !(a == b); }
-
-std::string FormatDouble(double v) {
-  char buf[40];
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
 
 std::string SerializeTrace(const Trace& trace) {
   std::string out;

@@ -75,11 +75,6 @@ bool operator!=(const TraceRecord& a, const TraceRecord& b);
 bool operator==(const Trace& a, const Trace& b);
 bool operator!=(const Trace& a, const Trace& b);
 
-/// Shortest decimal rendering of `v` that strtod parses back to the
-/// identical double — the serializer's number format, also used for
-/// canonical scenario spec strings.
-std::string FormatDouble(double v);
-
 std::string SerializeTrace(const Trace& trace);
 
 /// Parses `.rtqt` text. Malformed input — bad or missing version header,

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/spec.h"
 #include "exec/standalone.h"
 #include "workload/query_builder.h"
 

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/spec.h"
 #include "engine/rtdbs.h"
 #include "harness/paper_experiments.h"
 #include "run_fingerprint.h"
@@ -110,6 +111,29 @@ TEST(PolicyRegistry, DescribeRoundTrips) {
     auto again = PolicyRegistry::Global().Create(policy.value()->Describe());
     ASSERT_TRUE(again.ok()) << spec;
     EXPECT_EQ(again.value()->Describe(), policy.value()->Describe()) << spec;
+  }
+}
+
+TEST(PolicySpec, NumbersPrintShortAndRoundTrip) {
+  // %g where it parses back to the same double, so existing canonical
+  // specs keep their text; the fewest more digits where it does not.
+  EXPECT_EQ(FormatSpecDoubleList({10, 0.2, 1e6, 2.5e-7}),
+            "10,0.2,1e+06,2.5e-07");
+  EXPECT_EQ(FormatSpecDoubleList({1.0000001, 1234567, 1.0 / 3.0}),
+            "1.0000001,1234567,0.3333333333333333");
+}
+
+TEST(PolicyRegistry, CanonicalSpecsKeepEveryDigit) {
+  // Arguments that need more than %g's six significant digits: the
+  // first Describe() must already be the spec, or a journaled canonical
+  // spec would rebuild a different policy than the one that ran.
+  for (const char* spec :
+       {"edf-shed:m=1.0000001", "oracle-ed:m=0.123456789",
+        "pmm-predict:band=0.2000001,conf=0.61234567",
+        "pmm-fair:w=1.0000001,2"}) {
+    auto policy = PolicyRegistry::Global().Create(spec);
+    ASSERT_TRUE(policy.ok()) << spec;
+    EXPECT_EQ(policy.value()->Describe(), spec);
   }
 }
 

@@ -13,7 +13,7 @@
 
 #include "engine/rtdbs.h"
 #include "harness/paper_experiments.h"
-#include "workload/trace.h"
+#include "common/spec.h"
 
 namespace rtq::engine {
 namespace {
@@ -101,7 +101,7 @@ void ExpectPinned(const ClassSummary& s, const Pinned& p) {
 
 TEST(ScenarioEquivalence, MixshiftMatchesHandRolledAlternation) {
   const std::string spec =
-      "mixshift:interval=" + workload::FormatDouble(kIntervalS) +
+      "mixshift:interval=" + FormatDouble(kIntervalS) +
       ",intervals=" + std::to_string(kIntervals);
   for (const Golden& g : kGolden) {
     SCOPED_TRACE(g.policy);

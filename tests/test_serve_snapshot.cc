@@ -274,6 +274,37 @@ TEST(SnapshotProperty, JournaledSwapsRestoreWithZeroDrift) {
   }
 }
 
+// A canonical spec keeps every digit of its numbers, so a swap to a
+// margin that %g would print as "m=1" journals the margin that ran, and
+// the replay rebuilds that same policy.
+TEST(SnapshotProperty, FineGrainedSpecSwapRestoresWithZeroDrift) {
+  SessionSpec spec;
+  spec.workload = "baseline:rate=0.06";
+  auto original = ServeSession::Create(spec);
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+  ServeSession& s = *original.value();
+  auto swap = s.ApplyPolicy("edf-shed:m=1.0000001");
+  ASSERT_TRUE(swap.ok()) << swap.status().ToString();
+  EXPECT_EQ(swap.value(), "edf-shed:m=1.0000001");
+  ASSERT_EQ(s.RunEvents(20000), 20000u);
+
+  auto snapshot = ParseSnapshot(SerializeSnapshot(s.TakeSnapshot()));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  ASSERT_EQ(snapshot.value().journal.size(), 1u);
+  EXPECT_EQ(snapshot.value().journal[0].arg, "edf-shed:m=1.0000001");
+
+  ASSERT_EQ(s.RunEvents(5000), 5000u);
+  std::vector<std::string> uninterrupted;
+  s.cluster().AppendStateDigest(&uninterrupted);
+
+  auto restored = ServeSession::Restore(snapshot.value());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_EQ(restored.value()->RunEvents(5000), 5000u);
+  std::vector<std::string> resumed;
+  restored.value()->cluster().AppendStateDigest(&resumed);
+  EXPECT_EQ(uninterrupted, resumed);
+}
+
 // A snapshot whose digest does not match the replayed state must fail
 // restore with an error naming the first mismatching line — a corrupt
 // or hand-edited snapshot cannot silently produce a diverged session.

@@ -17,6 +17,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "common/spec.h"
 #include "workload/trace.h"
 
 namespace rtq::workload {
