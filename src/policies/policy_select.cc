@@ -16,7 +16,9 @@
 // RNG. Switching arms builds a *fresh* policy from the registry and
 // re-Attaches it (each policy sees Attach exactly once, per the
 // MemoryPolicy contract), installing its strategy mid-run; the PR 5
-// tick-probe test pins that strategy swaps from OnTick are safe.
+// tick-probe test pins that strategy swaps from OnTick are safe. Attach
+// tries every candidate against the host first, so a candidate the
+// host cannot run fails the swap to select rather than a later epoch.
 //
 //   spec: "select"                               (candidates=pmm)
 //         "select:candidates=pmm,pmm-predict"    (commas fold per the
@@ -36,9 +38,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
+#include "core/memory_manager.h"
 #include "core/memory_policy.h"
 #include "core/policy_registry.h"
+#include "core/strategy.h"
 
 namespace rtq::core {
 namespace {
@@ -62,6 +65,19 @@ class SelectPolicy : public MemoryPolicy {
       return Status::FailedPrecondition(
           "select with multiple candidates needs a host that ticks "
           "(mpl_sample_interval > 0)");
+    }
+    // OnTick attaches the later candidates, where a failure could no
+    // longer be refused. Every Attach reads only host fields, so a
+    // fresh instance attached to the host over a private, empty manager
+    // gets the host's verdict now without touching host.mm.
+    MemoryManager scratch(1, std::make_unique<MaxStrategy>(),
+                          [](QueryId, PageCount) {});
+    PolicyHost trial = host;
+    trial.mm = &scratch;
+    for (size_t i = 1; i < candidates_.size(); ++i) {
+      auto candidate = PolicyRegistry::Global().Create(candidates_[i]);
+      if (!candidate.ok()) return candidate.status();
+      RTQ_RETURN_IF_ERROR(candidate.value()->Attach(trial));
     }
     host_ = host;
     return SwapTo(0);
@@ -95,13 +111,10 @@ class SelectPolicy : public MemoryPolicy {
     ticks_in_epoch_ = 0;
     completions_ = misses_ = 0;
 
+    // Attach tried every candidate against this host, so the swap
+    // succeeds; a failed one would leave the incumbent arm running.
     size_t next = PickArm();
-    if (next != active_index_) {
-      Status st = SwapTo(next);
-      // Every candidate already attached once (untried arms are visited
-      // first), so a later re-attach cannot newly fail.
-      RTQ_CHECK_MSG(st.ok(), st.ToString().c_str());
-    }
+    if (next != active_index_) SwapTo(next);
   }
 
   std::string Describe() const override {

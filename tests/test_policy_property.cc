@@ -97,6 +97,7 @@ std::vector<std::string> AttachSpecs() {
   specs.push_back("pmm-fair:w=1,2");
   specs.push_back("pmm-class:targets=1,1");
   specs.push_back("select:candidates=pmm+pmm-predict");
+  specs.push_back("select:candidates=pmm+pmm-class:targets=1,1");
   return specs;
 }
 

@@ -6,9 +6,14 @@
 
 #include "serve/control.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/memory_manager.h"
+#include "core/memory_policy.h"
+#include "core/policy_registry.h"
+#include "core/strategy.h"
 #include "engine/rtdbs.h"
 #include "gtest/gtest.h"
 #include "harness/paper_experiments.h"
@@ -181,6 +186,52 @@ TEST(ControlFailure, AttachFailureKeepsTheIncumbent) {
     s.AppendStateDigest(&after);
     EXPECT_EQ(before, after) << spec;
   }
+}
+
+/// Readings of an idle system, for attaching a policy outside an engine.
+class IdleProbe : public core::SystemProbe {
+ public:
+  Readings TakeReadings() override { return Readings{}; }
+};
+
+TEST(ControlFailure, SelectRejectsACandidateTheHostCannotAttach) {
+  // select attaches its later candidates from OnTick, where a failure
+  // could no longer be refused, so its own Attach must try them all.
+  const std::string spec = "select:candidates=pmm+pmm-class:targets=1,1";
+  const std::string error = "pmm-class needs one target per workload class";
+
+  auto policy = core::PolicyRegistry::Global().Create(spec);
+  ASSERT_TRUE(policy.ok()) << policy.status().ToString();
+  core::MemoryManager mm(1000, std::make_unique<core::MaxStrategy>(),
+                         [](QueryId, PageCount) {});
+  IdleProbe probe;
+  core::PolicyHost host;
+  host.mm = &mm;
+  host.probe = &probe;
+  host.now = [] { return 0.0; };
+  host.num_classes = 1;
+  host.tick_interval = 60.0;
+  Status attached = policy.value()->Attach(host);
+  ASSERT_FALSE(attached.ok());
+  EXPECT_NE(attached.message().find(error), std::string::npos)
+      << attached.ToString();
+
+  // The baseline session has one class: the swap fails with the same
+  // error and changes nothing.
+  auto session = ServeSession::Create(SessionSpec{});
+  ASSERT_TRUE(session.ok());
+  ServeSession& s = *session.value();
+  s.RunEvents(2000);
+  std::vector<std::string> before;
+  s.cluster().AppendStateDigest(&before);
+  auto swap = s.ApplyPolicy(spec);
+  ASSERT_FALSE(swap.ok());
+  EXPECT_NE(swap.status().message().find(error), std::string::npos)
+      << swap.status().ToString();
+  EXPECT_TRUE(s.journal().empty());
+  std::vector<std::string> after;
+  s.cluster().AppendStateDigest(&after);
+  EXPECT_EQ(before, after);
 }
 
 TEST(ControlFailure, BadSessionSpecsFailCreateWithStatus) {
