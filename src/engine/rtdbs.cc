@@ -300,18 +300,12 @@ StatusOr<workload::Trace> RenderScenarioTrace(const SystemConfig& config,
   workload::ScenarioSource source(
       &sim, &db.value(), config.workload, config.scenario,
       std::move(source_rng),
-      [&](const workload::QueryBlueprint& bp, QueryId id) {
-        workload::TraceRecord record;
-        record.time = bp.time;
-        record.query_class = bp.query_class;
-        record.type = bp.type;
-        record.r = bp.r;
-        record.s = bp.s;
-        record.slack = bp.slack;
-        record.standalone = workload::BuildQuery(bp, id, db.value(),
-                                                 config.exec, config.disk,
-                                                 config.mips)
-                                .desc.standalone_time;
+      [&](const workload::QueryBlueprint& bp, QueryId) {
+        workload::QueryBlueprint record = bp;
+        record.standalone =
+            workload::EstimateStandalone(bp, db.value(), config.exec,
+                                         config.disk, config.mips)
+                .total();
         trace.records.push_back(record);
       });
   source.Start();

@@ -7,7 +7,6 @@
 #include "common/check.h"
 #include "exec/external_sort.h"
 #include "exec/hash_join.h"
-#include "exec/standalone.h"
 
 namespace rtq::workload {
 
@@ -49,6 +48,18 @@ const storage::Relation& Pick(const storage::Database& db, int32_t group,
 
 }  // namespace
 
+bool operator==(const QueryBlueprint& a, const QueryBlueprint& b) {
+  auto same = [](double x, double y) {
+    return x == y || (std::isnan(x) && std::isnan(y));
+  };
+  return same(a.time, b.time) && a.query_class == b.query_class &&
+         a.type == b.type && a.r == b.r && a.s == b.s &&
+         same(a.slack, b.slack) && same(a.standalone, b.standalone);
+}
+bool operator!=(const QueryBlueprint& a, const QueryBlueprint& b) {
+  return !(a == b);
+}
+
 QueryBlueprint DrawBlueprint(const QueryClassSpec& cls, int32_t query_class,
                              SimTime now, const storage::Database& db,
                              Rng* selection, const SelectionSpec& sel) {
@@ -68,6 +79,18 @@ QueryBlueprint DrawBlueprint(const QueryClassSpec& cls, int32_t query_class,
     bp.r = Pick(db, cls.rel_groups[0], sel, selection).id;
   }
   return bp;
+}
+
+exec::StandaloneEstimate EstimateStandalone(
+    const QueryBlueprint& blueprint, const storage::Database& db,
+    const exec::ExecParams& exec_params, const model::DiskParams& disk_params,
+    double mips) {
+  const PageCount r_pages = db.relation(blueprint.r).pages;
+  if (blueprint.type == exec::QueryType::kHashJoin) {
+    return exec::EstimateHashJoin(exec_params, disk_params, mips, r_pages,
+                                  db.relation(blueprint.s).pages);
+  }
+  return exec::EstimateExternalSort(exec_params, disk_params, mips, r_pages);
 }
 
 namespace {
@@ -91,7 +114,6 @@ exec::QueryDescriptor BuildCore(const QueryBlueprint& blueprint, QueryId id,
   desc.arrival = blueprint.time;
   desc.slack_ratio = blueprint.slack;
 
-  exec::StandaloneEstimate est;
   if (blueprint.type == exec::QueryType::kHashJoin) {
     const storage::Relation& r = db.relation(blueprint.r);
     const storage::Relation& s = db.relation(blueprint.s);
@@ -108,8 +130,6 @@ exec::QueryDescriptor BuildCore(const QueryBlueprint& blueprint, QueryId id,
     inputs.s_start = s.start_page;
     inputs.s_pages = s.pages;
     *out_op = factory.MakeJoin(exec_params, inputs);
-    est = exec::EstimateHashJoin(exec_params, disk_params, mips, r.pages,
-                                 s.pages);
   } else {
     const storage::Relation& r = db.relation(blueprint.r);
     desc.r_relation = r.id;
@@ -120,9 +140,10 @@ exec::QueryDescriptor BuildCore(const QueryBlueprint& blueprint, QueryId id,
     inputs.start = r.start_page;
     inputs.pages = r.pages;
     *out_op = factory.MakeSort(exec_params, inputs);
-    est = exec::EstimateExternalSort(exec_params, disk_params, mips, r.pages);
   }
 
+  const exec::StandaloneEstimate est =
+      EstimateStandalone(blueprint, db, exec_params, disk_params, mips);
   desc.standalone_time =
       std::isnan(blueprint.standalone) ? est.total() : blueprint.standalone;
   desc.operand_io_requests = est.io_requests;

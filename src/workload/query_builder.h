@@ -12,8 +12,8 @@
 //      pair the engine consumes, recomputing the stand-alone estimate
 //      from the operand relations unless the blueprint carries one.
 //
-// A blueprint is exactly what one `.rtqt` trace record stores, so
-// generation and replay are bit-identical by construction.
+// A blueprint is one `.rtqt` trace record (Trace::records holds them),
+// so generation and replay are bit-identical by construction.
 
 #ifndef RTQ_WORKLOAD_QUERY_BUILDER_H_
 #define RTQ_WORKLOAD_QUERY_BUILDER_H_
@@ -27,6 +27,7 @@
 #include "exec/cost_model.h"
 #include "exec/operator.h"
 #include "exec/query.h"
+#include "exec/standalone.h"
 #include "model/disk_geometry.h"
 #include "storage/database.h"
 #include "workload/workload_spec.h"
@@ -60,6 +61,10 @@ struct QueryBlueprint {
   double standalone = std::numeric_limits<double>::quiet_NaN();
 };
 
+/// Exact equality; a NaN stand-alone time compares equal to NaN.
+bool operator==(const QueryBlueprint& a, const QueryBlueprint& b);
+bool operator!=(const QueryBlueprint& a, const QueryBlueprint& b);
+
 struct BuiltQuery {
   exec::QueryDescriptor desc;
   std::unique_ptr<exec::Operator> op;
@@ -78,6 +83,15 @@ QueryBlueprint DrawBlueprint(const QueryClassSpec& cls, int32_t query_class,
                              SimTime now, const storage::Database& db,
                              Rng* selection,
                              const SelectionSpec& sel = SelectionSpec{});
+
+/// The blueprint's stand-alone estimate at maximum memory, from its
+/// operand relations (which must exist in `db`); blueprint.standalone is
+/// not read. BuildQuery's deadlines, the times RenderScenarioTrace
+/// stores and TraceSource's check of them all come from here.
+exec::StandaloneEstimate EstimateStandalone(
+    const QueryBlueprint& blueprint, const storage::Database& db,
+    const exec::ExecParams& exec_params, const model::DiskParams& disk_params,
+    double mips);
 
 /// Materializes the (descriptor, operator) pair for a blueprint. `id` is
 /// the engine-wide sequential query id.

@@ -10,26 +10,12 @@ namespace rtq::workload {
 
 namespace {
 
-bool DoubleEq(double a, double b) {
-  if (std::isnan(a) && std::isnan(b)) return true;
-  return a == b;
-}
-
 Status LineError(size_t line, const std::string& what) {
   return Status::InvalidArgument("trace line " + std::to_string(line) + ": " +
                                  what);
 }
 
 }  // namespace
-
-bool operator==(const TraceRecord& a, const TraceRecord& b) {
-  return DoubleEq(a.time, b.time) && a.query_class == b.query_class &&
-         a.type == b.type && a.r == b.r && a.s == b.s &&
-         DoubleEq(a.slack, b.slack) && DoubleEq(a.standalone, b.standalone);
-}
-bool operator!=(const TraceRecord& a, const TraceRecord& b) {
-  return !(a == b);
-}
 
 bool operator==(const Trace& a, const Trace& b) {
   return a.version == b.version && a.num_classes == b.num_classes &&
@@ -46,7 +32,7 @@ std::string SerializeTrace(const Trace& trace) {
          (trace.scenario.empty() ? std::string("-") : trace.scenario) + "\n";
   out += "seed " + std::to_string(trace.seed) + "\n";
   out += "records " + std::to_string(trace.records.size()) + "\n";
-  for (const TraceRecord& r : trace.records) {
+  for (const QueryBlueprint& r : trace.records) {
     out += "q " + FormatDouble(r.time) + " " +
            std::to_string(r.query_class) + " " +
            (r.type == exec::QueryType::kHashJoin ? "join" : "sort") + " " +
@@ -135,7 +121,7 @@ StatusOr<Trace> ParseTrace(const std::string& text) {
                        "truncated record (want 8 tokens, got " +
                            std::to_string(n) + ")");
 
-    TraceRecord r;
+    QueryBlueprint r;
     StatusOr<double> time = SpecArgs::ToDouble(in.Token(1));
     if (!time.ok() || time.value() < 0.0)
       return LineError(line_no, "bad arrival time '" + in.Token(1) + "'");

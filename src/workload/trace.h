@@ -30,30 +30,13 @@
 #define RTQ_WORKLOAD_TRACE_H_
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "common/types.h"
-#include "exec/query.h"
-#include "storage/relation.h"
+#include "workload/query_builder.h"
 
 namespace rtq::workload {
-
-/// One arrival: the serialized form of a QueryBlueprint (minus the
-/// fields derivable from the database layout).
-struct TraceRecord {
-  SimTime time = 0.0;
-  int32_t query_class = 0;
-  exec::QueryType type = exec::QueryType::kHashJoin;
-  storage::RelationId r = -1;
-  /// -1 for sorts (serialized as "-").
-  storage::RelationId s = -1;
-  double slack = 1.0;
-  /// NaN = "recompute from the relations at replay" (serialized as "-").
-  double standalone = std::numeric_limits<double>::quiet_NaN();
-};
 
 struct Trace {
   /// Format version; only 1 exists.
@@ -66,12 +49,12 @@ struct Trace {
   std::string scenario;
   /// Master seed of the generating run (informational).
   uint64_t seed = 0;
-  std::vector<TraceRecord> records;
+  /// One arrival per record; a sort's `s` is -1 (serialized as "-") and a
+  /// NaN `standalone` means "recompute at replay" (serialized as "-").
+  std::vector<QueryBlueprint> records;
 };
 
-/// Exact equality; NaN standalone compares equal to NaN.
-bool operator==(const TraceRecord& a, const TraceRecord& b);
-bool operator!=(const TraceRecord& a, const TraceRecord& b);
+/// Exact equality, records included (QueryBlueprint's equality).
 bool operator==(const Trace& a, const Trace& b);
 bool operator!=(const Trace& a, const Trace& b);
 

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/spec.h"
-#include "exec/standalone.h"
 #include "workload/query_builder.h"
 
 namespace rtq::workload {
@@ -19,7 +18,7 @@ Status RecordError(size_t index, const std::string& what) {
 
 /// Checks one record against the database layout and its class's spec;
 /// `index` is only for error messages.
-Status ValidateRecord(const TraceRecord& rec, size_t index,
+Status ValidateRecord(const QueryBlueprint& rec, size_t index,
                       const storage::Database& db,
                       const WorkloadSpec& workload,
                       const exec::ExecParams& exec_params,
@@ -42,7 +41,6 @@ Status ValidateRecord(const TraceRecord& rec, size_t index,
     return RecordError(index, "unknown relation id " + std::to_string(rec.r));
   const storage::Relation& r = db.relation(rec.r);
 
-  exec::StandaloneEstimate est;
   if (rec.type == exec::QueryType::kHashJoin) {
     if (rec.s < 0 || rec.s >= num_relations)
       return RecordError(index,
@@ -58,8 +56,6 @@ Status ValidateRecord(const TraceRecord& rec, size_t index,
       return RecordError(index, "operands not drawn from class " +
                                     std::to_string(rec.query_class) +
                                     "'s relation groups");
-    est = exec::EstimateHashJoin(exec_params, disk_params, mips, r.pages,
-                                 s.pages);
   } else {
     if (rec.s >= 0)
       return RecordError(index, "sort record with outer relation");
@@ -67,18 +63,20 @@ Status ValidateRecord(const TraceRecord& rec, size_t index,
       return RecordError(index, "operand not drawn from class " +
                                     std::to_string(rec.query_class) +
                                     "'s relation group");
-    est = exec::EstimateExternalSort(exec_params, disk_params, mips, r.pages);
   }
 
   // A stored stand-alone time must match the cost model exactly: the
   // field exists for portability, not to override deadline semantics, so
   // any disagreement means the trace and this build disagree and the
   // replay would not be an oracle.
-  if (!std::isnan(rec.standalone) && rec.standalone != est.total())
+  if (std::isnan(rec.standalone)) return Status::Ok();
+  const SimTime estimate =
+      EstimateStandalone(rec, db, exec_params, disk_params, mips).total();
+  if (rec.standalone != estimate)
     return RecordError(index, "stand-alone time " +
                                   FormatDouble(rec.standalone) +
                                   " disagrees with cost model " +
-                                  FormatDouble(est.total()));
+                                  FormatDouble(estimate));
   return Status::Ok();
 }
 
@@ -102,7 +100,7 @@ StatusOr<std::unique_ptr<TraceSource>> TraceSource::Create(
 
   SimTime last_time = 0.0;
   for (size_t i = 0; i < trace->records.size(); ++i) {
-    const TraceRecord& rec = trace->records[i];
+    const QueryBlueprint& rec = trace->records[i];
     st = ValidateRecord(rec, i, *db, workload, exec_params, disk_params,
                         mips);
     if (!st.ok()) return st;
@@ -133,19 +131,9 @@ void TraceSource::AppendStateDigest(std::vector<std::string>* out) const {
 
 void TraceSource::ScheduleNext() {
   if (cursor_ >= trace_->records.size()) return;
-  const TraceRecord& rec = trace_->records[cursor_];
-  sim_->ScheduleAt(rec.time, [this] {
+  sim_->ScheduleAt(trace_->records[cursor_].time, [this] {
     if (stopped_) return;
-    const TraceRecord& r = trace_->records[cursor_++];
-    QueryBlueprint bp;
-    bp.time = r.time;
-    bp.query_class = r.query_class;
-    bp.type = r.type;
-    bp.r = r.r;
-    bp.s = r.s;
-    bp.slack = r.slack;
-    bp.standalone = r.standalone;
-    sink_(bp, next_id_++);
+    sink_(trace_->records[cursor_++], next_id_++);
     ScheduleNext();
   });
 }

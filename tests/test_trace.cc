@@ -23,9 +23,9 @@
 namespace rtq::workload {
 namespace {
 
-TraceRecord Join(SimTime time, int32_t cls, int64_t r, int64_t s,
+QueryBlueprint Join(SimTime time, int32_t cls, int64_t r, int64_t s,
                  double slack, double standalone) {
-  TraceRecord rec;
+  QueryBlueprint rec;
   rec.time = time;
   rec.query_class = cls;
   rec.type = exec::QueryType::kHashJoin;
@@ -42,7 +42,7 @@ Trace SmallTrace() {
   t.scenario = "diurnal:rate=0.07,amp=0.6,period=7200,small=0.5";
   t.seed = 42;
   t.records.push_back(Join(0.125, 0, 3, 17, 2.5, 31.25));
-  TraceRecord sort;
+  QueryBlueprint sort;
   sort.time = 10.75;
   sort.query_class = 1;
   sort.type = exec::QueryType::kExternalSort;
@@ -169,7 +169,7 @@ Trace RandomTrace(Rng* rng) {
   for (int i = 0; i < n; ++i) {
     time += rng->Exponential(1.0);
     bool join = rng->NextDouble() < 0.7;
-    TraceRecord rec;
+    QueryBlueprint rec;
     rec.time = time;
     rec.query_class = static_cast<int32_t>(
         rng->UniformInt(0, t.num_classes - 1));
