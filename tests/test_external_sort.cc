@@ -165,6 +165,32 @@ TEST(ExternalSort, MergeReadsAreSinglePage) {
   EXPECT_TRUE(saw_merge_read);
 }
 
+// Temp exhaustion is fatal at its one site, Operator::EnsureTemp. A
+// 3-page sort of 120 pages forms runs in the first extent and merges in
+// many steps, whose output needs the second.
+TEST(ExternalSortDeathTest, RunFormationWithoutTempSpaceDies) {
+  MockExecContext ctx;
+  ctx.fail_temp = true;
+  ExternalSort sort(ExecParams(), Inputs(120));
+  sort.on_finished = [] {};
+  sort.SetAllocation(3);
+  sort.Start(&ctx);
+  EXPECT_DEATH(ctx.PumpAll(), "temp space exhausted");
+}
+
+TEST(ExternalSortDeathTest, MergeOutputWithoutTempSpaceDies) {
+  MockExecContext ctx;
+  ExternalSort sort(ExecParams(), Inputs(120));
+  sort.on_finished = [] {};
+  sort.SetAllocation(3);
+  sort.Start(&ctx);
+  while (ctx.temp_allocations == 0 && ctx.Pump()) {
+  }
+  ASSERT_EQ(ctx.temp_allocations, 1);  // the run extent
+  ctx.fail_temp = true;
+  EXPECT_DEATH(ctx.PumpAll(), "temp space exhausted");
+}
+
 /// Property grid: I/O conservation across sizes and allocations.
 class SortConservation
     : public ::testing::TestWithParam<std::tuple<PageCount, PageCount>> {};

@@ -187,6 +187,32 @@ TEST(HashJoin, CpuCostsScaleWithExpandedFraction) {
               static_cast<double>(expect_max) * 0.02);
 }
 
+// Temp exhaustion is fatal at its one site, Operator::EnsureTemp. At the
+// minimum allocation the build spools R into the first extent and the
+// probe spools S into the second.
+TEST(HashJoinDeathTest, RSpillWithoutTempSpaceDies) {
+  MockExecContext ctx;
+  ctx.fail_temp = true;
+  HashJoin join(Params(), Inputs(600, 3000));
+  join.on_finished = [] {};
+  join.SetAllocation(join.min_memory());
+  join.Start(&ctx);
+  EXPECT_DEATH(ctx.PumpAll(), "temp space exhausted");
+}
+
+TEST(HashJoinDeathTest, SSpillWithoutTempSpaceDies) {
+  MockExecContext ctx;
+  HashJoin join(Params(), Inputs(600, 3000));
+  join.on_finished = [] {};
+  join.SetAllocation(join.min_memory());
+  join.Start(&ctx);
+  while (ctx.temp_allocations == 0 && ctx.Pump()) {
+  }
+  ASSERT_EQ(ctx.temp_allocations, 1);  // R's extent
+  ctx.fail_temp = true;
+  EXPECT_DEATH(ctx.PumpAll(), "temp space exhausted");
+}
+
 /// Property: total pages read never falls below the operand size, writes
 /// never exceed what was read, and temp is always released — across a
 /// grid of relation sizes and allocations.
