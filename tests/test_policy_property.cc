@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -149,17 +150,24 @@ TEST(PolicyProperty, AttachReallocatesOnce) {
 }
 
 TEST(PolicyProperty, FailedAttachTouchesNothing) {
+  // Each broken host must fail at least `fails`, or it tests nothing.
+  // select must fail when any of its candidates would, even one its
+  // bandit has not picked yet.
   const struct {
     const char* what;
     void (*breaks)(PolicyHost*);
+    const char* fails;
   } broken[] = {
-      {"tick_interval = 0", [](PolicyHost* h) { h->tick_interval = 0.0; }},
-      {"num_classes = 3", [](PolicyHost* h) { h->num_classes = 3; }},
-      {"empty now", [](PolicyHost* h) { h->now = nullptr; }},
-      {"pmm.sample_size = 1", [](PolicyHost* h) { h->pmm.sample_size = 1; }},
+      {"tick_interval = 0", [](PolicyHost* h) { h->tick_interval = 0.0; },
+       "pmm-tick"},
+      {"num_classes = 3", [](PolicyHost* h) { h->num_classes = 3; },
+       "select:candidates=pmm+pmm-class:targets=1,1"},
+      {"empty now", [](PolicyHost* h) { h->now = nullptr; }, "edf-shed"},
+      {"pmm.sample_size = 1", [](PolicyHost* h) { h->pmm.sample_size = 1; },
+       "pmm"},
   };
   for (const auto& b : broken) {
-    int failures = 0;
+    std::vector<std::string> failed;
     for (const std::string& spec : AttachSpecs()) {
       SCOPED_TRACE(std::string(b.what) + ", " + spec);
       int applied = 0;
@@ -176,13 +184,13 @@ TEST(PolicyProperty, FailedAttachTouchesNothing) {
       const int64_t recomputes = mm.recomputes();
       const std::string strategy = mm.strategy().name();
       if (policy.value()->Attach(host).ok()) continue;
-      ++failures;
+      failed.push_back(spec);
       EXPECT_EQ(mm.recomputes(), recomputes);
       EXPECT_EQ(mm.strategy().name(), strategy);
       EXPECT_EQ(applied, 0);
     }
-    // Each broken host must fail some spec, or it tests nothing.
-    EXPECT_GT(failures, 0) << b.what;
+    EXPECT_NE(std::find(failed.begin(), failed.end(), b.fails), failed.end())
+        << b.what << " did not fail " << b.fails;
   }
 }
 
