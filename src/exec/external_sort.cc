@@ -36,16 +36,13 @@ void ExternalSort::CloseCurrentRun() {
 }
 
 void ExternalSort::FlushOutput(bool final_flush) {
-  // Run formation spools to the first extent, merge output to the second
-  // (the runs it reads stay in the first). The writes are asynchronous;
-  // the sort does not stall on them (double-buffered output in
-  // [Pang93b]).
-  const bool merging = merging_active_ || phase_ == Phase::kMergePlan ||
-                       phase_ == Phase::kMergeRead ||
-                       phase_ == Phase::kMergeCpu;
+  // Run formation spools to the first extent, the merge phases to the
+  // second. The writes are asynchronous; the sort does not stall on them
+  // (double-buffered output in [Pang93b]).
+  std::optional<storage::TempFile>* dest =
+      phase_ == Phase::kFormRead ? &temp_a_ : &temp_b_;
   while (PageCount pages = TakeSpoolBlock(&pend_write_, final_flush)) {
-    SpoolWrite(EnsureTemp(merging ? &temp_b_ : &temp_a_, in_.pages, in_.disk),
-               &write_cursor_, pages);
+    SpoolWrite(EnsureTemp(dest, in_.pages, in_.disk), &write_cursor_, pages);
   }
 }
 

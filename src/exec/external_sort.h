@@ -105,8 +105,9 @@ class ExternalSort : public Operator {
   bool step_is_final_ = false;    // output goes to client, not disk
   int64_t merge_steps_ = 0;
 
-  // Temp extents, each sized ||R||: runs are formed in the first and
-  // read back from it; merge output goes to the second.
+  // Temp extents, each sized ||R||: runs are formed in the first, and
+  // every merge and final-scan read comes from it; merge output goes to
+  // the second (the model never swaps them).
   std::optional<storage::TempFile> temp_a_;
   std::optional<storage::TempFile> temp_b_;
   PageCount read_cursor_ = 0;   // within temp_a_

@@ -100,8 +100,8 @@ class HashJoin : public Operator {
     // Cleanup progress.
     PageCount cleanup_total = 0;
     PageCount cleanup_remaining = 0;
-    PageCount chunk_left = 0;    // pages left in the current chunk
-    PageCount read_cursor = 0;   // read position in temp
+    PageCount chunk_left = 0;   // pages left in the current chunk
+    PageCount read_cursor = 0;  // read position in temp
   };
 
   /// Spools all pending full blocks of `spill` as fire-and-forget writes;
@@ -124,7 +124,7 @@ class HashJoin : public Operator {
   PageCount cur_block_ = 0;  // pages in the block being processed
 
   // In-memory / spilled state, in tuple-pages (aggregate model).
-  double exp_built_ = 0.0;      // R pages resident in hash tables
+  double exp_built_ = 0.0;       // R pages resident in hash tables
   double reload_pending_ = 0.0;  // pages to read back for expansion
   Spill r_;
   Spill s_;
